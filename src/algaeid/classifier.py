@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,14 +113,21 @@ def init_network(input_dim, num_classes, rng, hidden_sizes=HIDDEN_SIZES):
     return Network(layer_sizes=sizes, weights=weights, biases=biases)
 
 
-def _forward_trace(net, x):
-    """Pre-activations and activations for every layer; x is (n, d_in)."""
+def _forward_trace(weights, biases, x):
+    """Pre-activations and activations for every layer.
+
+    Works on one network (weights (out, in), x (n, d_in)) or on R networks
+    stacked along a leading run axis (weights (R, out, in), biases (R, out),
+    x (R, n, d_in)); the stacked matmul computes each run's product exactly
+    as the single-network one does.
+    """
     zs = []
     activations = [x]
     a = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         zs.append(z)
         a = softmax(z) if i == last else relu(z)
         activations.append(a)
@@ -131,7 +138,7 @@ def forward_batch(net, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
-    _, activations = _forward_trace(net, x)
+    _, activations = _forward_trace(net.weights, net.biases, x)
     return activations[-1]
 
 def forward(net, x):
@@ -151,24 +158,28 @@ def loss(probs, label):
     return float(-np.log(max(probs[label], PROB_FLOOR)))
 
 
-def _backward_batch(net, x, labels):
-    """Mean gradients over a batch. Softmax and cross-entropy fuse to
-    (probs - onehot) at the output pre-activation; the ReLU subgradient at
-    exactly 0 is taken as 0."""
-    n = x.shape[0]
-    zs, activations = _forward_trace(net, x)
-    probs = activations[-1]
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
+def _gradients(weights, biases, x, onehot):
+    """Mean gradients over a batch, for one network or a run-stacked set
+    (see `_forward_trace`); `onehot` holds the one-hot labels, (..., n, k).
+    Softmax and cross-entropy fuse to (probs - onehot) at the output
+    pre-activation; the ReLU subgradient at exactly 0 is taken as 0."""
+    n = x.shape[-2]
+    zs, activations = _forward_trace(weights, biases, x)
+    delta = activations[-1] - onehot
     delta /= n
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.weights)
-    for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ activations[i]
-        grads_b[i] = delta.sum(axis=0)
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = delta.swapaxes(-1, -2) @ activations[i]
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ net.weights[i]) * (zs[i - 1] > 0)
+            delta = (delta @ weights[i]) * (zs[i - 1] > 0)
     return grads_w, grads_b
+
+
+def _backward_batch(net, x, labels):
+    """Mean gradients of one network over a batch of (x, labels)."""
+    return _gradients(net.weights, net.biases, x, np.eye(net.num_classes)[labels])
 
 
 def backward(net, x, label):
@@ -188,21 +199,48 @@ def train(x, y, variant=None, cfg=None, num_classes=None):
 
     Initialization and per-epoch shuffling derive solely from cfg.seed, so
     identical (data, cfg) produce bitwise-identical weights. When a variant
-    is given, the input dimension must match it.
+    is given, the input dimension must match it. This is the one-run case
+    of `train_runs`.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be (n, d) and y (n,) with matching n")
-    n, d = x.shape
+    return train_runs(x[None], y[None], [cfg.seed], variant=variant, cfg=cfg,
+                      num_classes=num_classes)[0]
+
+
+def train_runs(x, y, seeds, variant=None, cfg=None, num_classes=None):
+    """Train R networks in lockstep; returns one (network, final mean loss)
+    per run.
+
+    x is (R, n, d) and y (R, n): every run has its own n training samples
+    (its own split and normalizer), and all runs share n, so their
+    mini-batch boundaries line up. Run r draws its He-uniform init and then
+    one permutation per epoch from default_rng(seeds[r]), in that order;
+    cfg.seed is not used. Each step gathers every run's own mini-batch into
+    an (R, B, d) array and runs forward, backward and update as matmuls over
+    the leading run axis, so every run's weights are bitwise those of
+    training it alone with seed seeds[r].
+    """
+    cfg = cfg or TrainConfig()
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 3 or y.ndim != 2 or x.shape[:2] != y.shape:
+        raise ValueError("x must be (runs, n, d) and y (runs, n) with matching n")
+    runs, n, d = x.shape
+    if len(seeds) != runs:
+        raise ValueError(f"{len(seeds)} seeds for {runs} runs")
     if variant is not None and d != variant.input_dim:
         raise ValueError(
             f"{variant.value} variant expects {variant.input_dim} inputs, got {d}"
         )
-    present = np.unique(y)
-    if len(present) < 2:
-        raise ValueError("training data must contain at least 2 classes")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training inputs contain non-finite values")
+    for labels in y:
+        if len(np.unique(labels)) < 2:
+            raise ValueError("training data must contain at least 2 classes")
     if y.min() < 0:
         raise ValueError("labels must be non-negative class ids")
     k = int(num_classes) if num_classes is not None else int(y.max()) + 1
@@ -211,24 +249,36 @@ def train(x, y, variant=None, cfg=None, num_classes=None):
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds training size {n}")
 
-    rng = np.random.default_rng(cfg.seed)
-    net = init_network(d, k, rng)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    nets = [init_network(d, k, rng) for rng in rngs]
+    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
+    biases = [np.stack(bs) for bs in zip(*(net.biases for net in nets))]
+    onehot = np.eye(k)[y]
+    run_axis = np.arange(runs)[:, None]
     lr = cfg.learning_rate
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        # one gather per epoch: each run's samples in its own shuffled order
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        x_epoch, t_epoch = x[run_axis, order], onehot[run_axis, order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            grads_w, grads_b = _backward_batch(net, x[idx], y[idx])
-            for i in range(len(net.weights)):
+            batch = slice(start, start + cfg.batch_size)
+            grads_w, grads_b = _gradients(
+                weights, biases, x_epoch[:, batch], t_epoch[:, batch])
+            for i in range(len(weights)):
                 step = grads_w[i]
                 if cfg.l2:
-                    step = step + cfg.l2 * net.weights[i]
-                net.weights[i] -= lr * step
-                net.biases[i] -= lr * grads_b[i]
-    probs = forward_batch(net, x)
-    p_true = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
-    final_loss = float(-np.log(p_true).mean())
-    return net, final_loss
+                    step = step + cfg.l2 * weights[i]
+                weights[i] -= lr * step
+                biases[i] -= lr * grads_b[i]
+
+    results = []
+    for r, net in enumerate(nets):
+        net.weights = [w[r].copy() for w in weights]
+        net.biases = [b[r].copy() for b in biases]
+        probs = forward_batch(net, x[r])
+        p_true = np.maximum(probs[np.arange(n), y[r]], PROB_FLOOR)
+        results.append((net, float(-np.log(p_true).mean())))
+    return results
 
 
 def predict(net, x):
@@ -312,8 +362,3 @@ def load_model(path):
         feature_names=tuple(doc.get("feature_names", ())),
         class_names=tuple(doc.get("class_names", ())),
     )
-
-
-def with_seed(cfg, seed):
-    """Copy of a TrainConfig with a different seed."""
-    return replace(cfg, seed=int(seed))

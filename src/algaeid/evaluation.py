@@ -232,8 +232,11 @@ def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
     """MCCV over labeled feature vectors for one variant.
 
     Per run: split, fit the normalizer on the training split only, train,
-    and score the held-out split. Reports per-run accuracies and confusion
-    matrices plus their mean and sample standard deviation.
+    and score the held-out split. The runs train together in lockstep
+    (`classifier.train_runs`), each with its own seed, init and
+    permutations, exactly as if trained one after another. Reports per-run
+    accuracies and confusion matrices plus their mean and sample standard
+    deviation.
     """
     cfg = cfg or classifier.TrainConfig()
     if runs < 2:
@@ -247,17 +250,23 @@ def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
     x = np.stack([assemble(fv, variant) for fv in fvs])
     k = max(int(y.max()) + 1, len(class_names))
 
-    accuracies = []
-    confusions = []
+    splits, normalizers, train_seeds = [], [], []
     for r in range(runs):
         split_seed, train_seed = _run_seeds(master_seed, r)
         train_idx, test_idx = mccv_split(len(fvs), train_fraction, split_seed)
-        nrm = fit_normalizer(x[train_idx])
-        net, _ = classifier.train(
-            apply_normalizer(nrm, x[train_idx]), y[train_idx],
-            variant=variant, cfg=classifier.with_seed(cfg, train_seed),
-            num_classes=k,
-        )
+        splits.append((train_idx, test_idx))
+        normalizers.append(fit_normalizer(x[train_idx]))
+        train_seeds.append(train_seed)
+    trained = classifier.train_runs(
+        np.stack([apply_normalizer(nrm, x[train_idx])
+                  for nrm, (train_idx, _) in zip(normalizers, splits)]),
+        np.stack([y[train_idx] for train_idx, _ in splits]),
+        train_seeds, variant=variant, cfg=cfg, num_classes=k,
+    )
+
+    accuracies = []
+    confusions = []
+    for (net, _), nrm, (_, test_idx) in zip(trained, normalizers, splits):
         y_pred = classifier.predict_batch(net, apply_normalizer(nrm, x[test_idx]))
         cm = confusion_from_predictions(y[test_idx], y_pred, k, class_names)
         confusions.append(cm)

@@ -274,11 +274,17 @@ def read_features_csv(path):
             raise ValueError(f"{path}: unexpected spectral column {name!r}")
         wavelengths.append(float(name[2:]))
     fvs = []
-    for row in rows[1:]:
+    for row_no, row in enumerate(rows[1:], start=1):
         if not row:
             continue
         organism_id, label_s = row[0], row[1]
         vals = [float(v) for v in row[2:]]
+        for name, v, text in zip(header[2:], vals, row[2:]):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"{path}: row {row_no} (line {row_no + 1}), column {name}: "
+                    f"non-finite value {text!r}"
+                )
         fvs.append(FeatureVector(
             organism_id=organism_id,
             label=None if label_s == "" else int(label_s),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stack_io import write_pgm16
+from .stack_io import PGM_MAXVAL, write_pgm16
 
 
 class DegenerateBandError(ValueError):
@@ -277,11 +277,17 @@ def extract_organisms(labels, corrected, min_area_px=8):
             f"{corrected.height}x{corrected.width}"
         )
     h, w = lab.shape
+    # group pixel indices by id in one pass: a stable sort keeps each
+    # component's pixels in row-major order, as np.argwhere(lab == id) would
+    flat = lab.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(np.bincount(flat, minlength=labels.count + 1))
     organisms = []
     for comp_id in range(1, labels.count + 1):
-        pixels = np.argwhere(lab == comp_id)
-        if pixels.shape[0] < min_area_px:
+        start, stop = ends[comp_id - 1], ends[comp_id]
+        if stop - start < min_area_px:
             continue
+        pixels = np.stack(np.divmod(order[start:stop], w), axis=1)
         y_min, x_min = pixels.min(axis=0)
         y_max, x_max = pixels.max(axis=0)
         patches = tuple(
@@ -302,7 +308,16 @@ def extract_organisms(labels, corrected, min_area_px=8):
 
 
 def labelmap_to_pgm(labels, path):
-    """Export component ids as a 16-bit PGM for visual debugging."""
+    """Export component ids as a 16-bit PGM for visual debugging.
+
+    Ids above 65535 do not fit the format, and clipping them would merge
+    components, so a map with more components raises ValueError.
+    """
+    if labels.count > PGM_MAXVAL:
+        raise ValueError(
+            f"{path}: {labels.count} components exceed the 16-bit PGM "
+            f"id limit of {PGM_MAXVAL}"
+        )
     write_pgm16(path, labels.labels.astype(np.float64))
 
 

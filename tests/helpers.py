@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from algaeid.classifier import PROB_FLOOR, TrainConfig, init_network, relu, softmax
 from algaeid.segmentation import Organism
 
 
@@ -236,3 +237,76 @@ def random_organism(rng, max_size=14):
         comp = int(rng.integers(1, lab.count + 1))
         pixels = np.argwhere(lab.labels == comp)
         return organism_from_pixels(pixels)
+
+
+# --- per-run SGD oracle (one network, one mini-batch at a time) ---
+
+def _reference_forward_trace(net, x):
+    """Pre-activations and activations for every layer; x is (n, d_in)."""
+    zs = []
+    activations = [x]
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        zs.append(z)
+        a = softmax(z) if i == last else relu(z)
+        activations.append(a)
+    return zs, activations
+
+
+def _reference_backward_batch(net, x, labels):
+    """Mean gradients over a batch, with the output delta formed by
+    subtracting 1 at each sample's label."""
+    n = x.shape[0]
+    zs, activations = _reference_forward_trace(net, x)
+    probs = activations[-1]
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.weights)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w[i] = delta.T @ activations[i]
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i]) * (zs[i - 1] > 0)
+    return grads_w, grads_b
+
+
+def reference_train(x, y, cfg=None, num_classes=None):
+    """One network trained on its own: He-uniform init and one permutation
+    per epoch from default_rng(cfg.seed), then 2-D matmuls per mini-batch.
+    Returns (network, final mean loss) like `classifier.train`."""
+    cfg = cfg or TrainConfig()
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = x.shape
+    if len(np.unique(y)) < 2:
+        raise ValueError("training data must contain at least 2 classes")
+    k = int(num_classes) if num_classes is not None else int(y.max()) + 1
+
+    rng = np.random.default_rng(cfg.seed)
+    net = init_network(d, k, rng)
+    lr = cfg.learning_rate
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            grads_w, grads_b = _reference_backward_batch(net, x[idx], y[idx])
+            for i in range(len(net.weights)):
+                step = grads_w[i]
+                if cfg.l2:
+                    step = step + cfg.l2 * net.weights[i]
+                net.weights[i] -= lr * step
+                net.biases[i] -= lr * grads_b[i]
+    _, activations = _reference_forward_trace(net, x)
+    probs = activations[-1]
+    p_true = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
+    final_loss = float(-np.log(p_true).mean())
+    return net, final_loss
+
+
+def reference_predict(net, x):
+    """Most probable class per row of x under the oracle's forward pass."""
+    return np.argmax(_reference_forward_trace(net, x)[1][-1], axis=1)

@@ -7,8 +7,11 @@ from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
                                 TrainedModel, backward, forward,
                                 forward_batch, init_network, load_model,
                                 loss, predict, relu, save_model, softmax,
-                                train)
-from algaeid.features import ModelVariant, Normalizer
+                                train, train_runs)
+from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
+                              fit_normalizer)
+
+from helpers import reference_train
 
 
 def tiny_net(weights, biases, sizes):
@@ -176,6 +179,39 @@ def test_train_deterministic_bitwise():
     assert loss1 == loss2
     for a, b in zip(net1.weights + net1.biases, net2.weights + net2.biases):
         assert np.array_equal(a, b)
+
+
+def test_train_runs_bitwise_equal_to_per_run_reference():
+    # three runs with their own data, normalizer and seed; 50 samples leave
+    # a partial last batch of 2 at batch size 16
+    rng = np.random.default_rng(12)
+    raw = rng.normal(size=(3, 50, 6)) * rng.uniform(0.5, 4.0, size=(3, 1, 6)) \
+        + rng.normal(scale=3.0, size=(3, 1, 6))
+    x = np.stack([apply_normalizer(fit_normalizer(r), r) for r in raw])
+    y = rng.integers(0, 4, size=(3, 50))
+    seeds = [3, 1234567, 2 ** 40 + 5]
+    cfg = TrainConfig(epochs=25, batch_size=16, l2=1e-3)
+    trained = train_runs(x, y, seeds, variant=ModelVariant.SPECTRAL, cfg=cfg,
+                         num_classes=5)
+    assert len(trained) == 3
+    for r, (net, final_loss) in enumerate(trained):
+        ref_net, ref_loss = reference_train(
+            x[r], y[r], cfg=TrainConfig(epochs=25, batch_size=16, l2=1e-3,
+                                        seed=seeds[r]), num_classes=5)
+        assert final_loss == ref_loss
+        assert net.layer_sizes == ref_net.layer_sizes
+        for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert np.array_equal(a, b)
+
+
+def test_train_rejects_non_finite_inputs():
+    rng = np.random.default_rng(13)
+    y = rng.integers(0, 2, size=20)
+    for bad in (np.nan, np.inf):
+        x = rng.normal(size=(20, 5))
+        x[7, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            train(x, y, cfg=TrainConfig(epochs=1))
 
 
 def test_train_config_validation():

@@ -157,6 +157,23 @@ def test_mccv_echoes_runs_and_split(pipeline, capsys):
     assert doc["variants"]["spectral"]["runs"] == 20
 
 
+@pytest.mark.parametrize("command,value", [("train", "nan"), ("mccv", "inf")])
+def test_non_finite_feature_rejected(pipeline, tmp_path, capsys, command, value):
+    lines = pipeline["csv"].read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("em450")
+    row = lines[3].split(",")
+    row[column] = value
+    lines[3] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {"train": ["--variant", "spectral", "--out", str(tmp_path / "m.json")],
+            "mccv": ["--variants", "spectral", "--out", str(tmp_path / "eval")]}
+    assert main([command, str(bad), "--config", str(pipeline["config"])]
+                + args[command]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: row 3 (line 4), column em450: non-finite value '{value}'" in err
+
+
 def test_exit_code_validation_error(pipeline, tmp_path, capsys):
     # segment requires a corrected stack: feeding raw input fails validation
     code = main(["segment", str(pipeline["raw"]), "--config",

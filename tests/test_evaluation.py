@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from algaeid.classifier import TrainConfig
-from algaeid.evaluation import (ConfusionMatrix, MccvReport, accuracy,
-                                build_report, confusion_from_predictions,
-                                mccv_split, paired_t_test,
-                                regularized_incomplete_beta,
+from algaeid.evaluation import (ConfusionMatrix, MccvReport, _run_seeds,
+                                accuracy, build_report,
+                                confusion_from_predictions, mccv_split,
+                                paired_t_test, regularized_incomplete_beta,
                                 render_report_text, run_mccv, t_cdf,
                                 t_two_sided_p)
-from algaeid.features import FeatureVector, ModelVariant
+from algaeid.features import (FeatureVector, ModelVariant, apply_normalizer,
+                              assemble, fit_normalizer)
+
+from helpers import reference_predict, reference_train
 
 # fixed six-class confusion-matrix fixtures for the shape-only and
 # spectral-only variants; their accuracy ratios are asserted exactly
@@ -228,6 +231,45 @@ def test_run_mccv_splits_shared_across_variants():
     for r in range(3):
         assert rep_a.confusions[r].counts.sum(axis=1).tolist() == \
             rep_b.confusions[r].counts.sum(axis=1).tolist()
+
+
+def test_run_mccv_matches_per_run_reference():
+    # overlapping spectral clusters, so runs differ and misclassify some
+    # samples; 55 training samples leave a partial last batch of 7
+    rng = np.random.default_rng(35)
+    fvs = _toy_feature_vectors(rng, n_per_class=26, separation=0.1)
+    cfg = TrainConfig(epochs=20, batch_size=16, l2=1e-4)
+    rep = run_mccv(fvs, ModelVariant.SPECTRAL, cfg=cfg, runs=4, master_seed=3)
+    x = np.stack([assemble(fv, ModelVariant.SPECTRAL) for fv in fvs])
+    y = np.array([fv.label for fv in fvs])
+    accuracies = []
+    for r in range(4):
+        split_seed, train_seed = _run_seeds(3, r)
+        train_idx, test_idx = mccv_split(len(fvs), 0.7, split_seed)
+        nrm = fit_normalizer(x[train_idx])
+        net, _ = reference_train(
+            apply_normalizer(nrm, x[train_idx]), y[train_idx],
+            cfg=TrainConfig(epochs=20, batch_size=16, l2=1e-4, seed=train_seed),
+            num_classes=3)
+        y_pred = reference_predict(net, apply_normalizer(nrm, x[test_idx]))
+        cm = confusion_from_predictions(y[test_idx], y_pred, 3)
+        assert np.array_equal(rep.confusions[r].counts, cm.counts)
+        accuracies.append(accuracy(cm))
+    assert rep.accuracies == accuracies
+    assert len(set(accuracies)) > 1
+
+
+def test_run_mccv_single_class_training_split():
+    # ten class-0 samples and one class-1 sample: a run whose test split
+    # draws the class-1 sample trains on class 0 alone
+    rng = np.random.default_rng(36)
+    fvs = [fv for fv in _toy_feature_vectors(rng, n_per_class=10) if fv.label == 0]
+    fvs.append(_toy_feature_vectors(rng, n_per_class=1)[1])
+    splits = [mccv_split(11, 0.7, _run_seeds(0, r)[0]) for r in range(5)]
+    assert any(10 not in train_idx for train_idx, _ in splits)
+    with pytest.raises(ValueError, match="training data must contain at least 2 classes"):
+        run_mccv(fvs, ModelVariant.SPECTRAL, cfg=TrainConfig(epochs=1, batch_size=2),
+                 runs=5, master_seed=0)
 
 
 def test_run_mccv_validation():

@@ -180,6 +180,25 @@ def test_extract_bbox_tight_and_pixel_ids():
         assert np.all(lab.labels[ys, xs] == org.id)
 
 
+def test_extract_pixels_match_argwhere():
+    # random ids include components below min_area_px, components touching
+    # the border, ids with no pixels and ones scattered in many pieces
+    rng = np.random.default_rng(19)
+    lab = np.zeros((37, 53), dtype=np.int32)
+    for comp_id in range(1, 41):
+        y, x = rng.integers(0, 37), rng.integers(0, 53)
+        lab[y:y + rng.integers(1, 9), x:x + rng.integers(1, 9)] = comp_id
+    lab[rng.random(lab.shape) < 0.05] = 41
+    lab[0, :3] = 42
+    stack = _stack_like(lab.shape)
+    orgs = extract_organisms(LabelMap(lab, 43), stack, min_area_px=8)
+    expected = [i for i in range(1, 44) if (lab == i).sum() >= 8]
+    assert [o.id for o in orgs] == expected
+    assert len(expected) < 43 and any(o.touches_border for o in orgs)
+    for org in orgs:
+        assert np.array_equal(org.pixels, np.argwhere(lab == org.id))
+
+
 def test_organism_invariants():
     with pytest.raises(ValueError):
         Organism(id=1, pixels=np.zeros((0, 2)), x_min=0, y_min=0, x_max=0, y_max=0)
@@ -194,6 +213,14 @@ def test_labelmap_pgm_export(tmp_path):
     labelmap_to_pgm(LabelMap(lab, 2), tmp_path / "labels.pgm")
     back = read_pgm(tmp_path / "labels.pgm")
     assert np.array_equal(back.astype(np.int32), lab)
+
+
+def test_labelmap_pgm_rejects_ids_beyond_16_bits(tmp_path):
+    lab = np.arange(1, 65537, dtype=np.int32).reshape(1, 65536)
+    path = tmp_path / "labels.pgm"
+    with pytest.raises(ValueError, match="65536 components"):
+        labelmap_to_pgm(LabelMap(lab, 65536), path)
+    assert not path.exists()
 
 
 def test_organisms_json_round_trip():
