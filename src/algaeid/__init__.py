@@ -1,9 +1,9 @@
 """Automated identification of algae from multi-band fluorescence imagery.
 
-Pipeline stages: illumination correction, per-band Otsu segmentation with
-union fusion and connected-component grouping, spectral-morphological
-feature extraction, a small feedforward classifier, and a Monte Carlo
-cross-validation harness. A deterministic synthetic-scene generator stands
+Pipeline stages: illumination correction, per-band Otsu segmentation
+with the union of the band masks and connected-component grouping,
+spectral-morphological feature extraction, a small feedforward
+classifier, and a Monte Carlo cross-validation harness. A deterministic synthetic-scene generator stands
 in for microscope data so the whole pipeline runs end to end.
 """
 
@@ -23,7 +23,7 @@ from .illumination import (CorrectionConfig, estimate_background,
                            subtract_background)
 from .segmentation import (BinaryMask, LabelMap, Organism, binarize,
                            connected_components, extract_organisms,
-                           fuse_masks, otsu_threshold)
+                           fuse_masks, otsu_threshold, segment)
 from .stack_io import ImageStack, load_stack, save_stack
 from .synthgen import (SceneSpec, SpeciesSpec, default_catalog,
                        generate_corpus, generate_scene)

@@ -30,18 +30,19 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 32
     seed: int = 0
-    init_scheme: str = "he-uniform"
     l2: float = 0.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "l2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.init_scheme != "he-uniform":
-            raise ValueError(f"unknown init_scheme {self.init_scheme!r}")
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
 

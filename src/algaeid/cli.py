@@ -10,6 +10,7 @@ sidecar meta file because its header is a fixed interface.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,27 +33,12 @@ DEFAULT_CONFIG = {
         "noise_sigma": 2.0,
         "master_seed": 0,
     },
-    "correction": {
-        "gaussian_sigma_px": 5.0,
-        "opening_radii_px": [4, 8, 16, 32],
-        "clamp_negative": True,
-    },
+    "correction": dataclasses.asdict(illumination.CorrectionConfig()),
     "segmentation": {
         "num_bins": 256,
         "min_area_px": 8,
-        "fusion": "union",
     },
-    "features": {
-        "spectral_source": "corrected",
-    },
-    "train": {
-        "learning_rate": 0.01,
-        "epochs": 500,
-        "batch_size": 32,
-        "seed": 0,
-        "init_scheme": "he-uniform",
-        "l2": 0.0,
-    },
+    "train": dataclasses.asdict(classifier.TrainConfig()),
     "mccv": {
         "runs": 20,
         "train_fraction": 0.7,
@@ -61,35 +47,31 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base, override):
-    out = dict(base)
-    for key, value in override.items():
-        if key in out and isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
 def load_config(path=None):
+    """DEFAULT_CONFIG with the sections of the JSON file at `path` laid
+    over it. Only the sections and keys of DEFAULT_CONFIG are accepted."""
     cfg = {k: dict(v) for k, v in DEFAULT_CONFIG.items()}
-    if path is not None:
-        if not os.path.exists(path):
-            raise ValueError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: invalid config JSON: {e}") from None
-        unknown = set(user) - set(DEFAULT_CONFIG)
+    if path is None:
+        return cfg
+    if not os.path.exists(path):
+        raise ValueError(f"config file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            user = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: invalid config JSON: {e}") from None
+    if not isinstance(user, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = set(user) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
+    for section, values in user.items():
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: config section {section} must be a JSON object")
+        unknown = [f"{section}.{key}" for key in values if key not in cfg[section]]
         if unknown:
-            raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
-        cfg = _merge(cfg, user)
-    if cfg["segmentation"]["fusion"] != "union":
-        raise ValueError("config field segmentation.fusion: only 'union' is supported")
-    if cfg["features"]["spectral_source"] != "corrected":
-        raise ValueError(
-            "config field features.spectral_source: only 'corrected' is supported")
+            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        cfg[section].update(values)
     return cfg
 
 
@@ -98,25 +80,19 @@ def config_hash(cfg):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _correction_config(cfg):
-    c = cfg["correction"]
-    return illumination.CorrectionConfig(
-        gaussian_sigma_px=float(c["gaussian_sigma_px"]),
-        opening_radii_px=tuple(c["opening_radii_px"]),
-        clamp_negative=bool(c["clamp_negative"]),
-    )
+def _load_role(path, role):
+    """Stack at `path`, which must carry `role` as its role_tag."""
+    stack = load_stack(path)
+    if stack.role_tag != role:
+        raise ValueError(f"{path}: expected role_tag {role!r}, got {stack.role_tag!r}")
+    return stack
 
 
-def _train_config(cfg, seed=None):
-    t = cfg["train"]
-    return classifier.TrainConfig(
-        learning_rate=float(t["learning_rate"]),
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        seed=int(t["seed"] if seed is None else seed),
-        init_scheme=str(t["init_scheme"]),
-        l2=float(t["l2"]),
-    )
+def _segment(corrected, cfg):
+    """segmentation.segment with the settings of the config's segmentation section."""
+    seg = cfg["segmentation"]
+    return segmentation.segment(corrected, num_bins=int(seg["num_bins"]),
+                                min_area_px=int(seg["min_area_px"]))
 
 
 def _scene_dirs(root):
@@ -168,11 +144,9 @@ def cmd_synth(args):
 def cmd_correct(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
-    correction = _correction_config(cfg)
+    correction = illumination.CorrectionConfig(**cfg["correction"])
     for name, src in _scene_dirs(args.input):
-        raw = load_stack(src)
-        if raw.role_tag != "raw":
-            raise ValueError(f"{src}: expected role_tag 'raw', got {raw.role_tag!r}")
+        raw = _load_role(src, "raw")
         background = illumination.estimate_background(raw, correction)
         corrected = illumination.subtract_background(
             raw, background, clamp=correction.clamp_negative)
@@ -182,30 +156,11 @@ def cmd_correct(args):
     return 0
 
 
-def _segment_stack(stack, cfg):
-    seg = cfg["segmentation"]
-    masks = []
-    thresholds = []
-    for band in stack.bands:
-        theta = segmentation.otsu_threshold(band, num_bins=int(seg["num_bins"]))
-        thresholds.append(theta)
-        masks.append(segmentation.binarize(band, theta))
-    fused = segmentation.fuse_masks(masks)
-    labels = segmentation.connected_components(fused)
-    organisms = segmentation.extract_organisms(
-        labels, stack, min_area_px=int(seg["min_area_px"]))
-    return labels, organisms, thresholds
-
-
 def cmd_segment(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     for name, src in _scene_dirs(args.input):
-        stack = load_stack(src)
-        if stack.role_tag != "corrected":
-            raise ValueError(
-                f"{src}: expected role_tag 'corrected', got {stack.role_tag!r}")
-        labels, organisms, thresholds = _segment_stack(stack, cfg)
+        labels, organisms, thresholds = _segment(_load_role(src, "corrected"), cfg)
         dst = os.path.join(args.out, name) if name else args.out
         os.makedirs(dst, exist_ok=True)
         segmentation.labelmap_to_pgm(labels, os.path.join(dst, "labels.pgm"))
@@ -233,12 +188,8 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
             doc = json.load(fh)
         class_names = doc["class_names"]
         species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
-        matched = []
-        for org in organisms:
-            ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
-            ids = ids[ids > 0]
-            matched.append(
-                species_by_id[int(np.argmax(np.bincount(ids)))] if len(ids) else None)
+        matched = [None if i is None else species_by_id[i]
+                   for i in synthgen.majority_truth_ids(organisms, truth)]
     fvs = [
         features.compute_features(org, corrected, label=lab)
         for org, lab in zip(organisms, matched)
@@ -253,10 +204,7 @@ def cmd_features(args):
     wavelengths = None
     class_names = None
     for name, src in _scene_dirs(args.corrected):
-        corrected = load_stack(src)
-        if corrected.role_tag != "corrected":
-            raise ValueError(
-                f"{src}: expected role_tag 'corrected', got {corrected.role_tag!r}")
+        corrected = _load_role(src, "corrected")
         wavelengths = corrected.wavelengths_nm
         seg_dir = os.path.join(args.segmented, name) if name else args.segmented
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
@@ -271,14 +219,8 @@ def cmd_features(args):
         if names is not None:
             class_names = names
         prefix = f"{name}:" if name else ""
-        for fv in fvs:
-            all_fvs.append(features.FeatureVector(
-                organism_id=f"{prefix}{fv.organism_id}",
-                label=fv.label, area=fv.area, convex_area=fv.convex_area,
-                eccentricity=fv.eccentricity,
-                equivalent_diameter=fv.equivalent_diameter,
-                extent=fv.extent, spectral=fv.spectral,
-            ))
+        all_fvs += [dataclasses.replace(fv, organism_id=f"{prefix}{fv.organism_id}")
+                    for fv in fvs]
     if not all_fvs:
         raise ValueError(f"{args.corrected}: no organisms found to featurize")
     features.write_features_csv(args.out, all_fvs, wavelengths)
@@ -312,20 +254,28 @@ def _parse_variant(name):
         raise ValueError(f"unknown variant {name!r} (expected one of: {valid})") from None
 
 
+def _labeled_rows(csv_path):
+    """Labelled feature vectors of a feature CSV, plus its wavelengths."""
+    if not os.path.exists(csv_path):
+        raise ValueError(f"feature file not found: {csv_path}")
+    fvs, wavelengths = features.read_features_csv(csv_path)
+    labeled = [fv for fv in fvs if fv.label is not None]
+    if not labeled:
+        raise ValueError(f"{csv_path}: no labeled rows")
+    return labeled, wavelengths
+
+
 def cmd_train(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     variant = _parse_variant(args.variant)
-    if not os.path.exists(args.features):
-        raise ValueError(f"feature file not found: {args.features}")
-    fvs, wavelengths = features.read_features_csv(args.features)
-    labeled = [fv for fv in fvs if fv.label is not None]
-    if not labeled:
-        raise ValueError(f"{args.features}: no labeled rows to train on")
+    labeled, wavelengths = _labeled_rows(args.features)
     x = np.stack([features.assemble(fv, variant) for fv in labeled])
     y = np.array([fv.label for fv in labeled], dtype=np.int64)
     nrm = features.fit_normalizer(x)
-    train_cfg = _train_config(cfg, seed=args.seed)
+    train_cfg = classifier.TrainConfig(**cfg["train"])
+    if args.seed is not None:
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     class_names = _read_class_names(args.features) or ()
     net, final_loss = classifier.train(
         features.apply_normalizer(nrm, x), y, variant=variant, cfg=train_cfg,
@@ -350,19 +300,15 @@ def cmd_mccv(args):
     variants = [_parse_variant(v.strip()) for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("at least one variant required")
-    if not os.path.exists(args.features):
-        raise ValueError(f"feature file not found: {args.features}")
-    fvs, _ = features.read_features_csv(args.features)
-    labeled = [fv for fv in fvs if fv.label is not None]
-    if not labeled:
-        raise ValueError(f"{args.features}: no labeled rows to evaluate")
+    labeled, _ = _labeled_rows(args.features)
     class_names = _read_class_names(args.features) or ()
     mccv_cfg = cfg["mccv"]
+    train_cfg = classifier.TrainConfig(**cfg["train"])
     reports = []
     for variant in variants:
         reports.append(evaluation.run_mccv(
             labeled, variant,
-            cfg=_train_config(cfg),
+            cfg=train_cfg,
             runs=int(mccv_cfg["runs"]),
             train_fraction=float(mccv_cfg["train_fraction"]),
             master_seed=int(mccv_cfg["master_seed"]),
@@ -392,11 +338,8 @@ def cmd_classify(args):
         raise ValueError(f"model file not found: {args.model}")
     model = classifier.load_model(args.model)
     if os.path.isdir(args.input):
-        corrected = load_stack(args.input)
-        if corrected.role_tag != "corrected":
-            raise ValueError(
-                f"{args.input}: expected role_tag 'corrected', got {corrected.role_tag!r}")
-        _, organisms, _ = _segment_stack(corrected, cfg)
+        corrected = _load_role(args.input, "corrected")
+        _, organisms, _ = _segment(corrected, cfg)
         fvs = [features.compute_features(org, corrected) for org in organisms]
     else:
         if not os.path.exists(args.input):

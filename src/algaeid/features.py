@@ -273,21 +273,40 @@ def read_features_csv(path):
         if not name.startswith("em"):
             raise ValueError(f"{path}: unexpected spectral column {name!r}")
         wavelengths.append(float(name[2:]))
+
+    def bad(row_no, column, problem):
+        return ValueError(
+            f"{path}: row {row_no} (line {row_no + 1}), column {column}: {problem}")
+
     fvs = []
     for row_no, row in enumerate(rows[1:], start=1):
         if not row:
             continue
+        if len(row) < len(header):
+            raise bad(row_no, header[len(row)], "missing value")
+        if len(row) > len(header):
+            raise bad(row_no, len(header) + 1, f"value {row[len(header)]!r} beyond "
+                      f"the {len(header)} header columns")
         organism_id, label_s = row[0], row[1]
-        vals = [float(v) for v in row[2:]]
-        for name, v, text in zip(header[2:], vals, row[2:]):
+        try:
+            label = None if label_s == "" else int(label_s)
+        except ValueError:
+            raise bad(row_no, "label", f"non-integer label {label_s!r}") from None
+        vals = []
+        for name, text in zip(header[2:], row[2:]):
+            try:
+                v = float(text)
+            except ValueError:
+                raise bad(row_no, name, f"non-numeric value {text!r}") from None
             if not math.isfinite(v):
-                raise ValueError(
-                    f"{path}: row {row_no} (line {row_no + 1}), column {name}: "
-                    f"non-finite value {text!r}"
-                )
+                raise bad(row_no, name, f"non-finite value {text!r}")
+            vals.append(v)
+        for name, v, text in zip(("area", "convex_area"), vals, row[2:]):
+            if not v.is_integer():
+                raise bad(row_no, name, f"non-integer pixel count {text!r}")
         fvs.append(FeatureVector(
             organism_id=organism_id,
-            label=None if label_s == "" else int(label_s),
+            label=label,
             area=int(vals[0]),
             convex_area=int(vals[1]),
             eccentricity=vals[2],

@@ -8,7 +8,7 @@ in some bands is not split; fused foreground pixels are grouped into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,6 @@ class BinaryMask:
         fg.flags.writeable = False
         object.__setattr__(self, "foreground", fg)
 
-    @property
-    def height(self):
-        return self.foreground.shape[0]
-
-    @property
-    def width(self):
-        return self.foreground.shape[1]
-
 
 @dataclass(frozen=True)
 class LabelMap:
@@ -67,11 +59,9 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class Organism:
-    """One isolated micro-organism: its pixels, bounding box, and per-band
-    intensity patches cropped from the corrected stack over the box.
+    """One isolated micro-organism: its pixels and bounding box.
 
-    `pixels` is an (N, 2) array of (row, col) coordinates; patches cover the
-    whole bounding box, but features must use only the component's pixels.
+    `pixels` is an (N, 2) array of (row, col) coordinates.
     """
 
     id: int
@@ -80,7 +70,6 @@ class Organism:
     y_min: int
     x_max: int
     y_max: int
-    patches: tuple = field(default=())
     touches_border: bool = False
 
     def __post_init__(self):
@@ -111,12 +100,6 @@ class Organism:
     @property
     def bbox_area(self):
         return self.bbox_width * self.bbox_height
-
-    def local_mask(self):
-        """Boolean mask of the component within its bounding box."""
-        m = np.zeros((self.bbox_height, self.bbox_width), dtype=bool)
-        m[self.pixels[:, 0] - self.y_min, self.pixels[:, 1] - self.x_min] = True
-        return m
 
 
 def otsu_index(counts):
@@ -171,7 +154,7 @@ def binarize(band, threshold):
 
 
 def fuse_masks(masks):
-    """Union fusion: a pixel is foreground if foreground in any input mask."""
+    """Union of masks: a pixel is foreground if foreground in any input mask."""
     if not masks:
         raise ValueError("mask list must be non-empty")
     shape = masks[0].foreground.shape
@@ -268,7 +251,7 @@ def connected_components(mask):
 def extract_organisms(labels, corrected, min_area_px=8):
     """One Organism per component with at least `min_area_px` pixels,
     ordered by component id. Components touching the image border are kept
-    and flagged. Patches are bounding-box crops of every corrected band.
+    and flagged.
     """
     lab = labels.labels
     if (labels.height, labels.width) != (corrected.height, corrected.width):
@@ -290,21 +273,30 @@ def extract_organisms(labels, corrected, min_area_px=8):
         pixels = np.stack(np.divmod(order[start:stop], w), axis=1)
         y_min, x_min = pixels.min(axis=0)
         y_max, x_max = pixels.max(axis=0)
-        patches = tuple(
-            band[y_min:y_max + 1, x_min:x_max + 1].copy()
-            for band in corrected.bands
-        )
         organisms.append(Organism(
             id=comp_id,
             pixels=pixels,
             x_min=int(x_min), y_min=int(y_min),
             x_max=int(x_max), y_max=int(y_max),
-            patches=patches,
             touches_border=bool(
                 y_min == 0 or x_min == 0 or y_max == h - 1 or x_max == w - 1
             ),
         ))
     return organisms
+
+
+def segment(corrected, num_bins=256, min_area_px=8):
+    """The whole segmentation of a corrected stack: an Otsu threshold per
+    band, the union of the band masks, 8-connected labelling, and the
+    organisms of at least `min_area_px` pixels.
+
+    Returns (labels, organisms, thresholds), thresholds in band order.
+    """
+    thresholds = [otsu_threshold(band, num_bins=num_bins) for band in corrected.bands]
+    masks = [binarize(band, t) for band, t in zip(corrected.bands, thresholds)]
+    labels = connected_components(fuse_masks(masks))
+    organisms = extract_organisms(labels, corrected, min_area_px=min_area_px)
+    return labels, organisms, thresholds
 
 
 def labelmap_to_pgm(labels, path):

@@ -107,13 +107,6 @@ class ImageStack:
     def width(self):
         return self.bands[0].shape[1]
 
-    def band(self, i):
-        return self.bands[i]
-
-    def intensity(self, band_index, x, y):
-        """Pixel intensity of band `band_index` at column x, row y."""
-        return float(self.bands[band_index][y, x])
-
     def with_bands(self, bands, role_tag):
         """New stack with the same metadata but different pixel data."""
         return ImageStack(

@@ -340,20 +340,23 @@ def generate_corpus(catalog, n_scenes, scene_template=None, master_seed=0):
     return scenes
 
 
+def majority_truth_ids(organisms, truth):
+    """Ground-truth id covering most pixels of each extracted organism (ties
+    go to the smaller id); None when an organism overlaps no planted one."""
+    ids_per_organism = []
+    for org in organisms:
+        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
+        ids = ids[ids > 0]
+        ids_per_organism.append(int(np.argmax(np.bincount(ids))) if len(ids) else None)
+    return ids_per_organism
+
+
 def match_organisms_to_truth(organisms, truth, planted):
     """Species index per extracted organism by majority overlap with the
     ground-truth label map; None when an organism overlaps no planted one."""
     species_by_id = {p.id: p.species_index for p in planted}
-    labels = []
-    for org in organisms:
-        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
-        ids = ids[ids > 0]
-        if len(ids) == 0:
-            labels.append(None)
-            continue
-        counts = np.bincount(ids)
-        labels.append(species_by_id[int(np.argmax(counts))])
-    return labels
+    return [None if i is None else species_by_id[i]
+            for i in majority_truth_ids(organisms, truth)]
 
 
 def ground_truth_json(scene, catalog):

@@ -6,7 +6,7 @@ from algaeid.classifier import PROB_FLOOR, TrainConfig, init_network, relu, soft
 from algaeid.segmentation import Organism
 
 
-def organism_from_pixels(pixels, patches=(), org_id=1):
+def organism_from_pixels(pixels, org_id=1):
     """Build an Organism directly from (row, col) pixel coordinates."""
     px = np.array(sorted(set(map(tuple, pixels))), dtype=np.int64)
     return Organism(
@@ -14,7 +14,6 @@ def organism_from_pixels(pixels, patches=(), org_id=1):
         pixels=px,
         x_min=int(px[:, 1].min()), y_min=int(px[:, 0].min()),
         x_max=int(px[:, 1].max()), y_max=int(px[:, 0].max()),
-        patches=tuple(patches),
     )
 
 

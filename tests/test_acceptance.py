@@ -21,12 +21,11 @@ from algaeid.evaluation import (ConfusionMatrix, accuracy, paired_t_test,
 from algaeid.features import ModelVariant, compute_features
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
-from algaeid.segmentation import (BinaryMask, binarize, connected_components,
-                                  extract_organisms, fuse_masks, otsu_index,
-                                  otsu_threshold)
+from algaeid.segmentation import (BinaryMask, connected_components,
+                                  otsu_index, segment)
 from algaeid.stack_io import ImageStack, load_stack, save_stack
 from algaeid.synthgen import (SceneSpec, default_catalog, generate_corpus,
-                              match_organisms_to_truth)
+                              majority_truth_ids)
 
 from helpers import (disk_pixels, ellipse_pixels, flood_fill_components,
                      oracle_otsu_index, organism_from_pixels,
@@ -61,18 +60,14 @@ def corpus():
     for scene in scenes:
         background = estimate_background(scene.stack, CorrectionConfig())
         corrected = subtract_background(scene.stack, background, clamp=True)
-        masks = [binarize(b, otsu_threshold(b)) for b in corrected.bands]
-        labels = connected_components(fuse_masks(masks))
-        organisms = extract_organisms(labels, corrected, min_area_px=8)
-        matched = match_organisms_to_truth(organisms, scene.truth, scene.organisms)
+        _, organisms, _ = segment(corrected)
         planted_by_id = {p.id: p for p in scene.organisms}
-        for org, label in zip(organisms, matched):
-            fv = compute_features(org, corrected, label=label)
+        for org, truth_id in zip(organisms, majority_truth_ids(organisms, scene.truth)):
+            planted = None if truth_id is None else planted_by_id[truth_id]
+            fv = compute_features(
+                org, corrected, label=None if planted is None else planted.species_index)
             fvs.append(fv)
-            ids = scene.truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
-            ids = ids[ids > 0]
-            if len(ids):
-                planted = planted_by_id[int(np.argmax(np.bincount(ids)))]
+            if planted is not None:
                 rank_total += 1
                 if tuple(np.argsort(planted.signature)) == \
                         tuple(np.argsort(fv.spectral)):

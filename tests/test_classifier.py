@@ -221,8 +221,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(init_scheme="zeros")
+    # JSON numbers arrive as int or float; fields take their declared type
+    cfg = TrainConfig(learning_rate=1, epochs=3.0, batch_size=8.0, seed=2.0, l2=0)
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 8, 2)
+    assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
+    assert type(cfg.learning_rate) is float and type(cfg.l2) is float
 
 
 def test_train_input_validation():

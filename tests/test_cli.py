@@ -208,3 +208,16 @@ def test_bad_config_rejected(tmp_path, capsys):
 
     cfg.write_text(json.dumps({"unknown_section": {}}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"correction": {"gausian_sigma_px": 2.0}},
+     "unknown config keys ['correction.gausian_sigma_px']"),
+    ({"train": 5}, "config section train must be a JSON object"),
+    (5, "config must be a JSON object"),
+], ids=["unknown-key", "section-not-object", "config-not-object"])
+def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"

@@ -283,3 +283,25 @@ def test_csv_unlabeled_rows(tmp_path):
     fvs, _ = read_features_csv(path)
     assert fvs[0].label is None
     assert fvs[0].organism_id == "s1:4"
+
+
+@pytest.mark.parametrize("edit,column,problem", [
+    (lambda row: row[:-1], "em530", "missing value"),
+    (lambda row: row + ["7.0"], "14", "value '7.0' beyond the 13 header columns"),
+    (lambda row: row[:2] + ["4.9"] + row[3:], "area", "non-integer pixel count '4.9'"),
+    (lambda row: row[:3] + ["30.5"] + row[4:], "convex_area",
+     "non-integer pixel count '30.5'"),
+    (lambda row: row[:4] + ["abc"] + row[5:], "eccentricity", "non-numeric value 'abc'"),
+    (lambda row: row[:1] + ["x"] + row[2:], "label", "non-integer label 'x'"),
+], ids=["short-row", "long-row", "fractional-area", "fractional-convex-area",
+        "non-numeric", "non-integer-label"])
+def test_csv_malformed_row_rejected(tmp_path, edit, column, problem):
+    path = tmp_path / "f.csv"
+    write_features_csv(path, [_sample_fv(), _sample_fv()],
+                       (405.0, 420.0, 450.0, 470.0, 500.0, 530.0))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_features_csv(path)
+    assert str(err.value) == f"{path}: row 2 (line 3), column {column}: {problem}"

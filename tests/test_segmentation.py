@@ -7,7 +7,7 @@ from algaeid.segmentation import (BinaryMask, DegenerateBandError, LabelMap,
                                   Organism, binarize, connected_components,
                                   extract_organisms, fuse_masks,
                                   labelmap_to_pgm, organisms_to_json,
-                                  otsu_index, otsu_threshold)
+                                  otsu_index, otsu_threshold, segment)
 from algaeid.stack_io import ImageStack, read_pgm
 
 from helpers import flood_fill_components, oracle_otsu_index, random_histogram
@@ -144,7 +144,6 @@ def test_extract_basic_and_filter():
     assert orgs[0].area == 25
     assert (orgs[0].x_min, orgs[0].y_min, orgs[0].x_max, orgs[0].y_max) == (1, 1, 5, 5)
     assert not orgs[0].touches_border
-    assert orgs[0].patches[0].shape == (5, 5)
 
     small = np.zeros((10, 10), dtype=np.int32)
     small[0, 0:4] = 1  # 4 px
@@ -197,6 +196,31 @@ def test_extract_pixels_match_argwhere():
     assert len(expected) < 43 and any(o.touches_border for o in orgs)
     for org in orgs:
         assert np.array_equal(org.pixels, np.argwhere(lab == org.id))
+
+
+def test_segment_equals_explicit_chain():
+    # one blob per band, so the union is needed, plus a 3-px speck that
+    # min_area_px drops
+    rng = np.random.default_rng(21)
+    bands = [rng.normal(10.0, 1.0, size=(40, 48)).clip(0) for _ in range(2)]
+    bands[0][4:12, 5:14] += 90.0
+    bands[1][20:30, 25:31] += 70.0
+    bands[1][35, 3:6] += 80.0
+    corrected = _stack_like((40, 48)).with_bands(bands, role_tag="corrected")
+
+    labels, orgs, thresholds = segment(corrected, num_bins=64, min_area_px=8)
+
+    want_thresholds = [otsu_threshold(b, num_bins=64) for b in corrected.bands]
+    want_labels = connected_components(fuse_masks(
+        [binarize(b, t) for b, t in zip(corrected.bands, want_thresholds)]))
+    want_orgs = extract_organisms(want_labels, corrected, min_area_px=8)
+    assert thresholds == want_thresholds
+    assert labels.count == want_labels.count
+    assert np.array_equal(labels.labels, want_labels.labels)
+    assert [o.id for o in orgs] == [o.id for o in want_orgs]
+    for got, want in zip(orgs, want_orgs):
+        assert np.array_equal(got.pixels, want.pixels)
+    assert len(orgs) == 2 and labels.count > len(orgs)
 
 
 def test_organism_invariants():
