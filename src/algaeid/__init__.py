@@ -8,8 +8,8 @@ in for microscope data so the whole pipeline runs end to end.
 """
 
 from .classifier import (Network, TrainConfig, TrainedModel, backward,
-                         forward, load_model, loss, predict, relu,
-                         save_model, softmax, train, train_runs)
+                         forward_batch, load_model, loss, predict_batch,
+                         relu, save_model, softmax, train, train_runs)
 from .evaluation import (ConfusionMatrix, MccvReport, TTestResult, accuracy,
                          build_report, mccv_split, paired_t_test,
                          render_report_text, run_mccv, t_cdf)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ModelVariant, Normalizer
+from .features import ModelVariant, Normalizer, apply_normalizer
 from .stack_io import atomic_write_json
 
 HIDDEN_SIZES = (12, 8, 6)
@@ -33,10 +33,13 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "l2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, kind in (("learning_rate", float), ("l2", float), ("epochs", int),
+                           ("batch_size", int), ("seed", int)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -136,27 +139,24 @@ def _forward_trace(weights, biases, x):
 
 
 def forward_batch(net, x):
+    """Class probabilities (n, k) for the n input rows of x (n, d_in)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
     _, activations = _forward_trace(net.weights, net.biases, x)
     return activations[-1]
 
-def forward(net, x):
-    """Class probabilities for one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
-    return forward_batch(net, x[None, :])[0]
 
-
-def loss(probs, label):
-    """Cross-entropy -log p[label], with p floored at 1e-12 before the log."""
+def loss(probs, labels):
+    """Mean cross-entropy -log p[label] over the rows of probs (n, k), with
+    p floored at 1e-12 before the log."""
     probs = np.asarray(probs, dtype=np.float64)
-    label = int(label)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
+    labels = np.asarray(labels, dtype=np.int64)
+    k = probs.shape[-1]
+    if labels.shape != probs.shape[:1] or np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"labels must be one class id in [0, {k}) per row")
+    p_true = np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR)
+    return float(-np.log(p_true).mean())
 
 
 def _gradients(weights, biases, x, onehot):
@@ -178,41 +178,33 @@ def _gradients(weights, biases, x, onehot):
     return grads_w, grads_b
 
 
-def _backward_batch(net, x, labels):
-    """Mean gradients of one network over a batch of (x, labels)."""
-    return _gradients(net.weights, net.biases, x, np.eye(net.num_classes)[labels])
-
-
-def backward(net, x, label):
-    """Analytic gradients of the cross-entropy loss for one sample with
-    respect to every weight matrix and bias vector."""
+def backward(net, x, labels):
+    """Analytic gradients of the mean cross-entropy loss over a batch
+    (x (n, d_in), labels (n,)) with respect to every weight matrix and bias
+    vector."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
-    label = int(label)
-    if not 0 <= label < net.num_classes:
-        raise ValueError(f"label {label} out of range")
-    return _backward_batch(net, x[None, :], np.array([label]))
+    k = net.num_classes
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != x.shape[:1] or np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"labels must be one class id in [0, {k}) per input row")
+    return _gradients(net.weights, net.biases, x, np.eye(k)[labels])
 
 
-def train(x, y, variant=None, cfg=None, num_classes=None):
+def train(x, y, cfg=None, num_classes=None):
     """Mini-batch SGD for cfg.epochs; returns (network, final mean loss).
 
     Initialization and per-epoch shuffling derive solely from cfg.seed, so
-    identical (data, cfg) produce bitwise-identical weights. When a variant
-    is given, the input dimension must match it. This is the one-run case
-    of `train_runs`.
+    identical (data, cfg) produce bitwise-identical weights. This is the
+    one-run case of `train_runs`, which checks the shapes of x and y.
     """
     cfg = cfg or TrainConfig()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be (n, d) and y (n,) with matching n")
-    return train_runs(x[None], y[None], [cfg.seed], variant=variant, cfg=cfg,
+    return train_runs(np.asarray(x)[None], np.asarray(y)[None], [cfg.seed], cfg=cfg,
                       num_classes=num_classes)[0]
 
 
-def train_runs(x, y, seeds, variant=None, cfg=None, num_classes=None):
+def train_runs(x, y, seeds, cfg=None, num_classes=None):
     """Train R networks in lockstep; returns one (network, final mean loss)
     per run.
 
@@ -233,10 +225,6 @@ def train_runs(x, y, seeds, variant=None, cfg=None, num_classes=None):
     runs, n, d = x.shape
     if len(seeds) != runs:
         raise ValueError(f"{len(seeds)} seeds for {runs} runs")
-    if variant is not None and d != variant.input_dim:
-        raise ValueError(
-            f"{variant.value} variant expects {variant.input_dim} inputs, got {d}"
-        )
     if not np.all(np.isfinite(x)):
         raise ValueError("training inputs contain non-finite values")
     for labels in y:
@@ -276,18 +264,12 @@ def train_runs(x, y, seeds, variant=None, cfg=None, num_classes=None):
     for r, net in enumerate(nets):
         net.weights = [w[r].copy() for w in weights]
         net.biases = [b[r].copy() for b in biases]
-        probs = forward_batch(net, x[r])
-        p_true = np.maximum(probs[np.arange(n), y[r]], PROB_FLOOR)
-        results.append((net, float(-np.log(p_true).mean())))
+        results.append((net, loss(forward_batch(net, x[r]), y[r])))
     return results
 
 
-def predict(net, x):
-    """Most probable class id; exact ties resolve to the smallest id."""
-    return int(np.argmax(forward(net, x)))
-
-
 def predict_batch(net, x):
+    """Most probable class id per row; exact ties resolve to the smallest id."""
     return np.argmax(forward_batch(net, x), axis=1)
 
 
@@ -303,11 +285,9 @@ class TrainedModel:
     class_names: tuple = ()
 
     def predict_features(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        """Class ids for the rows of an (n, d) matrix of raw features."""
         if self.normalizer is not None:
-            x = (x - self.normalizer.mean) / self.normalizer.std
-        if x.ndim == 1:
-            return int(np.argmax(forward(self.network, x)))
+            x = apply_normalizer(self.normalizer, x)
         return predict_batch(self.network, x)
 
 

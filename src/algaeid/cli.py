@@ -49,7 +49,8 @@ DEFAULT_CONFIG = {
 
 def load_config(path=None):
     """DEFAULT_CONFIG with the sections of the JSON file at `path` laid
-    over it. Only the sections and keys of DEFAULT_CONFIG are accepted."""
+    over it. Only the sections and keys of DEFAULT_CONFIG are accepted, and
+    the correction and train sections must make valid configs."""
     cfg = {k: dict(v) for k, v in DEFAULT_CONFIG.items()}
     if path is None:
         return cfg
@@ -72,6 +73,12 @@ def load_config(path=None):
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         cfg[section].update(values)
+    for section, make in (("correction", illumination.CorrectionConfig),
+                          ("train", classifier.TrainConfig)):
+        try:
+            make(**cfg[section])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: invalid {section} config: {e}") from None
     return cfg
 
 
@@ -148,8 +155,7 @@ def cmd_correct(args):
     for name, src in _scene_dirs(args.input):
         raw = _load_role(src, "raw")
         background = illumination.estimate_background(raw, correction)
-        corrected = illumination.subtract_background(
-            raw, background, clamp=correction.clamp_negative)
+        corrected = illumination.subtract_background(raw, background)
         dst = os.path.join(args.out, name) if name else args.out
         save_stack(corrected, dst, extra_fields={"config_sha256": digest})
     print(f"corrected stacks written to {args.out}")
@@ -238,14 +244,6 @@ def _meta_path(csv_path):
     return csv_path + ".meta.json"
 
 
-def _read_class_names(csv_path):
-    meta = _meta_path(csv_path)
-    if os.path.exists(meta):
-        with open(meta, "r", encoding="utf-8") as fh:
-            return json.load(fh).get("class_names")
-    return None
-
-
 def _parse_variant(name):
     try:
         return features.ModelVariant(name)
@@ -255,35 +253,39 @@ def _parse_variant(name):
 
 
 def _labeled_rows(csv_path):
-    """Labelled feature vectors of a feature CSV, plus its wavelengths."""
+    """Labelled feature vectors of a feature CSV, its wavelengths, and the
+    class names of its meta file (empty without one)."""
     if not os.path.exists(csv_path):
         raise ValueError(f"feature file not found: {csv_path}")
     fvs, wavelengths = features.read_features_csv(csv_path)
     labeled = [fv for fv in fvs if fv.label is not None]
     if not labeled:
         raise ValueError(f"{csv_path}: no labeled rows")
-    return labeled, wavelengths
+    class_names = ()
+    if os.path.exists(_meta_path(csv_path)):
+        with open(_meta_path(csv_path), "r", encoding="utf-8") as fh:
+            class_names = tuple(json.load(fh).get("class_names") or ())
+    return labeled, wavelengths, class_names
 
 
 def cmd_train(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     variant = _parse_variant(args.variant)
-    labeled, wavelengths = _labeled_rows(args.features)
-    x = np.stack([features.assemble(fv, variant) for fv in labeled])
+    labeled, wavelengths, class_names = _labeled_rows(args.features)
+    x = features.assemble(labeled, variant)
     y = np.array([fv.label for fv in labeled], dtype=np.int64)
     nrm = features.fit_normalizer(x)
     train_cfg = classifier.TrainConfig(**cfg["train"])
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    class_names = _read_class_names(args.features) or ()
     net, final_loss = classifier.train(
-        features.apply_normalizer(nrm, x), y, variant=variant, cfg=train_cfg,
+        features.apply_normalizer(nrm, x), y, cfg=train_cfg,
         num_classes=len(class_names) or None)
     model = classifier.TrainedModel(
         network=net, variant=variant, normalizer=nrm,
         feature_names=tuple(features.feature_names(variant, wavelengths)),
-        class_names=tuple(class_names),
+        class_names=class_names,
     )
     classifier.save_model(model, args.out, extra_fields={"config_sha256": digest})
     print(f"trained {variant.value} model (final loss {final_loss:.4f}) -> {args.out}")
@@ -300,8 +302,7 @@ def cmd_mccv(args):
     variants = [_parse_variant(v.strip()) for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("at least one variant required")
-    labeled, _ = _labeled_rows(args.features)
-    class_names = _read_class_names(args.features) or ()
+    labeled, _, class_names = _labeled_rows(args.features)
     mccv_cfg = cfg["mccv"]
     train_cfg = classifier.TrainConfig(**cfg["train"])
     reports = []
@@ -339,18 +340,22 @@ def cmd_classify(args):
     model = classifier.load_model(args.model)
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")
+        wavelengths = corrected.wavelengths_nm
         _, organisms, _ = _segment(corrected, cfg)
         fvs = [features.compute_features(org, corrected) for org in organisms]
     else:
         if not os.path.exists(args.input):
             raise ValueError(f"input not found: {args.input}")
-        fvs, _ = features.read_features_csv(args.input)
+        fvs, wavelengths = features.read_features_csv(args.input)
+    names = features.feature_names(model.variant, wavelengths)
+    if tuple(names) != model.feature_names:
+        raise ValueError(f"{args.input}: input features {names} do not match the "
+                         f"model's {list(model.feature_names)}")
     if not fvs:
         raise ValueError(f"{args.input}: nothing to classify")
-    x = np.stack([features.assemble(fv, model.variant) for fv in fvs])
-    preds = model.predict_features(x)
+    preds = model.predict_features(features.assemble(fvs, model.variant))
     lines = ["organism_id,predicted_label,predicted_class"]
-    for fv, p in zip(fvs, np.atleast_1d(preds)):
+    for fv, p in zip(fvs, preds):
         name = model.class_names[int(p)] if model.class_names else ""
         lines.append(f"{fv.organism_id},{int(p)},{name}")
     atomic_write_bytes(args.out, ("\n".join(lines) + "\n").encode("utf-8"))

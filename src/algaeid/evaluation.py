@@ -247,7 +247,7 @@ def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
     y = np.array(labels, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("dataset must contain at least 2 classes")
-    x = np.stack([assemble(fv, variant) for fv in fvs])
+    x = assemble(fvs, variant)
     k = max(int(y.max()) + 1, len(class_names))
 
     splits, normalizers, train_seeds = [], [], []
@@ -261,7 +261,7 @@ def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
         np.stack([apply_normalizer(nrm, x[train_idx])
                   for nrm, (train_idx, _) in zip(normalizers, splits)]),
         np.stack([y[train_idx] for train_idx, _ in splits]),
-        train_seeds, variant=variant, cfg=cfg, num_classes=k,
+        train_seeds, cfg=cfg, num_classes=k,
     )
 
     accuracies = []

@@ -2,7 +2,7 @@
 
 Five shape descriptors (area, convex area, eccentricity, equivalent
 diameter, extent) plus one mean fluorescence intensity per excitation
-band. Three classifier variants select which of the eleven values feed
+band. Three classifier variants select which columns of that row feed
 the network.
 """
 
@@ -31,8 +31,11 @@ class ModelVariant(Enum):
     SPECTRAL_MORPHOLOGICAL = "both11"
 
     @property
-    def input_dim(self):
-        return {"morph": 5, "spectral": 6, "both11": 11}[self.value]
+    def columns(self):
+        """Columns of the full row (shape values, then one mean per band)."""
+        shape = len(MORPHOLOGICAL_FEATURE_NAMES)
+        return {"morph": slice(0, shape), "spectral": slice(shape, None),
+                "both11": slice(None)}[self.value]
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,7 @@ class FeatureVector:
     spectral: tuple
 
     def __post_init__(self):
+        # messages start with the field name, which read_features_csv reports
         if self.area < 1:
             raise ValueError("area must be >= 1")
         if self.convex_area < self.area:
@@ -172,32 +176,25 @@ def compute_features(org, corrected, label=None):
     )
 
 
-def assemble(fv, variant):
-    """Ordered network input for a variant.
+def assemble(fvs, variant):
+    """Network input matrix (n, d) of a variant for n feature vectors.
 
-    Morphological: [area, convex_area, eccentricity, equivalent_diameter,
-    extent]. Spectral: the band means in ascending wavelength order.
-    Combined: morphological then spectral (11 values).
+    The full row is [area, convex_area, eccentricity, equivalent_diameter,
+    extent] followed by the band means in ascending wavelength order; the
+    variant selects its columns of it.
     """
-    morph = [float(fv.area), float(fv.convex_area), fv.eccentricity,
-             fv.equivalent_diameter, fv.extent]
-    spectral = [float(s) for s in fv.spectral]
-    if variant is ModelVariant.MORPHOLOGICAL:
-        return np.array(morph)
-    if variant is ModelVariant.SPECTRAL:
-        return np.array(spectral)
-    if variant is ModelVariant.SPECTRAL_MORPHOLOGICAL:
-        return np.array(morph + spectral)
-    raise ValueError(f"unknown variant {variant!r}")
+    rows = [(fv.area, fv.convex_area, fv.eccentricity, fv.equivalent_diameter,
+             fv.extent, *fv.spectral) for fv in fvs]
+    x = np.array(rows, dtype=np.float64)[:, variant.columns]
+    if x.shape[1] == 0:
+        raise ValueError(f"{variant.value} variant selects no feature columns")
+    return x
 
 
 def feature_names(variant, wavelengths_nm):
-    spectral = [f"em{int(w)}" for w in wavelengths_nm]
-    if variant is ModelVariant.MORPHOLOGICAL:
-        return list(MORPHOLOGICAL_FEATURE_NAMES)
-    if variant is ModelVariant.SPECTRAL:
-        return spectral
-    return list(MORPHOLOGICAL_FEATURE_NAMES) + spectral
+    """Column names of `assemble(fvs, variant)` for the given bands."""
+    names = list(MORPHOLOGICAL_FEATURE_NAMES) + [f"em{int(w)}" for w in wavelengths_nm]
+    return names[variant.columns]
 
 
 @dataclass(frozen=True)
@@ -237,9 +234,8 @@ def apply_normalizer(nrm, x):
 
 def write_features_csv(path, fvs, wavelengths_nm):
     """One row per organism; UTF-8, LF line endings, fixed header order."""
-    header = ["organism_id", "label"] + list(MORPHOLOGICAL_FEATURE_NAMES) + [
-        f"em{int(w)}" for w in wavelengths_nm
-    ]
+    header = ["organism_id", "label"] + feature_names(
+        ModelVariant.SPECTRAL_MORPHOLOGICAL, wavelengths_nm)
     lines = [",".join(header)]
     for fv in fvs:
         if len(fv.spectral) != len(wavelengths_nm):
@@ -304,14 +300,17 @@ def read_features_csv(path):
         for name, v, text in zip(("area", "convex_area"), vals, row[2:]):
             if not v.is_integer():
                 raise bad(row_no, name, f"non-integer pixel count {text!r}")
-        fvs.append(FeatureVector(
-            organism_id=organism_id,
-            label=label,
-            area=int(vals[0]),
-            convex_area=int(vals[1]),
-            eccentricity=vals[2],
-            equivalent_diameter=vals[3],
-            extent=vals[4],
-            spectral=tuple(vals[5:]),
-        ))
+        try:
+            fvs.append(FeatureVector(
+                organism_id=organism_id,
+                label=label,
+                area=int(vals[0]),
+                convex_area=int(vals[1]),
+                eccentricity=vals[2],
+                equivalent_diameter=vals[3],
+                extent=vals[4],
+                spectral=tuple(vals[5:]),
+            ))
+        except ValueError as e:
+            raise bad(row_no, str(e).split()[0], str(e)) from None
     return fvs, wavelengths

@@ -19,11 +19,9 @@ import numpy as np
 class CorrectionConfig:
     gaussian_sigma_px: float = 5.0
     opening_radii_px: tuple = (4, 8, 16, 32)
-    clamp_negative: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "gaussian_sigma_px", float(self.gaussian_sigma_px))
-        object.__setattr__(self, "clamp_negative", bool(self.clamp_negative))
         if self.gaussian_sigma_px <= 0:
             raise ValueError("gaussian_sigma_px must be positive")
         radii = tuple(int(r) for r in self.opening_radii_px)

@@ -10,7 +10,7 @@ always renders bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -328,15 +328,7 @@ def generate_corpus(catalog, n_scenes, scene_template=None, master_seed=0):
     for i in range(n_scenes):
         seed = int(np.random.SeedSequence(
             [int(master_seed), i]).generate_state(1)[0])
-        spec = SceneSpec(
-            width=template.width, height=template.height,
-            n_organisms=template.n_organisms,
-            background_level=template.background_level,
-            vignette_strength=template.vignette_strength,
-            noise_sigma=template.noise_sigma,
-            seed=seed, species_mix=template.species_mix,
-        )
-        scenes.append(generate_scene(spec, catalog))
+        scenes.append(generate_scene(replace(template, seed=seed), catalog))
     return scenes
 
 

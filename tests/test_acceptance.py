@@ -278,8 +278,7 @@ def test_criterion_9_round_trips(tmp_path):
         from algaeid.classifier import TrainedModel, load_model, save_model
         x = rng.normal(size=(80, 11))
         y = rng.integers(0, 6, size=80)
-        net, _ = train(x, y, variant=ModelVariant.SPECTRAL_MORPHOLOGICAL,
-                       cfg=TrainConfig(epochs=25, seed=3), num_classes=6)
+        net, _ = train(x, y, cfg=TrainConfig(epochs=25, seed=3), num_classes=6)
         model = TrainedModel(network=net,
                              variant=ModelVariant.SPECTRAL_MORPHOLOGICAL)
         save_model(model, tmp_path / "model.json")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
-                                TrainedModel, backward, forward,
-                                forward_batch, init_network, load_model,
-                                loss, predict, relu, save_model, softmax,
+                                TrainedModel, backward, forward_batch,
+                                init_network, load_model, loss,
+                                predict_batch, relu, save_model, softmax,
                                 train, train_runs)
 from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
                               fit_normalizer)
@@ -31,7 +31,7 @@ def test_single_linear_layer_preactivation():
     # z = x . w + b with w=[1,1], b=0, x=[2,3] -> 5; softmax needs >= 2
     # outputs, so pair the unit with a dead second row
     net = tiny_net([[[1.0, 1.0], [0.0, 0.0]]], [[0.0, 0.0]], (2, 2))
-    probs = forward(net, np.array([2.0, 3.0]))
+    probs = forward_batch(net, np.array([[2.0, 3.0]]))[0]
     z = np.array([5.0, 0.0])
     expected = np.exp(z - 5.0) / np.exp(z - 5.0).sum()
     assert np.allclose(probs, expected, atol=1e-15)
@@ -42,7 +42,7 @@ def test_zero_network_uniform_output():
     net = init_network(5, 6, rng)
     for w in net.weights:
         w[:] = 0.0
-    probs = forward(net, np.zeros(5))
+    probs = forward_batch(net, np.zeros((1, 5)))[0]
     assert np.allclose(probs, np.full(6, 1 / 6), atol=1e-15)
 
 
@@ -86,11 +86,11 @@ def test_softmax_shift_invariance():
 
 
 def test_loss_fixtures():
-    assert loss(np.array([0.0, 1.0]), 1) == 0.0
-    assert abs(loss(np.full(6, 1 / 6), 3) - math.log(6)) < 1e-12
-    assert abs(loss(np.array([1.0, 0.0]), 1) - (-math.log(1e-12))) < 1e-9
+    assert loss(np.array([[0.0, 1.0]]), [1]) == 0.0
+    assert abs(loss(np.full((1, 6), 1 / 6), [3]) - math.log(6)) < 1e-12
+    assert abs(loss(np.array([[1.0, 0.0]]), [1]) - (-math.log(1e-12))) < 1e-9
     with pytest.raises(ValueError):
-        loss(np.array([0.5, 0.5]), 2)
+        loss(np.array([[0.5, 0.5]]), [2])
 
 
 def test_backward_fused_output_delta():
@@ -98,7 +98,7 @@ def test_backward_fused_output_delta():
     net = init_network(5, 6, rng)
     for w in net.weights:
         w[:] = 0.0
-    grads_w, grads_b = backward(net, np.zeros(5), 2)
+    grads_w, grads_b = backward(net, np.zeros((1, 5)), [2])
     expected = np.full(6, 1 / 6)
     expected[2] -= 1.0
     assert np.allclose(grads_b[-1], expected, atol=1e-15)
@@ -111,14 +111,14 @@ def _flatten_params(net):
 
 
 def _loss_at(net, x, label):
-    return loss(forward(net, x), label)
+    return loss(forward_batch(net, x), label)
 
 
 def gradient_check(d_in, seed, h=1e-5):
     rng = np.random.default_rng(seed)
     net = init_network(d_in, 6, rng)
-    x = rng.normal(size=d_in)
-    label = int(rng.integers(0, 6))
+    x = rng.normal(size=d_in)[None, :]
+    label = [int(rng.integers(0, 6))]
     grads_w, grads_b = backward(net, x, label)
     worst = 0.0
     for kind, i, idx in _flatten_params(net):
@@ -148,8 +148,8 @@ def test_dead_relu_paths_zero_gradient():
     # non-negative inputs
     net.weights[0][0, :] = -1.0
     net.biases[0][0] = -1.0
-    x = np.array([0.5, 1.0, 0.2])
-    grads_w, grads_b = backward(net, x, 1)
+    x = np.array([[0.5, 1.0, 0.2]])
+    grads_w, grads_b = backward(net, x, [1])
     assert np.array_equal(grads_w[0][0, :], np.zeros(3))
     assert grads_b[0][0] == 0.0
 
@@ -174,8 +174,8 @@ def test_train_deterministic_bitwise():
     x = rng.normal(size=(60, 5))
     y = rng.integers(0, 3, size=60)
     cfg = TrainConfig(epochs=30, seed=9)
-    net1, loss1 = train(x, y, variant=ModelVariant.MORPHOLOGICAL, cfg=cfg)
-    net2, loss2 = train(x, y, variant=ModelVariant.MORPHOLOGICAL, cfg=cfg)
+    net1, loss1 = train(x, y, cfg=cfg)
+    net2, loss2 = train(x, y, cfg=cfg)
     assert loss1 == loss2
     for a, b in zip(net1.weights + net1.biases, net2.weights + net2.biases):
         assert np.array_equal(a, b)
@@ -191,8 +191,7 @@ def test_train_runs_bitwise_equal_to_per_run_reference():
     y = rng.integers(0, 4, size=(3, 50))
     seeds = [3, 1234567, 2 ** 40 + 5]
     cfg = TrainConfig(epochs=25, batch_size=16, l2=1e-3)
-    trained = train_runs(x, y, seeds, variant=ModelVariant.SPECTRAL, cfg=cfg,
-                         num_classes=5)
+    trained = train_runs(x, y, seeds, cfg=cfg, num_classes=5)
     assert len(trained) == 3
     for r, (net, final_loss) in enumerate(trained):
         ref_net, ref_loss = reference_train(
@@ -235,9 +234,6 @@ def test_train_input_validation():
         train(x, np.zeros(20, dtype=int), cfg=TrainConfig(epochs=1))  # one class
     with pytest.raises(ValueError):
         train(x, rng.integers(0, 2, size=20),
-              variant=ModelVariant.SPECTRAL, cfg=TrainConfig(epochs=1))  # dim mismatch
-    with pytest.raises(ValueError):
-        train(x, rng.integers(0, 2, size=20),
               cfg=TrainConfig(epochs=1, batch_size=21))  # batch > n
 
 
@@ -251,8 +247,7 @@ def test_descent_direction_property():
         probs = forward_batch(n, x)
         return float(-np.log(np.maximum(probs[np.arange(32), y], 1e-12)).mean())
 
-    from algaeid.classifier import _backward_batch
-    grads_w, grads_b = _backward_batch(net, x, y)
+    grads_w, grads_b = backward(net, x, y)
     before = batch_loss(net)
     stepped = net.copy()
     for i in range(len(stepped.weights)):
@@ -267,12 +262,11 @@ def test_batch_gradient_is_mean_of_samples():
     net = init_network(4, 3, rng)
     x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
-    from algaeid.classifier import _backward_batch
-    gw_batch, gb_batch = _backward_batch(net, x, y)
+    gw_batch, gb_batch = backward(net, x, y)
     gw_sum = [np.zeros_like(w) for w in net.weights]
     gb_sum = [np.zeros_like(b) for b in net.biases]
     for i in range(5):
-        gw, gb = backward(net, x[i], int(y[i]))
+        gw, gb = backward(net, x[i:i + 1], y[i:i + 1])
         for j in range(len(gw)):
             gw_sum[j] += gw[j] / 5
             gb_sum[j] += gb[j] / 5
@@ -286,9 +280,9 @@ def test_predict_argmax_and_ties():
     # to the smaller id
     net = tiny_net(
         [np.zeros((6, 2))], [[0.0, 0.0, 3.0, 0.0, 3.0, 0.0]], (2, 6))
-    assert predict(net, np.zeros(2)) == 2
+    assert predict_batch(net, np.zeros((1, 2)))[0] == 2
     net2 = tiny_net([np.zeros((6, 2))], [[0.0, 5.0, 0.0, 0.0, 0.0, 0.0]], (2, 6))
-    assert predict(net2, np.zeros(2)) == 1
+    assert predict_batch(net2, np.zeros((1, 2)))[0] == 1
 
 
 def test_predict_monotone_transform_invariance():
@@ -304,8 +298,7 @@ def test_model_save_load_bitwise(tmp_path):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 6, size=40)
-    net, _ = train(x, y, variant=ModelVariant.SPECTRAL,
-                   cfg=TrainConfig(epochs=20, seed=11), num_classes=6)
+    net, _ = train(x, y, cfg=TrainConfig(epochs=20, seed=11), num_classes=6)
     model = TrainedModel(
         network=net, variant=ModelVariant.SPECTRAL,
         normalizer=Normalizer(mean=np.zeros(6), std=np.ones(6),

@@ -1,7 +1,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from algaeid.cli import main
@@ -111,8 +110,7 @@ def test_train_and_classify_deterministic(pipeline):
     from algaeid.classifier import load_model
     from algaeid.features import assemble
     trained = load_model(model)
-    x = np.stack([assemble(fv, trained.variant) for fv in fvs])
-    expected = trained.predict_features(x)
+    expected = trained.predict_features(assemble(fvs, trained.variant))
     got = [int(line.split(",")[1]) for line in lines[1:]]
     assert got == list(expected)
 
@@ -215,9 +213,61 @@ def test_bad_config_rejected(tmp_path, capsys):
      "unknown config keys ['correction.gausian_sigma_px']"),
     ({"train": 5}, "config section train must be a JSON object"),
     (5, "config must be a JSON object"),
-], ids=["unknown-key", "section-not-object", "config-not-object"])
+    ({"correction": {"clamp_negative": False}},
+     "unknown config keys ['correction.clamp_negative']"),
+    ({"train": {"epochs": 0}}, "invalid train config: epochs must be >= 1"),
+    ({"train": {"epochs": "abc"}},
+     "invalid train config: epochs must be a number, got 'abc'"),
+], ids=["unknown-key", "section-not-object", "config-not-object",
+        "removed-clamp-knob", "value-out-of-range", "value-not-a-number"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def _band_subset(src, dst, bands, names=None):
+    """Copy of a feature CSV keeping the em columns of `bands`, renamed to
+    the wavelengths `names` when given."""
+    rows = [line.split(",") for line in src.read_text(encoding="utf-8").splitlines()]
+    cols = list(range(7)) + [rows[0].index(f"em{b}") for b in bands]
+    rows = [[row[c] for c in cols] for row in rows]
+    rows[0][7:] = [f"em{b}" for b in (names or bands)]
+    dst.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    return dst
+
+
+def test_variants_fit_any_band_count(pipeline, tmp_path):
+    csv = _band_subset(pipeline["csv"], tmp_path / "four.csv", (405, 450, 500, 530))
+    config = str(pipeline["config"])
+    model = tmp_path / "model.json"
+    assert main(["train", str(csv), "--variant", "spectral", "--config", config,
+                 "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["layer_sizes"][0] == 4
+    out = tmp_path / "eval"
+    assert main(["mccv", str(csv), "--variants", "spectral,both11", "--runs", "2",
+                 "--config", config, "--out", str(out)]) == 0
+    assert set(json.loads((out / "report.json").read_text())["variants"]) == {
+        "spectral", "both11"}
+
+
+@pytest.mark.parametrize("bands,names", [
+    ((405, 450, 500, 530), None),
+    ((405, 420, 450, 470, 500, 530), (400, 420, 450, 470, 500, 530)),
+], ids=["fewer-bands", "other-wavelengths"])
+def test_classify_checks_feature_columns(pipeline, tmp_path, capsys, bands, names):
+    config = str(pipeline["config"])
+    model = tmp_path / "model.json"
+    assert main(["train", str(pipeline["csv"]), "--variant", "both11", "--config", config,
+                 "--out", str(model)]) == 0
+    csv = _band_subset(pipeline["csv"], tmp_path / "other.csv", bands, names)
+    out = tmp_path / "pred.csv"
+    assert main(["classify", str(model), str(csv), "--config", config,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    shape = ["area", "convex_area", "eccentricity", "equivalent_diameter", "extent"]
+    given = shape + [f"em{b}" for b in (names or bands)]
+    trained = shape + ["em405", "em420", "em450", "em470", "em500", "em530"]
+    assert capsys.readouterr().err == (
+        f"error: {csv}: input features {given} do not match the model's {trained}\n")

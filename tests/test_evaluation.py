@@ -240,7 +240,7 @@ def test_run_mccv_matches_per_run_reference():
     fvs = _toy_feature_vectors(rng, n_per_class=26, separation=0.1)
     cfg = TrainConfig(epochs=20, batch_size=16, l2=1e-4)
     rep = run_mccv(fvs, ModelVariant.SPECTRAL, cfg=cfg, runs=4, master_seed=3)
-    x = np.stack([assemble(fv, ModelVariant.SPECTRAL) for fv in fvs])
+    x = assemble(fvs, ModelVariant.SPECTRAL)
     y = np.array([fv.label for fv in fvs])
     accuracies = []
     for r in range(4):

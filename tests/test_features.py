@@ -166,12 +166,12 @@ def _sample_fv():
 
 def test_assemble_dimensions_and_order():
     fv = _sample_fv()
-    morph = assemble(fv, ModelVariant.MORPHOLOGICAL)
-    spectral = assemble(fv, ModelVariant.SPECTRAL)
-    both = assemble(fv, ModelVariant.SPECTRAL_MORPHOLOGICAL)
-    assert len(morph) == 5 == ModelVariant.MORPHOLOGICAL.input_dim
-    assert len(spectral) == 6 == ModelVariant.SPECTRAL.input_dim
-    assert len(both) == 11 == ModelVariant.SPECTRAL_MORPHOLOGICAL.input_dim
+    morph = assemble([fv], ModelVariant.MORPHOLOGICAL)[0]
+    spectral = assemble([fv], ModelVariant.SPECTRAL)[0]
+    both = assemble([fv], ModelVariant.SPECTRAL_MORPHOLOGICAL)[0]
+    assert len(morph) == 5
+    assert len(spectral) == 6
+    assert len(both) == 11
     assert np.array_equal(both[:5], morph)
     assert np.array_equal(both[5:], spectral)
     assert np.array_equal(morph, [25.0, 30.0, 0.5, fv.equivalent_diameter, 0.8])
@@ -183,7 +183,7 @@ def test_assemble_positions_injective():
     fv = FeatureVector(organism_id=1, label=None, area=11, convex_area=13,
                        eccentricity=0.17, equivalent_diameter=19.0,
                        extent=0.23, spectral=(29.0, 31.0, 37.0, 41.0, 43.0, 47.0))
-    both = assemble(fv, ModelVariant.SPECTRAL_MORPHOLOGICAL)
+    both = assemble([fv], ModelVariant.SPECTRAL_MORPHOLOGICAL)[0]
     assert len(set(both.tolist())) == 11
 
 
@@ -194,6 +194,15 @@ def test_feature_names_match_assembly():
     assert feature_names(ModelVariant.SPECTRAL, wl) == [
         "em405", "em420", "em450", "em470", "em500", "em530"]
     assert len(feature_names(ModelVariant.SPECTRAL_MORPHOLOGICAL, wl)) == 11
+    # variants select columns for any band count
+    fv = FeatureVector(organism_id=1, label=None, area=11, convex_area=13,
+                       eccentricity=0.17, equivalent_diameter=19.0,
+                       extent=0.23, spectral=(29.0, 31.0, 37.0, 41.0))
+    for variant in ModelVariant:
+        names = feature_names(variant, (405, 450, 500, 530))
+        assert assemble([fv, fv], variant).shape == (2, len(names))
+    assert feature_names(ModelVariant.SPECTRAL, (405, 450, 500, 530)) == [
+        "em405", "em450", "em500", "em530"]
 
 
 def test_feature_vector_invariants():
@@ -293,8 +302,14 @@ def test_csv_unlabeled_rows(tmp_path):
      "non-integer pixel count '30.5'"),
     (lambda row: row[:4] + ["abc"] + row[5:], "eccentricity", "non-numeric value 'abc'"),
     (lambda row: row[:1] + ["x"] + row[2:], "label", "non-integer label 'x'"),
+    (lambda row: row[:4] + ["1.5"] + row[5:], "eccentricity",
+     "eccentricity must lie in [0, 1]"),
+    (lambda row: row[:6] + ["0"] + row[7:], "extent", "extent must lie in (0, 1]"),
+    (lambda row: row[:3] + ["20"] + row[4:], "convex_area",
+     "convex_area must be >= area"),
 ], ids=["short-row", "long-row", "fractional-area", "fractional-convex-area",
-        "non-numeric", "non-integer-label"])
+        "non-numeric", "non-integer-label", "eccentricity-range", "extent-range",
+        "convex-area-below-area"])
 def test_csv_malformed_row_rejected(tmp_path, edit, column, problem):
     path = tmp_path / "f.csv"
     write_features_csv(path, [_sample_fv(), _sample_fv()],
