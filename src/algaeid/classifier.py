@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .features import ModelVariant, Normalizer, apply_normalizer
 from .stack_io import atomic_write_json
 
@@ -35,11 +36,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, kind in (("learning_rate", float), ("l2", float), ("epochs", int),
                            ("batch_size", int), ("seed", int)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
+            object.__setattr__(self, name, fields.as_number(name, getattr(self, name), kind))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:

@@ -47,6 +47,10 @@ DEFAULT_CONFIG = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a number")
+
+
 def load_config(path=None):
     """DEFAULT_CONFIG with the sections of the JSON file at `path` laid
     over it. Only the sections and keys of DEFAULT_CONFIG are accepted, and
@@ -58,8 +62,8 @@ def load_config(path=None):
         raise ValueError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            user = json.load(fh)
-        except json.JSONDecodeError as e:
+            user = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as e:  # JSONDecodeError is a ValueError
             raise ValueError(f"{path}: invalid config JSON: {e}") from None
     if not isinstance(user, dict):
         raise ValueError(f"{path}: config must be a JSON object")

@@ -1,0 +1,17 @@
+"""Type checks for numeric config fields, shared by the config dataclasses."""
+
+from __future__ import annotations
+
+import numbers
+
+
+def as_number(name, value, kind=float):
+    """`value` as `kind` (float or int). A bool, a string or another
+    non-number raises ValueError naming `name`, as does a fractional value
+    where `kind` is int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, numbers.Integral)
+                            or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return kind(value)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
+
 
 @dataclass(frozen=True)
 class CorrectionConfig:
@@ -21,10 +23,15 @@ class CorrectionConfig:
     opening_radii_px: tuple = (4, 8, 16, 32)
 
     def __post_init__(self):
-        object.__setattr__(self, "gaussian_sigma_px", float(self.gaussian_sigma_px))
+        sigma = fields.as_number("gaussian_sigma_px", self.gaussian_sigma_px)
+        object.__setattr__(self, "gaussian_sigma_px", sigma)
         if self.gaussian_sigma_px <= 0:
             raise ValueError("gaussian_sigma_px must be positive")
-        radii = tuple(int(r) for r in self.opening_radii_px)
+        radii = self.opening_radii_px
+        if not isinstance(radii, (list, tuple)):
+            raise ValueError(f"opening_radii_px must be a list of integers, got {radii!r}")
+        radii = tuple(fields.as_number(f"opening_radii_px[{i}]", r, int)
+                      for i, r in enumerate(radii))
         if not radii:
             raise ValueError("opening_radii_px must be non-empty")
         if any(r < 1 for r in radii):

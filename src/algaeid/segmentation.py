@@ -21,14 +21,9 @@ class DegenerateBandError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """Per-pixel foreground/background labels for one band (or fused).
-
-    `threshold_used` is the Otsu threshold of the source band; fused masks
-    carry None.
-    """
+    """Per-pixel foreground/background labels for one band (or fused)."""
 
     foreground: np.ndarray
-    threshold_used: float | None = None
 
     def __post_init__(self):
         fg = np.asarray(self.foreground, dtype=bool)
@@ -150,7 +145,7 @@ def otsu_threshold(band, num_bins=256):
 def binarize(band, threshold):
     """Foreground iff intensity strictly exceeds the threshold."""
     band = np.asarray(band, dtype=np.float64)
-    return BinaryMask(foreground=band > threshold, threshold_used=float(threshold))
+    return BinaryMask(foreground=band > threshold)
 
 
 def fuse_masks(masks):
@@ -166,86 +161,52 @@ def fuse_masks(masks):
     fused = np.zeros(shape, dtype=bool)
     for m in masks:
         fused |= m.foreground
-    return BinaryMask(foreground=fused, threshold_used=None)
+    return BinaryMask(foreground=fused)
 
 
 def connected_components(mask):
-    """8-connectivity component labeling of a binary mask.
+    """8-connectivity component labeling of a binary mask by horizontal runs.
 
-    Two-pass union-find; final ids are contiguous 1..n assigned in
-    raster-scan order of each component's first-encountered pixel.
+    Each row, zero-padded at both ends, splits into runs of foreground
+    pixels. A run is keyed by row * (w + 2) + col, in padded columns, of its
+    first pixel and of the pixel just past its end, so the keys of all runs
+    ascend in raster order. A run touches the runs of the row above whose
+    end key is at least its start key less one padded row and whose start
+    key is at most its end key less one padded row; two searchsorted calls
+    give that range. Union-find joins the touching runs and always keeps
+    the smaller run index as the root, so each component's root is its
+    first run. Ids are the ranks of the roots: contiguous 1..n in
+    raster-scan order of each component's first pixel.
     """
     fg = mask.foreground
     h, w = fg.shape
-    flat = fg.ravel().tolist()
-    labels = [0] * (h * w)
-    parent = [0]  # parent[i] for provisional label i; index 0 unused
+    row = w + 2
+    padded = np.zeros((h, row), dtype=np.int8)
+    padded[:, 1:-1] = fg
+    edges = np.flatnonzero(np.diff(padded.ravel())) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    first = np.searchsorted(ends, starts - row).tolist()
+    stop = np.searchsorted(starts, ends - row, side="right").tolist()
+    parent = list(range(len(starts)))
 
     def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-    next_label = 1
-    for y in range(h):
-        base = y * w
-        up = base - w
-        for x in range(w):
-            if not flat[base + x]:
-                continue
-            best = 0
-            others = None
-            if x > 0:
-                best = labels[base + x - 1]
-            if y > 0:
-                for pos in (up + x - 1 if x > 0 else -1,
-                            up + x,
-                            up + x + 1 if x + 1 < w else -1):
-                    if pos < 0:
-                        continue
-                    lab = labels[pos]
-                    if lab and lab != best:
-                        if best:
-                            if others is None:
-                                others = [lab]
-                            else:
-                                others.append(lab)
-                        else:
-                            best = lab
-            if best == 0:
-                labels[base + x] = next_label
-                parent.append(next_label)
-                next_label += 1
-            else:
-                labels[base + x] = best
-                if others:
-                    for other in others:
-                        ra, rb = find(best), find(other)
-                        if ra != rb:
-                            if ra < rb:
-                                parent[rb] = ra
-                            else:
-                                parent[ra] = rb
-
-    # second pass: resolve equivalences, then renumber components in
-    # raster-scan order of first occurrence
-    remap = {}
-    count = 0
-    for i, p in enumerate(labels):
-        if p == 0:
-            continue
-        root = find(p)
-        new = remap.get(root)
-        if new is None:
-            count += 1
-            new = count
-            remap[root] = new
-        labels[i] = new
-    out = np.array(labels, dtype=np.int32).reshape(h, w)
-    return LabelMap(labels=out, count=count)
+    for run, (a, b) in enumerate(zip(first, stop)):
+        for above in range(a, b):
+            ra, rb = find(above), find(run)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    # parents never exceed their index, so one forward pass resolves roots
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    roots = np.array(parent, dtype=np.intp)
+    ids = np.cumsum(roots == np.arange(len(parent)), dtype=np.int32)[roots]
+    out = np.zeros(h * w, dtype=np.int32)
+    out[np.flatnonzero(fg)] = np.repeat(ids, ends - starts)
+    return LabelMap(labels=out.reshape(h, w), count=int(ids.max(initial=0)))
 
 
 def extract_organisms(labels, corrected, min_area_px=8):

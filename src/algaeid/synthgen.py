@@ -323,6 +323,8 @@ def generate_scene(spec, catalog):
 
 def generate_corpus(catalog, n_scenes, scene_template=None, master_seed=0):
     """Independent scenes with per-scene seeds derived from the master seed."""
+    if n_scenes < 1:
+        raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     template = scene_template or SceneSpec()
     scenes = []
     for i in range(n_scenes):

@@ -218,13 +218,46 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"train": {"epochs": 0}}, "invalid train config: epochs must be >= 1"),
     ({"train": {"epochs": "abc"}},
      "invalid train config: epochs must be a number, got 'abc'"),
+    ({"synth": {"background_level": float("inf")}},
+     "invalid config JSON: Infinity is not a number"),
+    ({"synth": {"noise_sigma": float("nan")}}, "invalid config JSON: NaN is not a number"),
+    ({"correction": {"opening_radii_px": "48"}},
+     "invalid correction config: opening_radii_px must be a list of integers, got '48'"),
+    ({"correction": {"opening_radii_px": 8}},
+     "invalid correction config: opening_radii_px must be a list of integers, got 8"),
+    ({"correction": {"opening_radii_px": [4.5, 8]}},
+     "invalid correction config: opening_radii_px[0] must be an integer, got 4.5"),
+    ({"correction": {"gaussian_sigma_px": True}},
+     "invalid correction config: gaussian_sigma_px must be a number, got True"),
+    ({"train": {"epochs": 2.7}}, "invalid train config: epochs must be an integer, got 2.7"),
+    ({"train": {"batch_size": 8.5}},
+     "invalid train config: batch_size must be an integer, got 8.5"),
+    ({"train": {"seed": True}}, "invalid train config: seed must be a number, got True"),
+    ({"train": {"learning_rate": True}},
+     "invalid train config: learning_rate must be a number, got True"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
-        "removed-clamp-knob", "value-out-of-range", "value-not-a-number"])
+        "removed-clamp-knob", "value-out-of-range", "value-not-a-number",
+        "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
+        "float-bool", "epochs-fractional", "batch-size-fractional", "seed-bool",
+        "learning-rate-bool"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["--scenes", "0"], {}),
+    ([], {"synth": {"scenes": -1}}),
+], ids=["flag-zero", "config-negative"])
+def test_synth_rejects_no_scenes(tmp_path, capsys, argv, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), *argv]) == 1
+    assert "n_scenes must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _band_subset(src, dst, bands, names=None):

@@ -47,7 +47,6 @@ def test_binarize_strict_inequality():
     mask = binarize(band, 50.0)
     assert not mask.foreground[0, 0]  # equal to threshold stays background
     assert mask.foreground[0, 1]
-    assert mask.threshold_used == 50.0
 
 
 def test_binarize_all_zero():
@@ -67,7 +66,6 @@ def test_fuse_identity_and_union():
     fused = fuse_masks([BinaryMask(m1), BinaryMask(m2)])
     assert fused.foreground[1, 1] and fused.foreground[2, 3]
     assert fused.foreground.sum() == 2
-    assert fused.threshold_used is None
 
     empty = BinaryMask(np.zeros((8, 8), dtype=bool))
     assert np.array_equal(fuse_masks([a, empty]).foreground, a.foreground)
@@ -98,8 +96,24 @@ def test_components_diagonal_is_connected():
 
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(15)
-    for _ in range(50):
-        mask = rng.random((64, 64)) < rng.uniform(0.2, 0.7)
+    masks = [rng.random((64, 64)) < rng.uniform(0.2, 0.7) for _ in range(50)]
+    masks += [np.zeros((9, 7), dtype=bool), np.ones((9, 7), dtype=bool),
+              np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+              rng.random((1, 40)) < 0.5, rng.random((40, 1)) < 0.5]
+    # U shape: the two arms are separate runs for several rows, and only
+    # the bottom run joins them, after each arm has taken its own root
+    u = np.zeros((8, 9), dtype=bool)
+    u[1:7, 1:3] = u[1:7, 6:8] = u[6, 1:8] = True
+    # comb whose right arms start before its left ones: the joining run
+    # meets roots that are not in left-to-right order
+    comb = np.zeros((9, 9), dtype=bool)
+    comb[4:8, 0] = comb[0:8, 4] = comb[2:8, 8] = comb[7] = True
+    # diagonal staircases: each run touches the run above only at a corner
+    stair = np.zeros((10, 20), dtype=bool)
+    for y in range(10):
+        stair[y, 2 * y:2 * y + 2] = True
+    masks += [u, u[::-1], comb, stair, stair[:, ::-1]]
+    for mask in masks:
         lab = connected_components(BinaryMask(mask))
         oracle_labels, oracle_count = flood_fill_components(mask)
         assert lab.count == oracle_count
