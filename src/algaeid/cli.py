@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import classifier, evaluation, features, illumination, segmentation, synthgen
+from . import classifier, evaluation, features, fields, illumination, segmentation, synthgen
 from .stack_io import (atomic_write_bytes, atomic_write_json, load_stack,
                        read_pgm, save_stack)
 
@@ -51,10 +51,17 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not a number")
 
 
+def _check_mccv(runs, train_fraction, master_seed):
+    """Type checks of the mccv section; run_mccv checks the ranges."""
+    fields.as_number("runs", runs, int)
+    fields.as_number("train_fraction", train_fraction)
+    fields.as_number("master_seed", master_seed, int)
+
+
 def load_config(path=None):
     """DEFAULT_CONFIG with the sections of the JSON file at `path` laid
     over it. Only the sections and keys of DEFAULT_CONFIG are accepted, and
-    the correction and train sections must make valid configs."""
+    the correction, train and mccv sections must hold valid values."""
     cfg = {k: dict(v) for k, v in DEFAULT_CONFIG.items()}
     if path is None:
         return cfg
@@ -78,7 +85,8 @@ def load_config(path=None):
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         cfg[section].update(values)
     for section, make in (("correction", illumination.CorrectionConfig),
-                          ("train", classifier.TrainConfig)):
+                          ("train", classifier.TrainConfig),
+                          ("mccv", _check_mccv)):
         try:
             make(**cfg[section])
         except (TypeError, ValueError) as e:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
 def as_number(name, value, kind=float):
     """`value` as `kind` (float or int). A bool, a string or another
-    non-number raises ValueError naming `name`, as does a fractional value
-    where `kind` is int."""
+    non-number raises ValueError naming `name`, as do NaN, an infinity and,
+    where `kind` is int, a fractional value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     if kind is int and not (isinstance(value, numbers.Integral)
                             or float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")

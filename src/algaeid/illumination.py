@@ -67,51 +67,33 @@ def gaussian_lowpass(band, sigma):
     return result
 
 
-def _sliding_extreme(a, width, op):
-    """op-reduction (np.minimum or np.maximum) over every contiguous
-    length-`width` window along the last axis of `a`.
-
-    van Herk/Gil-Werman: split into blocks of `width`, take running
-    extremes forward and backward within blocks, then combine the suffix of
-    one block with the prefix of the next. O(1) per output element.
-    Returns an array whose last axis has length a.shape[-1] - width + 1.
-    """
-    n = a.shape[-1]
-    if width == 1:
-        return a.copy()
-    fill = np.inf if op is np.minimum else -np.inf
-    pad = (-n) % width
-    if pad:
-        a = np.concatenate([a, np.full(a.shape[:-1] + (pad,), fill)], axis=-1)
-    blocks = a.reshape(a.shape[:-1] + (-1, width))
-    prefix = op.accumulate(blocks, axis=-1).reshape(a.shape)
-    suffix = op.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(a.shape)
-    return op(suffix[..., :n - width + 1], prefix[..., width - 1:n])
-
-
-def _disk_row_halfwidths(radius):
-    """Half-width of the disk {dx^2+dy^2 <= r^2} at each row offset -r..r."""
-    r = int(radius)
-    return [math.isqrt(r * r - dy * dy) for dy in range(-r, r + 1)]
-
-
 def _disk_extreme(band, radius, op):
     """Erosion (op=np.minimum) or dilation (op=np.maximum) by a discrete
     disk, border handled by edge replication.
 
-    The disk is a union of horizontal segments, one per row offset, so the
-    2-D extreme decomposes into per-row sliding extremes followed by a
-    reduction across row offsets.
+    The disk is a union of horizontal chords, one per row offset. A running
+    sparse table holds the extreme of every horizontal window of `span`
+    pixels, so a chord of span to 2*span - 1 pixels is op of two overlapping
+    table columns. Chord widths are visited in increasing order: the table
+    only ever doubles, only its current level is kept, and each chord is
+    folded into the output at every row offset with its half-width.
     """
     r = int(radius)
     h, w = band.shape
-    padded = np.pad(band, r, mode="edge")
+    # half-width of the disk {dx^2 + dy^2 <= r^2} at row offset dy = i - r
+    halves = np.array([math.isqrt(r * r - dy * dy) for dy in range(-r, r + 1)])
+    table = np.pad(band, r, mode="edge")
+    span = 1
     out = np.full((h, w), np.inf if op is np.minimum else -np.inf)
-    for dy, half in zip(range(-r, r + 1), _disk_row_halfwidths(r)):
-        slab = padded[r + dy:r + dy + h, :]
-        windows = _sliding_extreme(slab, 2 * half + 1, op)
-        # output column x corresponds to the window starting at r + x - half
-        out = op(out, windows[:, r - half:r - half + w])
+    for half in np.unique(halves).tolist():
+        while 2 * span <= 2 * half + 1:
+            table = op(table[:, :-span], table[:, span:])
+            span *= 2
+        # output column x takes padded columns r + x - half .. r + x + half
+        lo, hi = r - half, r + half - span + 1
+        chord = op(table[:, lo:lo + w], table[:, hi:hi + w])
+        for i in np.flatnonzero(halves == half).tolist():
+            op(out, chord[i:i + h], out=out)
     return out
 
 

@@ -220,6 +220,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="learning_rate must be finite, got nan"):
+        TrainConfig(learning_rate=float("nan"))
+    with pytest.raises(ValueError, match="l2 must be finite, got inf"):
+        TrainConfig(l2=float("inf"))
     # JSON numbers arrive as int or float; fields take their declared type
     cfg = TrainConfig(learning_rate=1, epochs=3.0, batch_size=8.0, seed=2.0, l2=0)
     assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 8, 2)

@@ -235,11 +235,18 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"train": {"seed": True}}, "invalid train config: seed must be a number, got True"),
     ({"train": {"learning_rate": True}},
      "invalid train config: learning_rate must be a number, got True"),
+    ({"mccv": {"runs": "abc"}}, "invalid mccv config: runs must be a number, got 'abc'"),
+    ({"mccv": {"runs": 2.5}}, "invalid mccv config: runs must be an integer, got 2.5"),
+    ({"mccv": {"train_fraction": "0.7"}},
+     "invalid mccv config: train_fraction must be a number, got '0.7'"),
+    ({"mccv": {"master_seed": None}},
+     "invalid mccv config: master_seed must be a number, got None"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
         "removed-clamp-knob", "value-out-of-range", "value-not-a-number",
         "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
         "float-bool", "epochs-fractional", "batch-size-fractional", "seed-bool",
-        "learning-rate-bool"])
+        "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
+        "mccv-fraction-string", "mccv-seed-null"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))

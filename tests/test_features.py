@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,9 @@ def test_convex_area_matches_halfplane_oracle():
         org = random_organism(rng)
         assert convex_area(org) == oracle_convex_area(org.pixels)
         assert convex_area(org) >= org.area
+        # the hull must not depend on the pixels being in row-major order
+        shuffled = dataclasses.replace(org, pixels=rng.permutation(org.pixels))
+        assert convex_area(shuffled) == convex_area(org)
 
 
 def test_eccentricity_single_pixel():

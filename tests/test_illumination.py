@@ -19,6 +19,10 @@ def test_config_validation():
         CorrectionConfig(opening_radii_px=(4, 4))
     with pytest.raises(ValueError):
         CorrectionConfig(opening_radii_px=(0, 2))
+    with pytest.raises(ValueError, match="gaussian_sigma_px must be finite, got inf"):
+        CorrectionConfig(gaussian_sigma_px=float("inf"))
+    with pytest.raises(ValueError, match="gaussian_sigma_px must be finite, got nan"):
+        CorrectionConfig(gaussian_sigma_px=float("nan"))
     CorrectionConfig()  # defaults valid
 
 
@@ -89,6 +93,17 @@ def test_erode_dilate_match_naive():
     for radius in (1, 4, 7):
         assert np.array_equal(erode_disk(img, radius), naive_erode(img, radius))
         assert np.array_equal(dilate_disk(img, radius), naive_dilate(img, radius))
+
+
+@pytest.mark.parametrize("shape", [(1, 80), (80, 1), (5, 3), (70, 81)],
+                         ids=["1x80", "80x1", "5x3", "70x81"])
+@pytest.mark.parametrize("radius", [16, 32])
+def test_erode_dilate_match_naive_large_radii(shape, radius):
+    # radii 16 and 32 read chords from table spans 32 and 64, on bands
+    # narrower than the disk in one or both axes and on one wider than it
+    img = np.random.default_rng(radius).random(shape) * 50
+    assert np.array_equal(erode_disk(img, radius), naive_erode(img, radius))
+    assert np.array_equal(dilate_disk(img, radius), naive_dilate(img, radius))
 
 
 def test_opening_radius_larger_than_image():
