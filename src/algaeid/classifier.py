@@ -34,9 +34,7 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        for name, kind in (("learning_rate", float), ("l2", float), ("epochs", int),
-                           ("batch_size", int), ("seed", int)):
-            object.__setattr__(self, name, fields.as_number(name, getattr(self, name), kind))
+        fields.coerce(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:

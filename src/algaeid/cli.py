@@ -18,53 +18,30 @@ import sys
 
 import numpy as np
 
-from . import classifier, evaluation, features, fields, illumination, segmentation, synthgen
+from . import classifier, evaluation, features, illumination, segmentation, synthgen
 from .stack_io import (atomic_write_bytes, atomic_write_json, load_stack,
                        read_pgm, save_stack)
 
-DEFAULT_CONFIG = {
-    "synth": {
-        "scenes": 8,
-        "width": 192,
-        "height": 192,
-        "organisms_per_scene": 16,
-        "background_level": 120.0,
-        "vignette_strength": 0.25,
-        "noise_sigma": 2.0,
-        "master_seed": 0,
-    },
-    "correction": dataclasses.asdict(illumination.CorrectionConfig()),
-    "segmentation": {
-        "num_bins": 256,
-        "min_area_px": 8,
-    },
-    "train": dataclasses.asdict(classifier.TrainConfig()),
-    "mccv": {
-        "runs": 20,
-        "train_fraction": 0.7,
-        "master_seed": 0,
-    },
-}
+
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """The effective configuration: one typed section per config file section."""
+    synth: synthgen.SynthConfig = synthgen.SynthConfig()
+    correction: illumination.CorrectionConfig = illumination.CorrectionConfig()
+    segmentation: segmentation.SegmentationConfig = segmentation.SegmentationConfig()
+    train: classifier.TrainConfig = classifier.TrainConfig()
+    mccv: evaluation.MccvConfig = evaluation.MccvConfig()
+
+
+DEFAULT_CONFIG = dataclasses.asdict(Config())
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not a number")
 
 
-def _check_mccv(runs, train_fraction, master_seed):
-    """Type checks of the mccv section; run_mccv checks the ranges."""
-    fields.as_number("runs", runs, int)
-    fields.as_number("train_fraction", train_fraction)
-    fields.as_number("master_seed", master_seed, int)
-
-
-def load_config(path=None):
-    """DEFAULT_CONFIG with the sections of the JSON file at `path` laid
-    over it. Only the sections and keys of DEFAULT_CONFIG are accepted, and
-    the correction, train and mccv sections must hold valid values."""
-    cfg = {k: dict(v) for k, v in DEFAULT_CONFIG.items()}
-    if path is None:
-        return cfg
+def _read_config(path):
+    """The JSON config file at `path`, if it holds only DEFAULT_CONFIG's sections and keys."""
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -80,22 +57,31 @@ def load_config(path=None):
     for section, values in user.items():
         if not isinstance(values, dict):
             raise ValueError(f"{path}: config section {section} must be a JSON object")
-        unknown = [f"{section}.{key}" for key in values if key not in cfg[section]]
+        unknown = [f"{section}.{key}" for key in values if key not in DEFAULT_CONFIG[section]]
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        cfg[section].update(values)
-    for section, make in (("correction", illumination.CorrectionConfig),
-                          ("train", classifier.TrainConfig),
-                          ("mccv", _check_mccv)):
+    return user
+
+
+def load_config(path=None, **overrides):
+    """Config from the JSON file at `path` and then `overrides` (the CLI flags:
+    section -> {key: value}, None values skipped) laid over the defaults.
+    Every section is built, and so checked, here."""
+    user = _read_config(path) if path is not None else {}
+    prefix = f"{path}: " if path is not None else ""
+    sections = {}
+    for section in dataclasses.fields(Config):
+        values = {**user.get(section.name, {}),
+                  **{k: v for k, v in overrides.get(section.name, {}).items() if v is not None}}
         try:
-            make(**cfg[section])
+            sections[section.name] = type(section.default)(**values)
         except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: invalid {section} config: {e}") from None
-    return cfg
+            raise ValueError(f"{prefix}invalid {section.name} config: {e}") from None
+    return Config(**sections)
 
 
 def config_hash(cfg):
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -105,13 +91,6 @@ def _load_role(path, role):
     if stack.role_tag != role:
         raise ValueError(f"{path}: expected role_tag {role!r}, got {stack.role_tag!r}")
     return stack
-
-
-def _segment(corrected, cfg):
-    """segmentation.segment with the settings of the config's segmentation section."""
-    seg = cfg["segmentation"]
-    return segmentation.segment(corrected, num_bins=int(seg["num_bins"]),
-                                min_area_px=int(seg["min_area_px"]))
 
 
 def _scene_dirs(root):
@@ -131,23 +110,11 @@ def _scene_dirs(root):
 
 
 def cmd_synth(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["synth"]["master_seed"] = args.seed
-    if args.scenes is not None:
-        cfg["synth"]["scenes"] = args.scenes
+    cfg = load_config(args.config, synth={"master_seed": args.seed, "scenes": args.scenes})
     digest = config_hash(cfg)
-    s = cfg["synth"]
     catalog = synthgen.default_catalog()
-    template = synthgen.SceneSpec(
-        width=int(s["width"]), height=int(s["height"]),
-        n_organisms=int(s["organisms_per_scene"]),
-        background_level=float(s["background_level"]),
-        vignette_strength=float(s["vignette_strength"]),
-        noise_sigma=float(s["noise_sigma"]),
-    )
-    scenes = synthgen.generate_corpus(
-        catalog, int(s["scenes"]), template, master_seed=int(s["master_seed"]))
+    scenes = synthgen.generate_corpus(catalog, cfg.synth.scenes, cfg.synth.scene_spec(),
+                                      master_seed=cfg.synth.master_seed)
     os.makedirs(args.out, exist_ok=True)
     for i, scene in enumerate(scenes):
         scene_dir = os.path.join(args.out, f"scene_{i:03d}")
@@ -163,10 +130,9 @@ def cmd_synth(args):
 def cmd_correct(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
-    correction = illumination.CorrectionConfig(**cfg["correction"])
     for name, src in _scene_dirs(args.input):
         raw = _load_role(src, "raw")
-        background = illumination.estimate_background(raw, correction)
+        background = illumination.estimate_background(raw, cfg.correction)
         corrected = illumination.subtract_background(raw, background)
         dst = os.path.join(args.out, name) if name else args.out
         save_stack(corrected, dst, extra_fields={"config_sha256": digest})
@@ -178,7 +144,8 @@ def cmd_segment(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     for name, src in _scene_dirs(args.input):
-        labels, organisms, thresholds = _segment(_load_role(src, "corrected"), cfg)
+        labels, organisms, thresholds = segmentation.segment(
+            _load_role(src, "corrected"), **dataclasses.asdict(cfg.segmentation))
         dst = os.path.join(args.out, name) if name else args.out
         os.makedirs(dst, exist_ok=True)
         segmentation.labelmap_to_pgm(labels, os.path.join(dst, "labels.pgm"))
@@ -196,7 +163,7 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
     labels_raw = read_pgm(labels_pgm).astype(np.int32)
     labels = segmentation.LabelMap(labels=labels_raw, count=int(labels_raw.max()))
     organisms = segmentation.extract_organisms(
-        labels, corrected, min_area_px=int(cfg["segmentation"]["min_area_px"]))
+        labels, corrected, min_area_px=cfg.segmentation.min_area_px)
     matched = [None] * len(organisms)
     class_names = None
     if truth_dir is not None:
@@ -215,6 +182,14 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
     return fvs, class_names
 
 
+def _same_as_first(key, value, first, where):
+    """`value` of `key` read from `where`, which must equal the first scene's
+    `first` unless there is none yet."""
+    if first is not None and value != first:
+        raise ValueError(f"{where}: {key} {value} differ from the first scene's {first}")
+    return value
+
+
 def cmd_features(args):
     cfg = load_config(args.config)
     digest = config_hash(cfg)
@@ -223,7 +198,8 @@ def cmd_features(args):
     class_names = None
     for name, src in _scene_dirs(args.corrected):
         corrected = _load_role(src, "corrected")
-        wavelengths = corrected.wavelengths_nm
+        wavelengths = _same_as_first(
+            "wavelengths_nm", list(corrected.wavelengths_nm), wavelengths, src)
         seg_dir = os.path.join(args.segmented, name) if name else args.segmented
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
         if not os.path.exists(labels_pgm):
@@ -234,8 +210,7 @@ def cmd_features(args):
             if not os.path.exists(os.path.join(truth_dir, "truth.json")):
                 raise ValueError(f"ground truth not found in {truth_dir}")
         fvs, names = _features_for_scene(corrected, labels_pgm, cfg, truth_dir)
-        if names is not None:
-            class_names = names
+        class_names = _same_as_first("class_names", names, class_names, truth_dir)
         prefix = f"{name}:" if name else ""
         all_fvs += [dataclasses.replace(fv, organism_id=f"{prefix}{fv.organism_id}")
                     for fv in fvs]
@@ -245,7 +220,7 @@ def cmd_features(args):
     atomic_write_json(_meta_path(args.out), {
         "config_sha256": digest,
         "class_names": class_names,
-        "wavelengths_nm": list(wavelengths),
+        "wavelengths_nm": wavelengths,
         "rows": len(all_fvs),
     })
     print(f"wrote {len(all_fvs)} feature rows to {args.out}")
@@ -281,18 +256,15 @@ def _labeled_rows(csv_path):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, train={"seed": args.seed})
     digest = config_hash(cfg)
     variant = _parse_variant(args.variant)
     labeled, wavelengths, class_names = _labeled_rows(args.features)
     x = features.assemble(labeled, variant)
     y = np.array([fv.label for fv in labeled], dtype=np.int64)
     nrm = features.fit_normalizer(x)
-    train_cfg = classifier.TrainConfig(**cfg["train"])
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     net, final_loss = classifier.train(
-        features.apply_normalizer(nrm, x), y, cfg=train_cfg,
+        features.apply_normalizer(nrm, x), y, cfg=cfg.train,
         num_classes=len(class_names) or None)
     model = classifier.TrainedModel(
         network=net, variant=variant, normalizer=nrm,
@@ -305,28 +277,15 @@ def cmd_train(args):
 
 
 def cmd_mccv(args):
-    cfg = load_config(args.config)
-    if args.runs is not None:
-        cfg["mccv"]["runs"] = args.runs
-    if args.seed is not None:
-        cfg["mccv"]["master_seed"] = args.seed
+    cfg = load_config(args.config, mccv={"runs": args.runs, "master_seed": args.seed})
     digest = config_hash(cfg)
     variants = [_parse_variant(v.strip()) for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("at least one variant required")
     labeled, _, class_names = _labeled_rows(args.features)
-    mccv_cfg = cfg["mccv"]
-    train_cfg = classifier.TrainConfig(**cfg["train"])
-    reports = []
-    for variant in variants:
-        reports.append(evaluation.run_mccv(
-            labeled, variant,
-            cfg=train_cfg,
-            runs=int(mccv_cfg["runs"]),
-            train_fraction=float(mccv_cfg["train_fraction"]),
-            master_seed=int(mccv_cfg["master_seed"]),
-            class_names=class_names,
-        ))
+    reports = [evaluation.run_mccv(labeled, variant, cfg=cfg.train, class_names=class_names,
+                                   **dataclasses.asdict(cfg.mccv))
+               for variant in variants]
     ttests = []
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
@@ -335,7 +294,7 @@ def cmd_mccv(args):
             ttests.append((reports[i].variant.value, reports[j].variant.value, result))
     doc = evaluation.build_report(reports, ttests)
     doc["config_sha256"] = digest
-    doc["config"] = cfg
+    doc["config"] = dataclasses.asdict(cfg)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_json(os.path.join(args.out, "report.json"), doc)
     text = evaluation.render_report_text(doc)
@@ -353,7 +312,7 @@ def cmd_classify(args):
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")
         wavelengths = corrected.wavelengths_nm
-        _, organisms, _ = _segment(corrected, cfg)
+        _, organisms, _ = segmentation.segment(corrected, **dataclasses.asdict(cfg.segmentation))
         fvs = [features.compute_features(org, corrected) for org in organisms]
     else:
         if not os.path.exists(args.input):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifier
+from . import classifier, fields
 from .features import ModelVariant, apply_normalizer, assemble, fit_normalizer
 
 
@@ -201,6 +201,15 @@ def paired_t_test(a, b, alpha=0.01):
 
 
 # --- Monte Carlo cross-validation ---
+
+@dataclass(frozen=True)
+class MccvConfig:
+    """The `mccv` config section: `run_mccv`'s run settings, range-checked there."""
+    runs: int = 20
+    train_fraction: float = 0.7
+    master_seed: int = 0
+    __post_init__ = fields.coerce
+
 
 def mccv_split(n, train_fraction, seed):
     """Disjoint covering (train, test) index arrays: round(train_fraction*n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 
@@ -18,3 +19,12 @@ def as_number(name, value, kind=float):
                             or float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return kind(value)
+
+
+def coerce(obj):
+    """Set each field of the (frozen) dataclass `obj` annotated `int` or `float`
+    to `as_number` of its value; `obj`'s module must postpone annotations."""
+    for f in dataclasses.fields(obj):
+        kind = {"int": int, "float": float}.get(f.type)
+        if kind is not None:
+            object.__setattr__(obj, f.name, as_number(f.name, getattr(obj, f.name), kind))

@@ -23,8 +23,7 @@ class CorrectionConfig:
     opening_radii_px: tuple = (4, 8, 16, 32)
 
     def __post_init__(self):
-        sigma = fields.as_number("gaussian_sigma_px", self.gaussian_sigma_px)
-        object.__setattr__(self, "gaussian_sigma_px", sigma)
+        fields.coerce(self)
         if self.gaussian_sigma_px <= 0:
             raise ValueError("gaussian_sigma_px must be positive")
         radii = self.opening_radii_px

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .stack_io import PGM_MAXVAL, write_pgm16
 
 
@@ -244,6 +245,14 @@ def extract_organisms(labels, corrected, min_area_px=8):
             ),
         ))
     return organisms
+
+
+@dataclass(frozen=True)
+class SegmentationConfig:
+    """The `segmentation` config section: the keyword arguments of `segment`."""
+    num_bins: int = 256
+    min_area_px: int = 8
+    __post_init__ = fields.coerce
 
 
 def segment(corrected, num_bins=256, min_area_px=8):

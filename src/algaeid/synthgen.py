@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fields
 from .segmentation import BinaryMask, LabelMap, connected_components
 from .stack_io import ImageStack
 
@@ -60,6 +61,7 @@ class SceneSpec:
     species_mix: tuple | None = None
 
     def __post_init__(self):
+        fields.coerce(self)
         if self.width < 8 or self.height < 8:
             raise ValueError("scene must be at least 8x8")
         if self.n_organisms < 0:
@@ -70,6 +72,27 @@ class SceneSpec:
             raise ValueError("vignette strength must lie in [0, 1)")
         if self.background_level < 0:
             raise ValueError("background level must be non-negative")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """The `synth` config section: a corpus of scenes like `scene_spec()`."""
+    scenes: int = 8
+    width: int = SceneSpec.width
+    height: int = SceneSpec.height
+    organisms_per_scene: int = SceneSpec.n_organisms
+    background_level: float = SceneSpec.background_level
+    vignette_strength: float = SceneSpec.vignette_strength
+    noise_sigma: float = SceneSpec.noise_sigma
+    master_seed: int = 0
+
+    def __post_init__(self):
+        fields.coerce(self)
+        self.scene_spec()  # SceneSpec checks the ranges
+
+    def scene_spec(self):
+        return SceneSpec(self.width, self.height, self.organisms_per_scene,
+                         self.background_level, self.vignette_strength, self.noise_sigma)
 
 
 @dataclass(frozen=True)

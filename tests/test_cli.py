@@ -1,9 +1,10 @@
 import json
 import os
+import shutil
 
 import pytest
 
-from algaeid.cli import main
+from algaeid.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from algaeid.features import read_features_csv
 from algaeid.stack_io import load_stack
 
@@ -76,12 +77,45 @@ def test_features_output(pipeline):
     assert "config_sha256" in meta
 
 
+@pytest.mark.parametrize("tree,manifest,key,value", [
+    ("corrected", "stack.json", "wavelengths_nm", [400.0, 420.0, 450.0, 470.0, 500.0, 530.0]),
+    ("raw", "truth.json", "class_names", ["a", "b", "c", "d", "e", "f"]),
+], ids=["wavelengths", "class-names"])
+def test_features_rejects_scenes_that_disagree(pipeline, tmp_path, capsys,
+                                              tree, manifest, key, value):
+    trees = {name: pipeline[name] for name in ("corrected", "segmented", "raw")}
+    trees[tree] = shutil.copytree(pipeline[tree], tmp_path / tree)
+    path = trees[tree] / "scene_001" / manifest
+    doc = json.loads(path.read_text())
+    first = doc[key]
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "features.csv"
+    assert main(["features", str(trees["corrected"]), str(trees["segmented"]),
+                 "--truth", str(trees["raw"]), "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {trees[tree] / 'scene_001'}: {key} {value} differ from the first "
+        f"scene's {first}\n")
+
+
 def test_features_rerun_byte_identical(pipeline):
     out2 = pipeline["root"] / "features2.csv"
     assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
                  "--truth", str(pipeline["raw"]), "--config", str(pipeline["config"]),
                  "--out", str(out2)]) == 0
     assert out2.read_bytes() == pipeline["csv"].read_bytes()
+
+
+def test_train_seed_reaches_config_hash(pipeline, tmp_path):
+    digests = []
+    for seed in ("1", "2"):
+        model = tmp_path / f"model{seed}.json"
+        assert main(["train", str(pipeline["csv"]), "--variant", "morph", "--seed", seed,
+                     "--config", str(pipeline["config"]), "--out", str(model)]) == 0
+        digests.append(json.loads(model.read_text())["config_sha256"])
+    assert digests[0] != digests[1]
 
 
 def test_train_and_classify_deterministic(pipeline):
@@ -241,17 +275,50 @@ def test_bad_config_rejected(tmp_path, capsys):
      "invalid mccv config: train_fraction must be a number, got '0.7'"),
     ({"mccv": {"master_seed": None}},
      "invalid mccv config: master_seed must be a number, got None"),
+    ({"synth": {"width": 100.7}}, "invalid synth config: width must be an integer, got 100.7"),
+    ({"synth": {"width": "abc"}}, "invalid synth config: width must be a number, got 'abc'"),
+    ({"synth": {"width": 4}}, "invalid synth config: scene must be at least 8x8"),
+    ({"synth": {"noise_sigma": True}},
+     "invalid synth config: noise_sigma must be a number, got True"),
+    ({"synth": {"organisms_per_scene": 2.5}},
+     "invalid synth config: organisms_per_scene must be an integer, got 2.5"),
+    ({"segmentation": {"min_area_px": 3.9}},
+     "invalid segmentation config: min_area_px must be an integer, got 3.9"),
+    ({"segmentation": {"num_bins": "abc"}},
+     "invalid segmentation config: num_bins must be a number, got 'abc'"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
         "removed-clamp-knob", "value-out-of-range", "value-not-a-number",
         "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
         "float-bool", "epochs-fractional", "batch-size-fractional", "seed-bool",
         "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
-        "mccv-fraction-string", "mccv-seed-null"])
+        "mccv-fraction-string", "mccv-seed-null", "synth-width-fractional",
+        "synth-width-string", "synth-width-too-small", "synth-noise-bool",
+        "synth-organisms-fractional", "segmentation-min-area-fractional",
+        "segmentation-bins-string"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def test_default_config_pinned():
+    assert config_hash(load_config()) == (
+        "db1050f2b780c52918c894df9b454080fa9efcbd9b3ae933727d5cc654da8285")
+    assert {section: list(keys) for section, keys in DEFAULT_CONFIG.items()} == {
+        "synth": ["scenes", "width", "height", "organisms_per_scene", "background_level",
+                  "vignette_strength", "noise_sigma", "master_seed"],
+        "correction": ["gaussian_sigma_px", "opening_radii_px"],
+        "segmentation": ["num_bins", "min_area_px"],
+        "train": ["learning_rate", "epochs", "batch_size", "seed", "l2"],
+        "mccv": ["runs", "train_fraction", "master_seed"],
+    }
+
+
+def test_flag_error_names_no_file():
+    with pytest.raises(ValueError) as err:
+        load_config(mccv={"runs": 2.5, "master_seed": None})
+    assert str(err.value) == "invalid mccv config: runs must be an integer, got 2.5"
 
 
 @pytest.mark.parametrize("argv,doc", [
