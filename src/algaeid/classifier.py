@@ -9,6 +9,7 @@ categorical cross-entropy; everything is driven by a single seed so a
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
+        fields.non_negative(self, "seed")
 
 
 @dataclass
@@ -96,9 +98,16 @@ def softmax(z):
     """Normalized exponential along the last axis, computed with max-logit
     subtraction so arbitrarily large logits cannot overflow."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the row max as a chain over the columns: exact, and cheaper than a
+    # numpy reduction over a short last axis. The row sum stays numpy's
+    # reduction, which adds 8 or more columns pairwise, not in sequence.
+    top = z[..., 0]
+    for j in range(1, z.shape[-1]):
+        top = np.maximum(top, z[..., j])
+    e = z - top[..., None]
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def init_network(input_dim, num_classes, rng, hidden_sizes=HIDDEN_SIZES):
@@ -112,25 +121,31 @@ def init_network(input_dim, num_classes, rng, hidden_sizes=HIDDEN_SIZES):
     return Network(layer_sizes=sizes, weights=weights, biases=biases)
 
 
-def _forward_trace(weights, biases, x):
-    """Pre-activations and activations for every layer.
+def _batch_major(shape):
+    """An empty array of shape (n, m) or (R, n, m) whose memory holds the n
+    axis outermost: (n, R, m) in memory for R stacked networks. A bias added
+    to, or summed over, the n rows of all runs then runs as one loop over
+    R * m values per row."""
+    return np.empty(shape[-2:-1] + shape[:-2] + shape[-1:]).swapaxes(0, -2)
+
+
+def _activations(weights, biases, x):
+    """The input and every layer's activation.
 
     Works on one network (weights (out, in), x (n, d_in)) or on R networks
     stacked along a leading run axis (weights (R, out, in), biases (R, out),
     x (R, n, d_in)); the stacked matmul computes each run's product exactly
-    as the single-network one does.
+    as the single-network one does. Every layer's output is batch-major
+    (`_batch_major`).
     """
-    zs = []
     activations = [x]
-    a = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.swapaxes(-1, -2)
+        a = activations[-1]
+        z = np.matmul(a, w.swapaxes(-1, -2), out=_batch_major(a.shape[:-1] + w.shape[-2:-1]))
         z += b[..., None, :]
-        zs.append(z)
-        a = softmax(z) if i == last else relu(z)
-        activations.append(a)
-    return zs, activations
+        activations.append(softmax(z) if i == last else relu(z))
+    return activations
 
 
 def forward_batch(net, x):
@@ -138,8 +153,7 @@ def forward_batch(net, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
-    _, activations = _forward_trace(net.weights, net.biases, x)
-    return activations[-1]
+    return _activations(net.weights, net.biases, x)[-1]
 
 
 def loss(probs, labels):
@@ -154,22 +168,30 @@ def loss(probs, labels):
     return float(-np.log(p_true).mean())
 
 
-def _gradients(weights, biases, x, onehot):
+def _gradients(weights, biases, x, onehot, grads_w, grads_b):
     """Mean gradients over a batch, for one network or a run-stacked set
-    (see `_forward_trace`); `onehot` holds the one-hot labels, (..., n, k).
+    (see `_activations`); `onehot` holds the one-hot labels, (..., n, k).
     Softmax and cross-entropy fuse to (probs - onehot) at the output
-    pre-activation; the ReLU subgradient at exactly 0 is taken as 0."""
+    pre-activation; the ReLU subgradient at exactly 0 is taken as 0, so a
+    unit passes the gradient where its activation is positive.
+
+    Layer i's gradients are written into grads_w[i] and grads_b[i], or into
+    new arrays where those entries are None; the filled lists are returned.
+    Every delta is batch-major, so a bias gradient adds the batch rows one
+    after another, as `delta.sum(axis=0)` does for one network.
+    """
     n = x.shape[-2]
-    zs, activations = _forward_trace(weights, biases, x)
-    delta = activations[-1] - onehot
+    activations = _activations(weights, biases, x)
+    delta = activations[-1]
+    delta -= onehot
     delta /= n
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = delta.swapaxes(-1, -2) @ activations[i]
-        grads_b[i] = delta.sum(axis=-2)
+        grads_w[i] = np.matmul(delta.swapaxes(-1, -2), activations[i], out=grads_w[i])
+        grads_b[i] = np.add.reduce(delta, axis=-2, out=grads_b[i])
         if i > 0:
-            delta = (delta @ weights[i]) * (zs[i - 1] > 0)
+            w = weights[i]
+            delta = np.matmul(delta, w, out=_batch_major(delta.shape[:-1] + w.shape[-1:]))
+            delta *= activations[i] > 0
     return grads_w, grads_b
 
 
@@ -184,7 +206,9 @@ def backward(net, x, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != x.shape[:1] or np.any((labels < 0) | (labels >= k)):
         raise ValueError(f"labels must be one class id in [0, {k}) per input row")
-    return _gradients(net.weights, net.biases, x, np.eye(k)[labels])
+    layers = len(net.weights)
+    return _gradients(net.weights, net.biases, x, np.eye(k)[labels],
+                      [None] * layers, [None] * layers)
 
 
 def train(x, y, cfg=None, num_classes=None):
@@ -199,6 +223,16 @@ def train(x, y, cfg=None, num_classes=None):
                       num_classes=num_classes)[0]
 
 
+def _split(flat, shapes):
+    """Consecutive views of the 1-D buffer `flat`, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 def train_runs(x, y, seeds, cfg=None, num_classes=None):
     """Train R networks in lockstep; returns one (network, final mean loss)
     per run.
@@ -207,10 +241,11 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None):
     (its own split and normalizer), and all runs share n, so their
     mini-batch boundaries line up. Run r draws its He-uniform init and then
     one permutation per epoch from default_rng(seeds[r]), in that order;
-    cfg.seed is not used. Each step gathers every run's own mini-batch into
-    an (R, B, d) array and runs forward, backward and update as matmuls over
-    the leading run axis, so every run's weights are bitwise those of
-    training it alone with seed seeds[r].
+    cfg.seed is not used. Each epoch gathers every run's samples in its own
+    order, and each step runs forward and backward as matmuls over the
+    leading run axis on an (R, B, d) mini-batch. All weights and biases
+    live in one flat buffer, so the update is two ufunc calls. Every run's
+    weights are bitwise those of training it alone with seed seeds[r].
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -235,25 +270,38 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None):
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nets = [init_network(d, k, rng) for rng in rngs]
-    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
-    biases = [np.stack(bs) for bs in zip(*(net.biases for net in nets))]
-    onehot = np.eye(k)[y]
-    run_axis = np.arange(runs)[:, None]
+    # one flat buffer of every layer's (R, out, in) weights, then every
+    # layer's (R, out) biases, and a twin buffer for their gradients
+    layers = len(nets[0].weights)
+    stacked = [np.stack(p) for p in zip(*(net.weights + net.biases for net in nets))]
+    shapes = [p.shape for p in stacked]
+    params = np.concatenate([p.ravel() for p in stacked])
+    grads = np.empty_like(params)
+    param_views, grad_views = _split(params, shapes), _split(grads, shapes)
+    weights, biases = param_views[:layers], param_views[layers:]
+    grads_w, grads_b = grad_views[:layers], grad_views[layers:]
+    n_weights = sum(p.size for p in stacked[:layers])
+    # sample i of run r is column r*n+i of x_table (one row per feature) and
+    # row r*n+i of t_table (its one-hot label)
+    x_table = np.ascontiguousarray(x.reshape(runs * n, d).T)
+    t_table = np.eye(k)[y.reshape(runs * n)]
+    first_row = np.arange(runs)[:, None] * n
     lr = cfg.learning_rate
     for _ in range(cfg.epochs):
-        # one gather per epoch: each run's samples in its own shuffled order
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        x_epoch, t_epoch = x[run_axis, order], onehot[run_axis, order]
+        # each run's samples in its own shuffled order, gathered once per
+        # epoch: the inputs feature-major, for which the first layer's
+        # matmul takes a faster BLAS path with the same bits, and the labels
+        # batch-major like the deltas they are subtracted from
+        order = np.stack([rng.permutation(n) for rng in rngs]) + first_row
+        x_epoch = x_table.take(order.ravel(), axis=1).reshape(d, runs, n).transpose(1, 2, 0)
+        t_epoch = t_table.take(order.T.ravel(), axis=0).reshape(n, runs, k).swapaxes(0, 1)
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            grads_w, grads_b = _gradients(
-                weights, biases, x_epoch[:, batch], t_epoch[:, batch])
-            for i in range(len(weights)):
-                step = grads_w[i]
-                if cfg.l2:
-                    step = step + cfg.l2 * weights[i]
-                weights[i] -= lr * step
-                biases[i] -= lr * grads_b[i]
+            _gradients(weights, biases, x_epoch[:, batch], t_epoch[:, batch], grads_w, grads_b)
+            if cfg.l2:
+                grads[:n_weights] += cfg.l2 * params[:n_weights]
+            grads *= lr
+            params -= grads
 
     results = []
     for r, net in enumerate(nets):

@@ -204,11 +204,15 @@ def paired_t_test(a, b, alpha=0.01):
 
 @dataclass(frozen=True)
 class MccvConfig:
-    """The `mccv` config section: `run_mccv`'s run settings, range-checked there."""
+    """The `mccv` config section: `run_mccv`'s run settings. `runs` and
+    `train_fraction` are range-checked there."""
     runs: int = 20
     train_fraction: float = 0.7
     master_seed: int = 0
-    __post_init__ = fields.coerce
+
+    def __post_init__(self):
+        fields.coerce(self)
+        fields.non_negative(self, "master_seed")
 
 
 def mccv_split(n, train_fraction, seed):

@@ -21,6 +21,13 @@ def as_number(name, value, kind=float):
     return kind(value)
 
 
+def non_negative(obj, name):
+    """Raise ValueError naming the field `name` of `obj` if it is negative."""
+    value = getattr(obj, name)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
 def coerce(obj):
     """Set each field of the (frozen) dataclass `obj` annotated `int` or `float`
     to `as_number` of its value; `obj`'s module must postpone annotations."""

@@ -72,6 +72,7 @@ class SceneSpec:
             raise ValueError("vignette strength must lie in [0, 1)")
         if self.background_level < 0:
             raise ValueError("background level must be non-negative")
+        fields.non_negative(self, "seed")
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,7 @@ class SynthConfig:
 
     def __post_init__(self):
         fields.coerce(self)
+        fields.non_negative(self, "master_seed")
         self.scene_spec()  # SceneSpec checks the ranges
 
     def scene_spec(self):

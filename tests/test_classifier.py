@@ -11,7 +11,7 @@ from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
 from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
                               fit_normalizer)
 
-from helpers import reference_train
+from helpers import _reference_backward_batch, reference_train
 
 
 def tiny_net(weights, biases, sizes):
@@ -83,6 +83,22 @@ def test_softmax_shift_invariance():
     z = rng.uniform(-1.0, 1.0, size=6)
     for c in (-0.7, 0.3):
         assert np.max(np.abs(softmax(z + c) - softmax(z))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape,batch_major", [
+    ((6,), False), ((50, 6), False), ((20, 32, 6), False), ((20, 32, 6), True),
+    ((30, 9), False), ((4, 7, 20), True),
+], ids=["1d", "rows", "runs", "runs-batch-major", "nine-classes", "twenty-classes"])
+def test_softmax_bitwise_pinned(shape, batch_major):
+    # softmax is the formula below to the bit; batch-major inputs are laid
+    # out as the lockstep step lays out the output layer's pre-activations
+    rng = np.random.default_rng(28)
+    z = rng.normal(scale=3.0, size=shape)
+    z.reshape(-1, shape[-1])[::3] *= 300.0  # logits of about +-1e3 in every third row
+    if batch_major:
+        z = np.ascontiguousarray(z.swapaxes(0, -2)).swapaxes(0, -2)
+    e = np.exp(z - z.max(-1, keepdims=True))
+    assert np.array_equal(softmax(z), e / e.sum(-1, keepdims=True))
 
 
 def test_loss_fixtures():
@@ -201,6 +217,45 @@ def test_train_runs_bitwise_equal_to_per_run_reference():
         assert net.layer_sizes == ref_net.layer_sizes
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("runs,n,d,k,batch_size,l2,epochs", [
+    (3, 24, 4, 3, 24, 1e-3, 20),
+    (3, 17, 4, 3, 1, 1e-3, 3),
+    (2, 33, 5, 4, 8, 0.0, 10),
+    (4, 448, 11, 6, 32, 0.0, 3),
+    (2, 21, 1, 2, 5, 0.0, 5),
+], ids=["one-batch-per-epoch", "single-row-batches", "single-row-last-batch", "mccv-shaped",
+        "one-feature-two-classes"])
+def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, l2, epochs):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(runs, n, d))
+    y = rng.integers(0, k, size=(runs, n))
+    y[:, :2] = [0, 1]
+    seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=runs)]
+    trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size,
+                                                      l2=l2), num_classes=k)
+    for r, (net, final_loss) in enumerate(trained):
+        ref_net, ref_loss = reference_train(
+            x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, l2=l2,
+                                        seed=seeds[r]), num_classes=k)
+        assert final_loss == ref_loss
+        for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,d,k", [(1, 5, 6), (2, 11, 6), (40, 6, 6), (25, 3, 9)])
+def test_backward_bitwise_equal_to_reference(n, d, k):
+    rng = np.random.default_rng(n + d + k)
+    net = init_network(d, k, rng)
+    for b in net.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    x = rng.normal(size=(n, d))
+    labels = rng.integers(0, k, size=n)
+    grads_w, grads_b = backward(net, x, labels)
+    ref_w, ref_b = _reference_backward_batch(net, x, labels)
+    for a, b in zip(grads_w + grads_b, ref_w + ref_b):
+        assert np.array_equal(a, b)
 
 
 def test_train_rejects_non_finite_inputs():

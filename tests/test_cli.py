@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from algaeid import classifier, evaluation, synthgen
 from algaeid.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from algaeid.features import read_features_csv
 from algaeid.stack_io import load_stack
@@ -286,6 +287,11 @@ def test_bad_config_rejected(tmp_path, capsys):
      "invalid segmentation config: min_area_px must be an integer, got 3.9"),
     ({"segmentation": {"num_bins": "abc"}},
      "invalid segmentation config: num_bins must be a number, got 'abc'"),
+    ({"synth": {"master_seed": -1}},
+     "invalid synth config: master_seed must be non-negative, got -1"),
+    ({"mccv": {"master_seed": -1}},
+     "invalid mccv config: master_seed must be non-negative, got -1"),
+    ({"train": {"seed": -1}}, "invalid train config: seed must be non-negative, got -1"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
         "removed-clamp-knob", "value-out-of-range", "value-not-a-number",
         "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
@@ -294,7 +300,8 @@ def test_bad_config_rejected(tmp_path, capsys):
         "mccv-fraction-string", "mccv-seed-null", "synth-width-fractional",
         "synth-width-string", "synth-width-too-small", "synth-noise-bool",
         "synth-organisms-fractional", "segmentation-min-area-fractional",
-        "segmentation-bins-string"])
+        "segmentation-bins-string", "synth-seed-negative", "mccv-seed-negative",
+        "train-seed-negative"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
@@ -313,6 +320,31 @@ def test_default_config_pinned():
         "train": ["learning_rate", "epochs", "batch_size", "seed", "l2"],
         "mccv": ["runs", "train_fraction", "master_seed"],
     }
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--scenes", "1", "--seed", "-1"],
+     "invalid synth config: master_seed must be non-negative, got -1"),
+    (["mccv", "CSV", "--seed", "-1"],
+     "invalid mccv config: master_seed must be non-negative, got -1"),
+    (["train", "CSV", "--variant", "morph", "--seed", "-1"],
+     "invalid train config: seed must be non-negative, got -1"),
+], ids=["synth", "mccv", "train"])
+def test_negative_seed_flag_rejected(pipeline, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(pipeline["csv"]) if arg == "CSV" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,name", [
+    (classifier.TrainConfig, "seed"), (evaluation.MccvConfig, "master_seed"),
+    (synthgen.SynthConfig, "master_seed"), (synthgen.SceneSpec, "seed"),
+], ids=["train", "mccv", "synth", "scene"])
+def test_negative_seed_rejected_by_dataclass(section, name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+        section(**{name: -1})
 
 
 def test_flag_error_names_no_file():
