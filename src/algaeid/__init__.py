@@ -21,9 +21,9 @@ from .features import (FeatureVector, ModelVariant, Normalizer,
 from .illumination import (CorrectionConfig, estimate_background,
                            gaussian_lowpass, morphological_opening,
                            subtract_background)
-from .segmentation import (BinaryMask, LabelMap, Organism, binarize,
-                           connected_components, extract_organisms,
-                           fuse_masks, otsu_threshold, segment)
+from .segmentation import (LabelMap, Organism, binarize, connected_components,
+                           extract_organisms, fuse_masks, otsu_threshold,
+                           segment)
 from .stack_io import ImageStack, load_stack, save_stack
 from .synthgen import (SceneSpec, SpeciesSpec, default_catalog,
                        generate_corpus, generate_scene)

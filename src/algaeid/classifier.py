@@ -367,22 +367,25 @@ def load_model(path):
             f"{path}: model schema version {version!r} unsupported "
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
-    net = Network(
-        layer_sizes=tuple(doc["layer_sizes"]),
-        weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-    )
-    nrm = None
-    if doc.get("normalizer") is not None:
-        nd = doc["normalizer"]
-        nrm = Normalizer(
-            mean=np.array(nd["mean"]), std=np.array(nd["std"]),
-            constant=np.array(nd["constant"], dtype=bool),
+    try:
+        net = Network(
+            layer_sizes=tuple(doc["layer_sizes"]),
+            weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
+            biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
         )
-    return TrainedModel(
-        network=net,
-        variant=ModelVariant(doc["variant"]),
-        normalizer=nrm,
-        feature_names=tuple(doc.get("feature_names", ())),
-        class_names=tuple(doc.get("class_names", ())),
-    )
+        nrm = None
+        if doc.get("normalizer") is not None:
+            nd = doc["normalizer"]
+            nrm = Normalizer(
+                mean=np.array(nd["mean"]), std=np.array(nd["std"]),
+                constant=np.array(nd["constant"], dtype=bool),
+            )
+        return TrainedModel(
+            network=net,
+            variant=ModelVariant(doc["variant"]),
+            normalizer=nrm,
+            feature_names=tuple(doc.get("feature_names", ())),
+            class_names=tuple(doc.get("class_names", ())),
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: model file has no key {e}") from None

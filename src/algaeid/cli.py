@@ -160,21 +160,25 @@ def cmd_segment(args):
 
 
 def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
-    labels_raw = read_pgm(labels_pgm).astype(np.int32)
-    labels = segmentation.LabelMap(labels=labels_raw, count=int(labels_raw.max()))
+    labels = segmentation.LabelMap(read_pgm(labels_pgm))
     organisms = segmentation.extract_organisms(
         labels, corrected, min_area_px=cfg.segmentation.min_area_px)
     matched = [None] * len(organisms)
     class_names = None
     if truth_dir is not None:
-        truth_raw = read_pgm(os.path.join(truth_dir, "truth.pgm")).astype(np.int32)
-        truth = segmentation.LabelMap(labels=truth_raw, count=int(truth_raw.max()))
+        truth = segmentation.LabelMap(read_pgm(os.path.join(truth_dir, "truth.pgm")))
         with open(os.path.join(truth_dir, "truth.json"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        class_names = doc["class_names"]
-        species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
-        matched = [None if i is None else species_by_id[i]
-                   for i in synthgen.majority_truth_ids(organisms, truth)]
+        try:
+            class_names = doc["class_names"]
+            species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
+        except KeyError as e:
+            raise ValueError(f"{truth_dir}: truth.json has no key {e}") from None
+        ids = synthgen.majority_truth_ids(organisms, truth)
+        for i in ids:
+            if i is not None and i not in species_by_id:
+                raise ValueError(f"{truth_dir}: truth.pgm id {i} has no record in truth.json")
+        matched = [None if i is None else species_by_id[i] for i in ids]
     fvs = [
         features.compute_features(org, corrected, label=lab)
         for org, lab in zip(organisms, matched)
@@ -282,6 +286,9 @@ def cmd_mccv(args):
     variants = [_parse_variant(v.strip()) for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("at least one variant required")
+    for i, variant in enumerate(variants):
+        if variant in variants[:i]:
+            raise ValueError(f"duplicate variant {variant.value!r}")
     labeled, _, class_names = _labeled_rows(args.features)
     reports = [evaluation.run_mccv(labeled, variant, cfg=cfg.train, class_names=class_names,
                                    **dataclasses.asdict(cfg.mccv))

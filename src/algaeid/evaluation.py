@@ -25,7 +25,6 @@ class ConfusionMatrix:
     """k x k counts; rows are true classes, columns predicted classes."""
 
     counts: np.ndarray
-    class_names: tuple = ()
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -50,11 +49,11 @@ def accuracy(cm):
     return float(np.trace(cm.counts)) / total
 
 
-def confusion_from_predictions(y_true, y_pred, num_classes, class_names=()):
+def confusion_from_predictions(y_true, y_pred, num_classes):
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     for t, p in zip(y_true, y_pred):
         counts[int(t), int(p)] += 1
-    return ConfusionMatrix(counts=counts, class_names=tuple(class_names))
+    return ConfusionMatrix(counts=counts)
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,7 @@ def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
     confusions = []
     for (net, _), nrm, (_, test_idx) in zip(trained, normalizers, splits):
         y_pred = classifier.predict_batch(net, apply_normalizer(nrm, x[test_idx]))
-        cm = confusion_from_predictions(y[test_idx], y_pred, k, class_names)
+        cm = confusion_from_predictions(y[test_idx], y_pred, k)
         confusions.append(cm)
         accuracies.append(accuracy(cm))
     return MccvReport(

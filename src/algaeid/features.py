@@ -112,9 +112,9 @@ def convex_area(org):
         return 1
     if len(hull) == 2:
         return _count_collinear(hull[0], hull[1])
-    xs = np.arange(org.x_min, org.x_max + 1, dtype=np.int64)
-    ys = np.arange(org.y_min, org.y_max + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys)
+    x_min, y_min, x_max, y_max = org.bbox
+    gx, gy = np.meshgrid(np.arange(x_min, x_max + 1, dtype=np.int64),
+                         np.arange(y_min, y_max + 1, dtype=np.int64))
     inside = np.ones(gx.shape, dtype=bool)
     for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
         # counterclockwise hull: interior points satisfy cross >= 0
@@ -271,7 +271,10 @@ def read_features_csv(path):
     for name in spectral_cols:
         if not name.startswith("em"):
             raise ValueError(f"{path}: unexpected spectral column {name!r}")
-        wavelengths.append(float(name[2:]))
+        try:
+            wavelengths.append(float(name[2:]))
+        except ValueError as e:
+            raise ValueError(f"{path}: header column {name!r}: {e}") from None
 
     def bad(row_no, column, problem):
         return ValueError(

@@ -8,7 +8,7 @@ in some bands is not split; fused foreground pixels are grouped into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,81 +21,50 @@ class DegenerateBandError(ValueError):
 
 
 @dataclass(frozen=True)
-class BinaryMask:
-    """Per-pixel foreground/background labels for one band (or fused)."""
-
-    foreground: np.ndarray
-
-    def __post_init__(self):
-        fg = np.asarray(self.foreground, dtype=bool)
-        fg.flags.writeable = False
-        object.__setattr__(self, "foreground", fg)
-
-
-@dataclass(frozen=True)
 class LabelMap:
-    """Component ids per pixel: 0 is background, 1..count are components."""
+    """Component ids per pixel: 0 is background, 1..count are components.
+    `count` is the largest id in `labels` (0 for an empty map)."""
 
     labels: np.ndarray
-    count: int
+    count: int = field(init=False)
 
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int32)
         lab.flags.writeable = False
         object.__setattr__(self, "labels", lab)
-
-    @property
-    def height(self):
-        return self.labels.shape[0]
-
-    @property
-    def width(self):
-        return self.labels.shape[1]
+        object.__setattr__(self, "count", int(lab.max(initial=0)))
 
 
 @dataclass(frozen=True)
 class Organism:
-    """One isolated micro-organism: its pixels and bounding box.
+    """One isolated micro-organism.
 
-    `pixels` is an (N, 2) array of (row, col) coordinates.
+    `pixels` is an (N, 2) array of (row, col) coordinates; `bbox` is
+    derived from them as (x_min, y_min, x_max, y_max), inclusive.
     """
 
     id: int
     pixels: np.ndarray
-    x_min: int
-    y_min: int
-    x_max: int
-    y_max: int
     touches_border: bool = False
+    bbox: tuple = field(init=False)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.int64)
         if px.ndim != 2 or px.shape[1] != 2 or px.shape[0] == 0:
             raise ValueError("pixel set must be a non-empty (N, 2) array")
-        ys, xs = px[:, 0], px[:, 1]
-        if ys.min() < self.y_min or ys.max() > self.y_max \
-                or xs.min() < self.x_min or xs.max() > self.x_max:
-            raise ValueError("pixels fall outside the bounding box")
-        if px.shape[0] > self.bbox_area:
-            raise ValueError("pixel count exceeds bounding-box area")
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
+        (y_min, x_min), (y_max, x_max) = px.min(axis=0).tolist(), px.max(axis=0).tolist()
+        object.__setattr__(self, "bbox", (x_min, y_min, x_max, y_max))
 
     @property
     def area(self):
         return int(self.pixels.shape[0])
 
     @property
-    def bbox_width(self):
-        return self.x_max - self.x_min + 1
-
-    @property
-    def bbox_height(self):
-        return self.y_max - self.y_min + 1
-
-    @property
     def bbox_area(self):
-        return self.bbox_width * self.bbox_height
+        x_min, y_min, x_max, y_max = self.bbox
+        return (x_max - x_min + 1) * (y_max - y_min + 1)
 
 
 def otsu_index(counts):
@@ -144,29 +113,26 @@ def otsu_threshold(band, num_bins=256):
 
 
 def binarize(band, threshold):
-    """Foreground iff intensity strictly exceeds the threshold."""
-    band = np.asarray(band, dtype=np.float64)
-    return BinaryMask(foreground=band > threshold)
+    """Bool foreground mask: intensity strictly exceeds the threshold."""
+    return np.asarray(band) > threshold
 
 
 def fuse_masks(masks):
-    """Union of masks: a pixel is foreground if foreground in any input mask."""
+    """Union of bool masks: a pixel is foreground if foreground in any of them."""
     if not masks:
         raise ValueError("mask list must be non-empty")
-    shape = masks[0].foreground.shape
+    shape = masks[0].shape
     for i, m in enumerate(masks):
-        if m.foreground.shape != shape:
-            raise ValueError(
-                f"mask {i} has shape {m.foreground.shape}, expected {shape}"
-            )
+        if m.shape != shape:
+            raise ValueError(f"mask {i} has shape {m.shape}, expected {shape}")
     fused = np.zeros(shape, dtype=bool)
     for m in masks:
-        fused |= m.foreground
-    return BinaryMask(foreground=fused)
+        fused |= m
+    return fused
 
 
 def connected_components(mask):
-    """8-connectivity component labeling of a binary mask by horizontal runs.
+    """8-connectivity component labeling of a bool mask by horizontal runs.
 
     Each row, zero-padded at both ends, splits into runs of foreground
     pixels. A run is keyed by row * (w + 2) + col, in padded columns, of its
@@ -179,7 +145,7 @@ def connected_components(mask):
     first run. Ids are the ranks of the roots: contiguous 1..n in
     raster-scan order of each component's first pixel.
     """
-    fg = mask.foreground
+    fg = np.asarray(mask, dtype=bool)
     h, w = fg.shape
     row = w + 2
     padded = np.zeros((h, row), dtype=np.int8)
@@ -207,21 +173,22 @@ def connected_components(mask):
     ids = np.cumsum(roots == np.arange(len(parent)), dtype=np.int32)[roots]
     out = np.zeros(h * w, dtype=np.int32)
     out[np.flatnonzero(fg)] = np.repeat(ids, ends - starts)
-    return LabelMap(labels=out.reshape(h, w), count=int(ids.max(initial=0)))
+    return LabelMap(out.reshape(h, w))
 
 
 def extract_organisms(labels, corrected, min_area_px=8):
     """One Organism per component with at least `min_area_px` pixels,
-    ordered by component id. Components touching the image border are kept
-    and flagged.
+    ordered by component id. Components with a pixel in the first or last
+    row or column of the map are kept and flagged as touching the border.
     """
     lab = labels.labels
-    if (labels.height, labels.width) != (corrected.height, corrected.width):
+    h, w = lab.shape
+    if (h, w) != (corrected.height, corrected.width):
         raise ValueError(
-            f"label map {labels.height}x{labels.width} does not match stack "
+            f"label map {h}x{w} does not match stack "
             f"{corrected.height}x{corrected.width}"
         )
-    h, w = lab.shape
+    border = set(np.r_[lab[0], lab[-1], lab[:, 0], lab[:, -1]].tolist())
     # group pixel indices by id in one pass: a stable sort keeps each
     # component's pixels in row-major order, as np.argwhere(lab == id) would
     flat = lab.ravel()
@@ -232,17 +199,10 @@ def extract_organisms(labels, corrected, min_area_px=8):
         start, stop = ends[comp_id - 1], ends[comp_id]
         if stop - start < min_area_px:
             continue
-        pixels = np.stack(np.divmod(order[start:stop], w), axis=1)
-        y_min, x_min = pixels.min(axis=0)
-        y_max, x_max = pixels.max(axis=0)
         organisms.append(Organism(
             id=comp_id,
-            pixels=pixels,
-            x_min=int(x_min), y_min=int(y_min),
-            x_max=int(x_max), y_max=int(y_max),
-            touches_border=bool(
-                y_min == 0 or x_min == 0 or y_max == h - 1 or x_max == w - 1
-            ),
+            pixels=np.stack(np.divmod(order[start:stop], w), axis=1),
+            touches_border=comp_id in border,
         ))
     return organisms
 
@@ -288,7 +248,7 @@ def organisms_to_json(organisms):
     return [
         {
             "id": org.id,
-            "bbox": [org.x_min, org.y_min, org.x_max, org.y_max],
+            "bbox": list(org.bbox),
             "area": org.area,
             "touches_border": org.touches_border,
         }

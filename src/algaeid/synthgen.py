@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fields
-from .segmentation import BinaryMask, LabelMap, connected_components
+from .segmentation import LabelMap, connected_components
 from .stack_io import ImageStack
 
 SHAPE_FAMILIES = (
@@ -58,7 +58,6 @@ class SceneSpec:
     vignette_strength: float = 0.25
     noise_sigma: float = 2.0
     seed: int = 0
-    species_mix: tuple | None = None
 
     def __post_init__(self):
         fields.coerce(self)
@@ -106,7 +105,6 @@ class PlantedOrganism:
     species_name: str
     pixel_count: int
     signature: tuple       # per-band planted intensity (jitter applied)
-    brightness_factor: float
 
 
 @dataclass(frozen=True)
@@ -239,8 +237,7 @@ def _render_mask(species, rng):
 
 
 def _is_single_component(mask):
-    lab = connected_components(BinaryMask(foreground=mask))
-    return lab.count == 1
+    return connected_components(mask).count == 1
 
 
 def _dilate1(mask):
@@ -268,11 +265,7 @@ def generate_scene(spec, catalog):
     for sp in catalog:
         if len(sp.signature) != m:
             raise ValueError("all species must share the signature length")
-    weights = np.array(
-        spec.species_mix if spec.species_mix is not None
-        else [sp.abundance for sp in catalog], dtype=np.float64)
-    if len(weights) != len(catalog) or np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("species mix must be non-negative weights per species")
+    weights = np.array([sp.abundance for sp in catalog], dtype=np.float64)
     weights = weights / weights.sum()
 
     rng = np.random.default_rng(spec.seed)
@@ -312,7 +305,6 @@ def generate_scene(spec, catalog):
                     species_name=species.name,
                     pixel_count=int(mask.sum()),
                     signature=signature,
-                    brightness_factor=factor,
                 ))
                 placed = True
                 break
@@ -341,7 +333,7 @@ def generate_scene(spec, catalog):
                        pixel_pitch_um=1.2, role_tag="raw")
     return SceneResult(
         stack=stack,
-        truth=LabelMap(labels=truth, count=spec.n_organisms),
+        truth=LabelMap(truth),
         organisms=tuple(planted),
     )
 

@@ -9,12 +9,7 @@ from algaeid.segmentation import Organism
 def organism_from_pixels(pixels, org_id=1):
     """Build an Organism directly from (row, col) pixel coordinates."""
     px = np.array(sorted(set(map(tuple, pixels))), dtype=np.int64)
-    return Organism(
-        id=org_id,
-        pixels=px,
-        x_min=int(px[:, 1].min()), y_min=int(px[:, 0].min()),
-        x_max=int(px[:, 1].max()), y_max=int(px[:, 0].max()),
-    )
+    return Organism(id=org_id, pixels=px)
 
 
 def disk_pixels(radius, cy=0, cx=0):
@@ -225,12 +220,12 @@ def oracle_convex_area(pixels):
 
 def random_organism(rng, max_size=14):
     """A random 8-connected component harvested from a random mask."""
-    from algaeid.segmentation import BinaryMask, connected_components
+    from algaeid.segmentation import connected_components
     while True:
         h = int(rng.integers(4, max_size))
         w = int(rng.integers(4, max_size))
         mask = rng.random((h, w)) < 0.55
-        lab = connected_components(BinaryMask(foreground=mask))
+        lab = connected_components(mask)
         if lab.count == 0:
             continue
         comp = int(rng.integers(1, lab.count + 1))

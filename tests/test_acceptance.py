@@ -21,8 +21,7 @@ from algaeid.evaluation import (ConfusionMatrix, accuracy, paired_t_test,
 from algaeid.features import ModelVariant, compute_features
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
-from algaeid.segmentation import (BinaryMask, connected_components,
-                                  otsu_index, segment)
+from algaeid.segmentation import connected_components, otsu_index, segment
 from algaeid.stack_io import ImageStack, load_stack, save_stack
 from algaeid.synthgen import (SceneSpec, default_catalog, generate_corpus,
                               majority_truth_ids)
@@ -112,7 +111,7 @@ def test_criterion_2_labeling_oracle():
         started = time.monotonic()
         for _ in range(200):
             mask = rng.random((64, 64)) < rng.uniform(0.15, 0.75)
-            got = connected_components(BinaryMask(foreground=mask))
+            got = connected_components(mask)
             oracle_labels, oracle_count = flood_fill_components(mask)
             assert got.count == oracle_count
             assert np.array_equal(got.labels, oracle_labels)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -382,6 +383,19 @@ def test_model_schema_version_checked(tmp_path):
     path.write_text('{"schema_version": 99}', encoding="utf-8")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize("key", ["layer_sizes", "weights", "variant"])
+def test_model_missing_key_named(tmp_path, key):
+    net = init_network(5, 6, np.random.default_rng(12))
+    path = tmp_path / "model.json"
+    save_model(TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc[key]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: model file has no key '{key}'"
 
 
 def test_network_validation():

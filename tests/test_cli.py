@@ -101,6 +101,25 @@ def test_features_rejects_scenes_that_disagree(pipeline, tmp_path, capsys,
         f"scene's {first}\n")
 
 
+@pytest.mark.parametrize("edit,problem", [
+    (lambda doc: doc["organisms"].pop(0), "truth.pgm id 1 has no record in truth.json"),
+    (lambda doc: doc.pop("class_names"), "truth.json has no key 'class_names'"),
+], ids=["missing-record", "missing-class-names"])
+def test_features_rejects_truth_files_that_disagree(pipeline, tmp_path, capsys,
+                                                    edit, problem):
+    raw = shutil.copytree(pipeline["raw"], tmp_path / "raw")
+    path = raw / "scene_000" / "truth.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "features.csv"
+    assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
+                 "--truth", str(raw), "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {raw / 'scene_000'}: {problem}\n"
+
+
 def test_features_rerun_byte_identical(pipeline):
     out2 = pipeline["root"] / "features2.csv"
     assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
@@ -188,6 +207,14 @@ def test_mccv_echoes_runs_and_split(pipeline, capsys):
     assert "70/30" in text
     doc = json.loads((out / "report.json").read_text())
     assert doc["variants"]["spectral"]["runs"] == 20
+
+
+def test_mccv_rejects_duplicate_variant(pipeline, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),
+                 "--variants", "morph, spectral,morph", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: duplicate variant 'morph'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,value", [("train", "nan"), ("mccv", "inf")])

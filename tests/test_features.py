@@ -298,6 +298,17 @@ def test_csv_unlabeled_rows(tmp_path):
     assert fvs[0].organism_id == "s1:4"
 
 
+def test_csv_bad_spectral_header_names_column(tmp_path):
+    path = tmp_path / "f.csv"
+    write_features_csv(path, [_sample_fv()], (405.0, 420.0, 450.0, 470.0, 500.0, 530.0))
+    path.write_text(path.read_text(encoding="utf-8").replace("em420", "emX"),
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_features_csv(path)
+    assert str(err.value) == (
+        f"{path}: header column 'emX': could not convert string to float: 'X'")
+
+
 @pytest.mark.parametrize("edit,column,problem", [
     (lambda row: row[:-1], "em530", "missing value"),
     (lambda row: row + ["7.0"], "14", "value '7.0' beyond the 13 header columns"),

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from algaeid.segmentation import (BinaryMask, DegenerateBandError, LabelMap,
-                                  Organism, binarize, connected_components,
+from algaeid.segmentation import (DegenerateBandError, LabelMap, Organism,
+                                  binarize, connected_components,
                                   extract_organisms, fuse_masks,
                                   labelmap_to_pgm, organisms_to_json,
                                   otsu_index, otsu_threshold, segment)
@@ -26,8 +26,9 @@ def test_otsu_two_level_band():
     band[5:] = 10.0
     theta = otsu_threshold(band)
     mask = binarize(band, theta)
-    assert np.all(mask.foreground[:5])
-    assert not np.any(mask.foreground[5:])
+    assert mask.dtype == bool
+    assert np.all(mask[:5])
+    assert not np.any(mask[5:])
     # smallest optimal threshold: center of the first bin
     assert theta == 10.0 + 0.5 * (200.0 - 10.0) / 256
 
@@ -45,44 +46,45 @@ def test_otsu_validates_bins():
 def test_binarize_strict_inequality():
     band = np.array([[50.0, 51.0]])
     mask = binarize(band, 50.0)
-    assert not mask.foreground[0, 0]  # equal to threshold stays background
-    assert mask.foreground[0, 1]
+    assert not mask[0, 0]  # equal to threshold stays background
+    assert mask[0, 1]
 
 
 def test_binarize_all_zero():
     mask = binarize(np.zeros((4, 4)), 0.0)
-    assert not mask.foreground.any()
+    assert not mask.any()
 
 
 def test_fuse_identity_and_union():
     rng = np.random.default_rng(14)
-    a = BinaryMask(foreground=rng.random((8, 8)) < 0.4)
-    assert np.array_equal(fuse_masks([a, a]).foreground, a.foreground)
+    a = rng.random((8, 8)) < 0.4
+    assert np.array_equal(fuse_masks([a, a]), a)
 
     m1 = np.zeros((4, 4), dtype=bool)
     m2 = np.zeros((4, 4), dtype=bool)
     m1[1, 1] = True
     m2[2, 3] = True
-    fused = fuse_masks([BinaryMask(m1), BinaryMask(m2)])
-    assert fused.foreground[1, 1] and fused.foreground[2, 3]
-    assert fused.foreground.sum() == 2
+    fused = fuse_masks([m1, m2])
+    assert fused.dtype == bool
+    assert fused[1, 1] and fused[2, 3]
+    assert fused.sum() == 2
+    assert not m1[2, 3]  # the inputs are left as they were
 
-    empty = BinaryMask(np.zeros((8, 8), dtype=bool))
-    assert np.array_equal(fuse_masks([a, empty]).foreground, a.foreground)
+    empty = np.zeros((8, 8), dtype=bool)
+    assert np.array_equal(fuse_masks([a, empty]), a)
 
 
 def test_fuse_validates():
     with pytest.raises(ValueError):
         fuse_masks([])
     with pytest.raises(ValueError):
-        fuse_masks([BinaryMask(np.zeros((2, 2), dtype=bool)),
-                    BinaryMask(np.zeros((3, 3), dtype=bool))])
+        fuse_masks([np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool)])
 
 
 def test_components_single_square():
     mask = np.zeros((7, 7), dtype=bool)
     mask[2:5, 2:5] = True
-    lab = connected_components(BinaryMask(mask))
+    lab = connected_components(mask)
     assert lab.count == 1
     assert (lab.labels == 1).sum() == 9
 
@@ -91,7 +93,7 @@ def test_components_diagonal_is_connected():
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, 1] = True
     mask[2, 2] = True
-    assert connected_components(BinaryMask(mask)).count == 1
+    assert connected_components(mask).count == 1
 
 
 def test_components_match_flood_fill_oracle():
@@ -114,7 +116,7 @@ def test_components_match_flood_fill_oracle():
         stair[y, 2 * y:2 * y + 2] = True
     masks += [u, u[::-1], comb, stair, stair[:, ::-1]]
     for mask in masks:
-        lab = connected_components(BinaryMask(mask))
+        lab = connected_components(mask)
         oracle_labels, oracle_count = flood_fill_components(mask)
         assert lab.count == oracle_count
         # both number components in raster order of first pixel, so the
@@ -126,8 +128,8 @@ def test_components_match_flood_fill_oracle():
 def test_components_deterministic():
     rng = np.random.default_rng(16)
     mask = rng.random((32, 32)) < 0.5
-    a = connected_components(BinaryMask(mask))
-    b = connected_components(BinaryMask(mask))
+    a = connected_components(mask)
+    b = connected_components(mask)
     assert a.count == b.count
     assert np.array_equal(a.labels, b.labels)
 
@@ -135,7 +137,7 @@ def test_components_deterministic():
 def test_component_ids_contiguous_and_sizes_sum():
     rng = np.random.default_rng(17)
     mask = rng.random((48, 48)) < 0.45
-    lab = connected_components(BinaryMask(mask))
+    lab = connected_components(mask)
     ids = np.unique(lab.labels)
     assert ids[0] == 0 or lab.count == len(ids)
     assert set(ids) - {0} == set(range(1, lab.count + 1))
@@ -153,15 +155,16 @@ def test_extract_basic_and_filter():
     lab = np.zeros((10, 10), dtype=np.int32)
     lab[1:6, 1:6] = 1  # 25 px
     stack = _stack_like((10, 10))
-    orgs = extract_organisms(LabelMap(lab, 1), stack, min_area_px=10)
+    orgs = extract_organisms(LabelMap(lab), stack, min_area_px=10)
     assert len(orgs) == 1
     assert orgs[0].area == 25
-    assert (orgs[0].x_min, orgs[0].y_min, orgs[0].x_max, orgs[0].y_max) == (1, 1, 5, 5)
+    assert orgs[0].bbox == (1, 1, 5, 5)
+    assert orgs[0].bbox_area == 25
     assert not orgs[0].touches_border
 
     small = np.zeros((10, 10), dtype=np.int32)
     small[0, 0:4] = 1  # 4 px
-    assert extract_organisms(LabelMap(small, 1), stack, min_area_px=10) == []
+    assert extract_organisms(LabelMap(small), stack, min_area_px=10) == []
 
 
 def test_extract_ordering_and_border_flag():
@@ -169,14 +172,14 @@ def test_extract_ordering_and_border_flag():
     lab[0:5, 0:6] = 1   # 30 px, touches border
     lab[7:10, 7:11] = 2  # 12 px
     stack = _stack_like((12, 12))
-    orgs = extract_organisms(LabelMap(lab, 2), stack, min_area_px=10)
+    orgs = extract_organisms(LabelMap(lab), stack, min_area_px=10)
     assert [o.id for o in orgs] == [1, 2]
     assert [o.area for o in orgs] == [30, 12]
     assert orgs[0].touches_border and not orgs[1].touches_border
 
 
 def test_extract_dimension_mismatch():
-    lab = LabelMap(np.zeros((4, 4), dtype=np.int32), 0)
+    lab = LabelMap(np.zeros((4, 4), dtype=np.int32))
     with pytest.raises(ValueError):
         extract_organisms(lab, _stack_like((5, 5)), min_area_px=1)
 
@@ -184,13 +187,50 @@ def test_extract_dimension_mismatch():
 def test_extract_bbox_tight_and_pixel_ids():
     rng = np.random.default_rng(18)
     mask = rng.random((20, 20)) < 0.4
-    lab = connected_components(BinaryMask(mask))
+    lab = connected_components(mask)
     stack = _stack_like((20, 20))
     for org in extract_organisms(lab, stack, min_area_px=1):
         ys, xs = org.pixels[:, 0], org.pixels[:, 1]
-        assert ys.min() == org.y_min and ys.max() == org.y_max
-        assert xs.min() == org.x_min and xs.max() == org.x_max
+        assert org.bbox == (xs.min(), ys.min(), xs.max(), ys.max())
         assert np.all(lab.labels[ys, xs] == org.id)
+
+
+def test_touches_border_is_bbox_rule():
+    # flagged iff the bounding box reaches the first or last row or column,
+    # on maps down to one pixel thin in either direction
+    rng = np.random.default_rng(22)
+    shapes = [tuple(rng.integers(2, 30, size=2).tolist()) for _ in range(40)]
+    shapes += [(1, 17), (17, 1), (1, 1), (1, 2), (2, 1)]
+    seen = set()
+    for h, w in shapes:
+        lab = np.zeros((h, w), dtype=np.int32)
+        for comp_id in range(1, 9):
+            y, x = rng.integers(0, h), rng.integers(0, w)
+            lab[y:y + rng.integers(1, 6), x:x + rng.integers(1, 6)] = comp_id
+        orgs = extract_organisms(LabelMap(lab), _stack_like((h, w)), min_area_px=1)
+        assert [o.id for o in orgs] == sorted(set(np.unique(lab).tolist()) - {0})
+        for org in orgs:
+            x_min, y_min, x_max, y_max = org.bbox
+            rule = y_min == 0 or x_min == 0 or y_max == h - 1 or x_max == w - 1
+            assert org.touches_border is rule
+            seen.add(rule)
+    assert seen == {True, False}
+
+
+def test_labelmap_count_is_largest_id():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        lab = rng.integers(0, 50, size=(9, 11)) * (rng.random((9, 11)) < 0.3)
+        assert LabelMap(lab).count == lab.max()
+    gaps = np.zeros((5, 5), dtype=np.int32)
+    gaps[0, 0] = 2
+    gaps[3, 3] = 7
+    lab = LabelMap(gaps)
+    assert lab.count == 7 and type(lab.count) is int
+    assert LabelMap(np.zeros((3, 3))).count == 0
+    # every id up to the largest is extracted: none is dropped by a short count
+    orgs = extract_organisms(lab, _stack_like((5, 5)), min_area_px=1)
+    assert [o.id for o in orgs] == [2, 7]
 
 
 def test_extract_pixels_match_argwhere():
@@ -204,7 +244,7 @@ def test_extract_pixels_match_argwhere():
     lab[rng.random(lab.shape) < 0.05] = 41
     lab[0, :3] = 42
     stack = _stack_like(lab.shape)
-    orgs = extract_organisms(LabelMap(lab, 43), stack, min_area_px=8)
+    orgs = extract_organisms(LabelMap(lab), stack, min_area_px=8)
     expected = [i for i in range(1, 44) if (lab == i).sum() >= 8]
     assert [o.id for o in orgs] == expected
     assert len(expected) < 43 and any(o.touches_border for o in orgs)
@@ -239,16 +279,22 @@ def test_segment_equals_explicit_chain():
 
 def test_organism_invariants():
     with pytest.raises(ValueError):
-        Organism(id=1, pixels=np.zeros((0, 2)), x_min=0, y_min=0, x_max=0, y_max=0)
-    with pytest.raises(ValueError):
-        Organism(id=1, pixels=np.array([[5, 5]]), x_min=0, y_min=0, x_max=2, y_max=2)
+        Organism(id=1, pixels=np.zeros((0, 2)))
+
+
+def test_organisms_json_bbox_is_python_ints():
+    rng = np.random.default_rng(24)
+    lab = connected_components(rng.random((30, 30)) < 0.4)
+    doc = organisms_to_json(extract_organisms(lab, _stack_like((30, 30)), min_area_px=1))
+    assert doc and all(type(v) is int for rec in doc for v in rec["bbox"])
+    json.dumps(doc)  # numpy integers would not serialize
 
 
 def test_labelmap_pgm_export(tmp_path):
     lab = np.zeros((6, 6), dtype=np.int32)
     lab[2:4, 2:4] = 1
     lab[5, 5] = 2
-    labelmap_to_pgm(LabelMap(lab, 2), tmp_path / "labels.pgm")
+    labelmap_to_pgm(LabelMap(lab), tmp_path / "labels.pgm")
     back = read_pgm(tmp_path / "labels.pgm")
     assert np.array_equal(back.astype(np.int32), lab)
 
@@ -257,7 +303,7 @@ def test_labelmap_pgm_rejects_ids_beyond_16_bits(tmp_path):
     lab = np.arange(1, 65537, dtype=np.int32).reshape(1, 65536)
     path = tmp_path / "labels.pgm"
     with pytest.raises(ValueError, match="65536 components"):
-        labelmap_to_pgm(LabelMap(lab, 65536), path)
+        labelmap_to_pgm(LabelMap(lab), path)
     assert not path.exists()
 
 
@@ -265,7 +311,7 @@ def test_organisms_json_round_trip():
     lab = np.zeros((8, 8), dtype=np.int32)
     lab[0:3, 0:3] = 1
     stack = _stack_like((8, 8))
-    orgs = extract_organisms(LabelMap(lab, 1), stack, min_area_px=1)
+    orgs = extract_organisms(LabelMap(lab), stack, min_area_px=1)
     doc = organisms_to_json(orgs)
     parsed = json.loads(json.dumps(doc))
     assert parsed[0]["id"] == 1

@@ -80,8 +80,7 @@ def test_truth_component_count_and_masks():
     scene = generate_scene(spec, default_catalog())
     assert scene.truth.count == 10
     assert len(scene.organisms) == 10
-    from algaeid.segmentation import BinaryMask
-    lab = connected_components(BinaryMask(foreground=scene.truth.labels > 0))
+    lab = connected_components(scene.truth.labels > 0)
     assert lab.count == 10
     for planted in scene.organisms:
         assert (scene.truth.labels == planted.id).sum() == planted.pixel_count
@@ -122,14 +121,6 @@ def test_corpus_seeding_independent_scenes():
     again = generate_corpus(catalog, 3, template, master_seed=1)
     for a, b in zip(scenes, again):
         assert np.array_equal(a.stack.bands[0], b.stack.bands[0])
-
-
-def test_species_mix_override():
-    catalog = default_catalog()
-    spec = SceneSpec(width=128, height=128, n_organisms=8, seed=2,
-                     species_mix=(0, 0, 0, 0, 0, 1))
-    scene = generate_scene(spec, catalog)
-    assert all(p.species_index == 5 for p in scene.organisms)
 
 
 def test_match_organisms_to_truth():
