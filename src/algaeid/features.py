@@ -67,59 +67,37 @@ def area(org):
     return org.area
 
 
-def _convex_hull(points):
-    """Monotone-chain convex hull of integer (x, y) points, counterclockwise
-    with collinear vertices dropped. Returns fewer than 3 vertices for
-    degenerate (single-point or collinear) inputs."""
-    pts = sorted(set(map(tuple, points)))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all points collinear
-        return [pts[0], pts[-1]]
-    return hull
-
-
-def _count_collinear(p, q):
-    """Lattice points on the closed segment p..q."""
-    return math.gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) + 1
-
-
 def convex_area(org):
     """Number of pixel centers inside or on the convex hull of the
-    organism's pixel centers (boundary inclusive, exact integer tests).
-    Only the first and last pixel of each row, in sorted order, are hulled:
-    every other pixel lies between them, so the hull is the same."""
+    organism's pixel centers, counted exactly by Pick's theorem.
+
+    Only the first and last pixel of each row are hulled: every other pixel
+    lies between them, so the hull is the same. Sorted by row, those points
+    feed two monotone chains. The hull's vertices are lattice points, so
+    with 2A the absolute shoelace sum and B the sum of gcd(|dx|, |dy|) over
+    its edges, A = I + B/2 - 1 gives the count I + B = (2A - B)/2 + 1 + B.
+    A one-point hull (no edges) gives 1 and a segment of g steps g + 1.
+    """
     px = org.pixels[np.lexsort((org.pixels[:, 1], org.pixels[:, 0]))]
     new_row = np.diff(px[:, 0]) != 0
-    ends = np.r_[True, new_row] | np.r_[new_row, True]
-    hull = _convex_hull(px[ends][:, ::-1].tolist())  # (x, y) as Python ints
-    if len(hull) == 1:
-        return 1
-    if len(hull) == 2:
-        return _count_collinear(hull[0], hull[1])
-    x_min, y_min, x_max, y_max = org.bbox
-    gx, gy = np.meshgrid(np.arange(x_min, x_max + 1, dtype=np.int64),
-                         np.arange(y_min, y_max + 1, dtype=np.int64))
-    inside = np.ones(gx.shape, dtype=bool)
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
-        # counterclockwise hull: interior points satisfy cross >= 0
-        inside &= (x1 - x0) * (gy - y0) - (y1 - y0) * (gx - x0) >= 0
-    return int(inside.sum())
+    ends = np.concatenate(([True], new_row)) | np.concatenate((new_row, [True]))
+    points = px[ends].tolist()  # (row, col) as Python ints, sorted
+    hull = []
+    for sweep in (points, points[::-1]):
+        chain = []
+        for y, x in sweep:
+            while len(chain) >= 2:
+                (y0, x0), (y1, x1) = chain[-2], chain[-1]
+                if (y1 - y0) * (x - x0) - (x1 - x0) * (y - y0) > 0:
+                    break
+                chain.pop()
+            chain.append((y, x))
+        hull += chain[:-1]
+    twice_area = boundary = 0
+    for (y0, x0), (y1, x1) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        boundary += math.gcd(abs(x1 - x0), abs(y1 - y0))
+    return (abs(twice_area) - boundary) // 2 + 1 + boundary
 
 
 def _central_second_moments(org):
@@ -272,9 +250,16 @@ def read_features_csv(path):
         if not name.startswith("em"):
             raise ValueError(f"{path}: unexpected spectral column {name!r}")
         try:
-            wavelengths.append(float(name[2:]))
+            wavelength = float(name[2:])
         except ValueError as e:
             raise ValueError(f"{path}: header column {name!r}: {e}") from None
+        if not math.isfinite(wavelength):
+            raise ValueError(f"{path}: header column {name!r}: non-finite wavelength")
+        # feature_names truncates to whole nm, so compare as it names them
+        if int(wavelength) in map(int, wavelengths):
+            raise ValueError(
+                f"{path}: header column {name!r}: wavelength {int(wavelength)} nm repeated")
+        wavelengths.append(wavelength)
 
     def bad(row_no, column, problem):
         return ValueError(

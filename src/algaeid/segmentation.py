@@ -189,11 +189,14 @@ def extract_organisms(labels, corrected, min_area_px=8):
             f"{corrected.height}x{corrected.width}"
         )
     border = set(np.r_[lab[0], lab[-1], lab[:, 0], lab[:, -1]].tolist())
-    # group pixel indices by id in one pass: a stable sort keeps each
-    # component's pixels in row-major order, as np.argwhere(lab == id) would
+    # group the foreground pixel indices by id in one pass: a stable sort
+    # keeps each component's pixels in row-major order, as
+    # np.argwhere(lab == id) would
     flat = lab.ravel()
-    order = np.argsort(flat, kind="stable")
-    ends = np.cumsum(np.bincount(flat, minlength=labels.count + 1))
+    fg = np.flatnonzero(flat)
+    ids = flat[fg]
+    order = fg[np.argsort(ids, kind="stable")]
+    ends = np.cumsum(np.bincount(ids, minlength=labels.count + 1))
     organisms = []
     for comp_id in range(1, labels.count + 1):
         start, stop = ends[comp_id - 1], ends[comp_id]

@@ -47,8 +47,21 @@ def test_convex_area_degenerate_shapes():
 
 def test_convex_area_matches_halfplane_oracle():
     rng = np.random.default_rng(19)
-    for _ in range(100):
-        org = random_organism(rng)
+    organisms = [random_organism(rng) for _ in range(100)]
+    # shapes random_organism never yields: strips one or two pixels wide,
+    # single pixels and scattered pixel sets that are not connected
+    for n in range(1, 9):
+        organisms += [organism_from_pixels([(4, x) for x in range(n)]),
+                      organism_from_pixels([(y, 3) for y in range(n)]),
+                      organism_from_pixels([(y, x) for y in (5, 6) for x in range(n)]),
+                      organism_from_pixels([(y, x) for y in range(n) for x in (2, 3)])]
+    organisms += [organism_from_pixels([rng.integers(-20, 20, size=2)]) for _ in range(5)]
+    while len(organisms) < 400:
+        h, w = rng.integers(1, 13, size=2)
+        mask = rng.random((h, w)) < rng.uniform(0.05, 0.6)
+        if mask.any():
+            organisms.append(organism_from_pixels(np.argwhere(mask) - [h // 2, w // 2]))
+    for org in organisms:
         assert convex_area(org) == oracle_convex_area(org.pixels)
         assert convex_area(org) >= org.area
         # the hull must not depend on the pixels being in row-major order
@@ -307,6 +320,25 @@ def test_csv_bad_spectral_header_names_column(tmp_path):
         read_features_csv(path)
     assert str(err.value) == (
         f"{path}: header column 'emX': could not convert string to float: 'X'")
+
+
+@pytest.mark.parametrize("column,problem", [
+    ("em405", "wavelength 405 nm repeated"),
+    ("em405.0", "wavelength 405 nm repeated"),
+    ("em405.7", "wavelength 405 nm repeated"),
+    ("emnan", "non-finite wavelength"),
+    ("eminf", "non-finite wavelength"),
+    ("em-inf", "non-finite wavelength"),
+], ids=["repeated", "repeated-spelled-apart", "repeated-as-named", "nan", "inf",
+        "minus-inf"])
+def test_csv_bad_header_wavelength_names_column(tmp_path, column, problem):
+    path = tmp_path / "f.csv"
+    write_features_csv(path, [_sample_fv()], (405.0, 420.0, 450.0, 470.0, 500.0, 530.0))
+    path.write_text(path.read_text(encoding="utf-8").replace("em420", column),
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_features_csv(path)
+    assert str(err.value) == f"{path}: header column {column!r}: {problem}"
 
 
 @pytest.mark.parametrize("edit,column,problem", [

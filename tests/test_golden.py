@@ -1,0 +1,116 @@
+"""Golden byte-identity test of the CLI chain.
+
+`golden.json` holds the SHA-256 of every file that criterion 8's chain
+writes (3 scenes of 120 px, seed 77): synth, correct, segment,
+`features --truth`, `train both11`, `classify` on a stack and on a CSV,
+and `mccv`. The only byte not compared is the absolute model path in the
+classify meta files, which depends on where the chain runs.
+
+A change that alters output bits on purpose regenerates the file in the
+same commit with `PYTHONPATH=src python tests/test_golden.py` and says so;
+the diff of `golden.json` then shows which stages moved.
+"""
+
+import hashlib
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+
+from algaeid.cli import main
+
+GOLDEN = Path(__file__).with_name("golden.json")
+CONFIG = {
+    "synth": {"scenes": 3, "width": 120, "height": 120,
+              "organisms_per_scene": 8, "master_seed": 77},
+    "train": {"epochs": 60, "batch_size": 8},
+    "mccv": {"runs": 4, "master_seed": 77},
+}
+
+
+def numpy_build():
+    """numpy's version and BLAS build, which float results can depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def _digest(path, base):
+    data = path.read_bytes()
+    if path.name.startswith("classify") and path.name.endswith(".meta.json"):
+        model = json.dumps(os.path.abspath(base / "model.json"))
+        assert model.encode() in data, f"{path.name}: model path {model} not found"
+        data = data.replace(model.encode(), b'"<model>"')
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_chain(base):
+    """Run the chain in `base` and return {stage: {relative path: sha256}}."""
+    config = base / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    cfg = ["--config", str(config)]
+    stages = {
+        "synth": (["synth", *cfg, "--out", str(base / "raw")], ["raw"]),
+        "correct": (["correct", str(base / "raw"), *cfg,
+                     "--out", str(base / "corrected")], ["corrected"]),
+        "segment": (["segment", str(base / "corrected"), *cfg,
+                     "--out", str(base / "segmented")], ["segmented"]),
+        "features": (["features", str(base / "corrected"), str(base / "segmented"),
+                      "--truth", str(base / "raw"), *cfg,
+                      "--out", str(base / "features.csv")],
+                     ["features.csv", "features.csv.meta.json"]),
+        "train": (["train", str(base / "features.csv"), "--variant", "both11", *cfg,
+                   "--out", str(base / "model.json")], ["model.json"]),
+        "classify_stack": (["classify", str(base / "model.json"),
+                            str(base / "corrected" / "scene_000"), *cfg,
+                            "--out", str(base / "classify_stack.csv")],
+                           ["classify_stack.csv", "classify_stack.csv.meta.json"]),
+        "classify_csv": (["classify", str(base / "model.json"),
+                          str(base / "features.csv"), *cfg,
+                          "--out", str(base / "classify_csv.csv")],
+                         ["classify_csv.csv", "classify_csv.csv.meta.json"]),
+        "mccv": (["mccv", str(base / "features.csv"), *cfg,
+                  "--out", str(base / "eval")], ["eval"]),
+    }
+    hashes = {}
+    for stage, (argv, outputs) in stages.items():
+        assert main(argv) == 0, f"stage {stage} failed"
+        files = []
+        for out in outputs:
+            path = base / out
+            files += sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+        hashes[stage] = {p.relative_to(base).as_posix(): _digest(p, base) for p in files}
+    return hashes
+
+
+def test_cli_chain_outputs_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = run_chain(tmp_path)
+    problems = []
+    # chain order first, so the first line names the earliest stage that moved
+    for stage in [*actual, *(golden["stages"].keys() - actual.keys())]:
+        files, got = golden["stages"].get(stage, {}), actual.get(stage, {})
+        for name in sorted(files.keys() | got.keys()):
+            if name not in got:
+                problems.append(f"stage {stage}: {name} was not written")
+            elif name not in files:
+                problems.append(f"stage {stage}: {name} is not in the golden file")
+            elif got[name] != files[name]:
+                problems.append(f"stage {stage}: {name} differs from the golden hash")
+    build = {key: golden[key] for key in ("numpy", "blas")}
+    assert not problems, (
+        "\n".join(problems)
+        + f"\ngolden.json was made with {build}; this run uses {numpy_build()}")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {**numpy_build(), "stages": run_chain(Path(tmp))}
+    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

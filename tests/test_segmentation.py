@@ -250,6 +250,20 @@ def test_extract_pixels_match_argwhere():
     assert len(expected) < 43 and any(o.touches_border for o in orgs)
     for org in orgs:
         assert np.array_equal(org.pixels, np.argwhere(lab == org.id))
+    # an all-background map, a map with no background pixel and a sparse map
+    # whose foreground is under 5% of the pixels
+    sparse = np.zeros((60, 70), dtype=np.int32)
+    for comp_id in range(1, 13):
+        y, x = rng.integers(0, 58), rng.integers(0, 67)
+        sparse[y:y + 2, x:x + rng.integers(1, 4)] = comp_id
+    assert 0 < np.count_nonzero(sparse) < 0.05 * sparse.size
+    full = rng.integers(1, 7, size=(23, 31)).astype(np.int32)
+    for lab in (np.zeros((9, 11), dtype=np.int32), full, sparse):
+        orgs = extract_organisms(LabelMap(lab), _stack_like(lab.shape), min_area_px=1)
+        assert [o.id for o in orgs] == [i for i in range(1, lab.max() + 1)
+                                        if np.any(lab == i)]
+        for org in orgs:
+            assert np.array_equal(org.pixels, np.argwhere(lab == org.id))
 
 
 def test_segment_equals_explicit_chain():
