@@ -233,6 +233,14 @@ def _split(flat, shapes):
     return views
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def train_runs(x, y, seeds, cfg=None, num_classes=None):
     """Train R networks in lockstep; returns one (network, final mean loss)
     per run.
@@ -241,11 +249,12 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None):
     (its own split and normalizer), and all runs share n, so their
     mini-batch boundaries line up. Run r draws its He-uniform init and then
     one permutation per epoch from default_rng(seeds[r]), in that order;
-    cfg.seed is not used. Each epoch gathers every run's samples in its own
-    order, and each step runs forward and backward as matmuls over the
-    leading run axis on an (R, B, d) mini-batch. All weights and biases
-    live in one flat buffer, so the update is two ufunc calls. Every run's
-    weights are bitwise those of training it alone with seed seeds[r].
+    cfg.seed is not used. Every run's weights are bitwise those of training
+    it alone with seed seeds[r], so the runs are split into
+    P = min(R, usable CPUs) contiguous chunks, each trained by `_lockstep`
+    in its own forked worker process (in this process when P is 1 or the
+    platform cannot fork), and the results are joined in run order. No
+    output depends on P.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -268,6 +277,30 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None):
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds training size {n}")
 
+    workers = min(runs, _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers == 1:
+        return _lockstep(x, y, seeds, cfg, k)
+    # imported here: every process that imports the package would pay for
+    # them, while only a multi-run training uses them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    bounds = [runs * i // workers for i in range(workers + 1)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        chunks = [pool.submit(_lockstep, x[a:b], y[a:b], seeds[a:b], cfg, k)
+                  for a, b in zip(bounds, bounds[1:])]
+        return [trained for chunk in chunks for trained in chunk.result()]
+
+
+def _lockstep(x, y, seeds, cfg, k):
+    """Train the runs of checked inputs x (R, n, d), y (R, n) with k classes
+    together; returns one (network, final mean loss) per run.
+
+    Each epoch gathers every run's samples in its own order, and each step
+    runs forward and backward as matmuls over the leading run axis on an
+    (R, B, d) mini-batch. All weights and biases live in one flat buffer,
+    so the update is two ufunc calls.
+    """
+    runs, n, d = x.shape
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nets = [init_network(d, k, rng) for rng in rngs]
     # one flat buffer of every layer's (R, out, in) weights, then every

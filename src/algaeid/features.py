@@ -259,6 +259,8 @@ def read_features_csv(path):
         if int(wavelength) in map(int, wavelengths):
             raise ValueError(
                 f"{path}: header column {name!r}: wavelength {int(wavelength)} nm repeated")
+        if not wavelength.is_integer():
+            raise ValueError(f"{path}: header column {name!r}: non-integer wavelength")
         wavelengths.append(wavelength)
 
     def bad(row_no, column, problem):

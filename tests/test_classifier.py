@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from algaeid import classifier
 from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
                                 TrainedModel, backward, forward_batch,
                                 init_network, load_model, loss,
@@ -243,6 +246,54 @@ def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, l2, epochs):
         assert final_loss == ref_loss
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
             assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every process pool `train_runs` builds."""
+    sizes = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("runs", [2, 5, 7])
+def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
+    # min(runs, cpus) workers train contiguous chunks of runs: 7 runs on 3
+    # make chunks of 2, 2 and 3, and 2 runs on 3 CPUs start only 2 workers
+    rng = np.random.default_rng(runs)
+    x = rng.normal(size=(runs, 30, 4))
+    y = rng.integers(0, 3, size=(runs, 30))
+    y[:, :2] = [0, 1]
+    seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=runs)]
+    cfg = TrainConfig(epochs=6, batch_size=8, l2=1e-3)
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 1)
+    serial = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    trained = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
+    assert multiprocessing.active_children() == []
+    workers = min(runs, cpus)
+    assert pools == ([] if workers == 1 else [workers])
+    assert len(trained) == runs
+    for r, ((net, final_loss), (one_net, one_loss)) in enumerate(zip(trained, serial)):
+        ref_net, ref_loss = reference_train(
+            x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, l2=1e-3, seed=seeds[r]),
+            num_classes=3)
+        assert final_loss == one_loss == ref_loss
+        for a, b, c in zip(net.weights + net.biases, one_net.weights + one_net.biases,
+                           ref_net.weights + ref_net.biases):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    with pytest.raises(ValueError, match="batch_size 31 exceeds training size 30"):
+        train_runs(x, y, seeds, cfg=TrainConfig(batch_size=31))
+    assert multiprocessing.active_children() == []
+    assert len(pools) <= 1
 
 
 @pytest.mark.parametrize("n,d,k", [(1, 5, 6), (2, 11, 6), (40, 6, 6), (25, 3, 9)])

@@ -209,6 +209,19 @@ def test_mccv_echoes_runs_and_split(pipeline, capsys):
     assert doc["variants"]["spectral"]["runs"] == 20
 
 
+def test_mccv_outputs_independent_of_worker_count(pipeline, tmp_path, monkeypatch):
+    # the runs of each variant are split over min(runs, usable CPUs) worker
+    # processes; the count must not reach any output
+    reports = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"eval{cpus}"
+        assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),
+                     "--runs", "5", "--out", str(out)]) == 0
+        reports.append([(out / name).read_bytes() for name in ("report.json", "report.txt")])
+    assert reports[0] == reports[1]
+
+
 def test_mccv_rejects_duplicate_variant(pipeline, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),

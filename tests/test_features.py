@@ -329,8 +329,9 @@ def test_csv_bad_spectral_header_names_column(tmp_path):
     ("emnan", "non-finite wavelength"),
     ("eminf", "non-finite wavelength"),
     ("em-inf", "non-finite wavelength"),
+    ("em420.9", "non-integer wavelength"),
 ], ids=["repeated", "repeated-spelled-apart", "repeated-as-named", "nan", "inf",
-        "minus-inf"])
+        "minus-inf", "fractional"])
 def test_csv_bad_header_wavelength_names_column(tmp_path, column, problem):
     path = tmp_path / "f.csv"
     write_features_csv(path, [_sample_fv()], (405.0, 420.0, 450.0, 470.0, 500.0, 530.0))
