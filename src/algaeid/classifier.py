@@ -110,9 +110,9 @@ def softmax(z):
     return e
 
 
-def init_network(input_dim, num_classes, rng, hidden_sizes=HIDDEN_SIZES):
+def init_network(input_dim, num_classes, rng):
     """He-uniform weights (limit sqrt(6/fan_in)), zero biases."""
-    sizes = (int(input_dim),) + tuple(hidden_sizes) + (int(num_classes),)
+    sizes = (int(input_dim),) + HIDDEN_SIZES + (int(num_classes),)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ import sys
 import numpy as np
 
 from . import classifier, evaluation, features, illumination, segmentation, synthgen
-from .stack_io import (atomic_write_bytes, atomic_write_json, load_stack,
-                       read_pgm, save_stack)
+from .stack_io import (MANIFEST_NAME, atomic_write_bytes, atomic_write_json,
+                       load_stack, read_pgm, save_stack)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,17 +41,23 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not a number")
 
 
-def _read_config(path):
-    """The JSON config file at `path`, if it holds only DEFAULT_CONFIG's sections and keys."""
+def _read_json_object(path, what):
+    """The JSON object in the file at `path`; errors call the file `what`."""
     if not os.path.exists(path):
-        raise ValueError(f"config file not found: {path}")
+        raise ValueError(f"{what} file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            user = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except ValueError as e:  # JSONDecodeError is a ValueError
-            raise ValueError(f"{path}: invalid config JSON: {e}") from None
-    if not isinstance(user, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+            raise ValueError(f"{path}: invalid {what} JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def _read_config(path):
+    """The JSON config file at `path`, if it holds only DEFAULT_CONFIG's sections and keys."""
+    user = _read_json_object(path, "config")
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
@@ -93,25 +100,32 @@ def _load_role(path, role):
     return stack
 
 
-def _scene_dirs(root):
-    """Directories holding a stack manifest: the root itself or scene_* children."""
-    if os.path.exists(os.path.join(root, "stack.json")):
-        return [("", root)]
-    if not os.path.isdir(root):
+def _scene_dirs(root, *trees):
+    """Per scene under `root` (the root itself or its scene_* children that
+    hold a stack manifest): its name ("" for the root) and its directory in
+    `root` and in each of `trees` (a None tree stays None)."""
+    if os.path.exists(os.path.join(root, MANIFEST_NAME)):
+        names = [""]
+    elif not os.path.isdir(root):
         raise ValueError(f"input directory not found: {root}")
-    out = []
-    for name in sorted(os.listdir(root)):
-        sub = os.path.join(root, name)
-        if os.path.isdir(sub) and os.path.exists(os.path.join(sub, "stack.json")):
-            out.append((name, sub))
-    if not out:
-        raise ValueError(f"{root}: no stack manifests found")
-    return out
+    else:
+        names = [name for name in sorted(os.listdir(root))
+                 if os.path.exists(os.path.join(root, name, MANIFEST_NAME))]
+        if not names:
+            raise ValueError(f"{root}: no stack manifests found")
+    return [(name, *(os.path.join(tree, name) if name and tree else tree
+                     for tree in (root, *trees)))
+            for name in names]
 
 
-def cmd_synth(args):
-    cfg = load_config(args.config, synth={"master_seed": args.seed, "scenes": args.scenes})
-    digest = config_hash(cfg)
+def _class_names(names, path):
+    """`names`, the class_names read from `path`, which must be a list of strings."""
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{path}: class_names must be a list of strings, got {names!r}")
+    return names
+
+
+def cmd_synth(args, cfg, digest):
     catalog = synthgen.default_catalog()
     scenes = synthgen.generate_corpus(catalog, cfg.synth.scenes, cfg.synth.scene_spec(),
                                       master_seed=cfg.synth.master_seed)
@@ -127,26 +141,20 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_correct(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    for name, src in _scene_dirs(args.input):
+def cmd_correct(args, cfg, digest):
+    for _, src, dst in _scene_dirs(args.input, args.out):
         raw = _load_role(src, "raw")
         background = illumination.estimate_background(raw, cfg.correction)
         corrected = illumination.subtract_background(raw, background)
-        dst = os.path.join(args.out, name) if name else args.out
         save_stack(corrected, dst, extra_fields={"config_sha256": digest})
     print(f"corrected stacks written to {args.out}")
     return 0
 
 
-def cmd_segment(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
-    for name, src in _scene_dirs(args.input):
+def cmd_segment(args, cfg, digest):
+    for _, src, dst in _scene_dirs(args.input, args.out):
         labels, organisms, thresholds = segmentation.segment(
             _load_role(src, "corrected"), **dataclasses.asdict(cfg.segmentation))
-        dst = os.path.join(args.out, name) if name else args.out
         os.makedirs(dst, exist_ok=True)
         segmentation.labelmap_to_pgm(labels, os.path.join(dst, "labels.pgm"))
         atomic_write_json(os.path.join(dst, "organisms.json"), {
@@ -166,14 +174,16 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
     matched = [None] * len(organisms)
     class_names = None
     if truth_dir is not None:
+        truth_json = os.path.join(truth_dir, "truth.json")
+        doc = _read_json_object(truth_json, "ground truth")
         truth = segmentation.LabelMap(read_pgm(os.path.join(truth_dir, "truth.pgm")))
-        with open(os.path.join(truth_dir, "truth.json"), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
         try:
-            class_names = doc["class_names"]
+            class_names = _class_names(doc["class_names"], truth_json)
             species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
         except KeyError as e:
             raise ValueError(f"{truth_dir}: truth.json has no key {e}") from None
+        except TypeError:
+            raise ValueError(f"{truth_json}: organisms must be a list of objects") from None
         ids = synthgen.majority_truth_ids(organisms, truth)
         for i in ids:
             if i is not None and i not in species_by_id:
@@ -194,25 +204,18 @@ def _same_as_first(key, value, first, where):
     return value
 
 
-def cmd_features(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
+def cmd_features(args, cfg, digest):
     all_fvs = []
     wavelengths = None
     class_names = None
-    for name, src in _scene_dirs(args.corrected):
+    for name, src, seg_dir, truth_dir in _scene_dirs(args.corrected, args.segmented,
+                                                     args.truth):
         corrected = _load_role(src, "corrected")
         wavelengths = _same_as_first(
             "wavelengths_nm", list(corrected.wavelengths_nm), wavelengths, src)
-        seg_dir = os.path.join(args.segmented, name) if name else args.segmented
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
         if not os.path.exists(labels_pgm):
             raise ValueError(f"label map not found: {labels_pgm}")
-        truth_dir = None
-        if args.truth is not None:
-            truth_dir = os.path.join(args.truth, name) if name else args.truth
-            if not os.path.exists(os.path.join(truth_dir, "truth.json")):
-                raise ValueError(f"ground truth not found in {truth_dir}")
         fvs, names = _features_for_scene(corrected, labels_pgm, cfg, truth_dir)
         class_names = _same_as_first("class_names", names, class_names, truth_dir)
         prefix = f"{name}:" if name else ""
@@ -245,23 +248,26 @@ def _parse_variant(name):
 
 def _labeled_rows(csv_path):
     """Labelled feature vectors of a feature CSV, its wavelengths, and the
-    class names of its meta file (empty without one)."""
+    class names of its meta file (empty without one), which must name every
+    label."""
     if not os.path.exists(csv_path):
         raise ValueError(f"feature file not found: {csv_path}")
     fvs, wavelengths = features.read_features_csv(csv_path)
     labeled = [fv for fv in fvs if fv.label is not None]
     if not labeled:
         raise ValueError(f"{csv_path}: no labeled rows")
-    class_names = ()
-    if os.path.exists(_meta_path(csv_path)):
-        with open(_meta_path(csv_path), "r", encoding="utf-8") as fh:
-            class_names = tuple(json.load(fh).get("class_names") or ())
+    meta = _meta_path(csv_path)
+    doc = _read_json_object(meta, "feature meta") if os.path.exists(meta) else {}
+    names = doc.get("class_names")
+    class_names = () if names is None else tuple(_class_names(names, meta))
+    top = max(fv.label for fv in labeled)
+    if class_names and top >= len(class_names):
+        raise ValueError(f"{csv_path}: label {top} has no class name in {meta}, "
+                         f"which names {len(class_names)} classes")
     return labeled, wavelengths, class_names
 
 
-def cmd_train(args):
-    cfg = load_config(args.config, train={"seed": args.seed})
-    digest = config_hash(cfg)
+def cmd_train(args, cfg, digest):
     variant = _parse_variant(args.variant)
     labeled, wavelengths, class_names = _labeled_rows(args.features)
     x = features.assemble(labeled, variant)
@@ -280,9 +286,7 @@ def cmd_train(args):
     return 0
 
 
-def cmd_mccv(args):
-    cfg = load_config(args.config, mccv={"runs": args.runs, "master_seed": args.seed})
-    digest = config_hash(cfg)
+def cmd_mccv(args, cfg, digest):
     variants = [_parse_variant(v.strip()) for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError("at least one variant required")
@@ -293,12 +297,9 @@ def cmd_mccv(args):
     reports = [evaluation.run_mccv(labeled, variant, cfg=cfg.train, class_names=class_names,
                                    **dataclasses.asdict(cfg.mccv))
                for variant in variants]
-    ttests = []
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            result = evaluation.paired_t_test(
-                reports[i].accuracies, reports[j].accuracies, alpha=0.01)
-            ttests.append((reports[i].variant.value, reports[j].variant.value, result))
+    ttests = [(a.variant.value, b.variant.value,
+               evaluation.paired_t_test(a.accuracies, b.accuracies, alpha=0.01))
+              for a, b in itertools.combinations(reports, 2)]
     doc = evaluation.build_report(reports, ttests)
     doc["config_sha256"] = digest
     doc["config"] = dataclasses.asdict(cfg)
@@ -310,9 +311,7 @@ def cmd_mccv(args):
     return 0
 
 
-def cmd_classify(args):
-    cfg = load_config(args.config)
-    digest = config_hash(cfg)
+def cmd_classify(args, cfg, digest):
     if not os.path.exists(args.model):
         raise ValueError(f"model file not found: {args.model}")
     model = classifier.load_model(args.model)
@@ -347,71 +346,65 @@ def cmd_classify(args):
 
 
 def build_parser():
+    """The argument parser. An override flag's dest is the config key it
+    sets, as "section.key"."""
     parser = argparse.ArgumentParser(
         prog="algaeid",
         description="Multi-band fluorescence algae identification pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True)
+    common.add_argument("--config")
 
-    p = sub.add_parser("synth", help="generate synthetic scenes with ground truth")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--scenes", type=int)
-    p.set_defaults(func=cmd_synth)
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("correct", help="estimate and subtract illumination background")
+    p = command("synth", cmd_synth, "generate synthetic scenes with ground truth")
+    p.add_argument("--seed", type=int, dest="synth.master_seed")
+    p.add_argument("--scenes", type=int, dest="synth.scenes")
+
+    p = command("correct", cmd_correct, "estimate and subtract illumination background")
     p.add_argument("input")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_correct)
 
-    p = sub.add_parser("segment", help="threshold, fuse bands, label components")
+    p = command("segment", cmd_segment, "threshold, fuse bands, label components")
     p.add_argument("input")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("features", help="extract per-organism feature vectors")
+    p = command("features", cmd_features, "extract per-organism feature vectors")
     p.add_argument("corrected")
     p.add_argument("segmented")
-    p.add_argument("--out", required=True)
     p.add_argument("--truth", help="synth output dir providing ground-truth labels")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", help="train one classifier variant")
+    p = command("train", cmd_train, "train one classifier variant")
     p.add_argument("features")
     p.add_argument("--variant", required=True, help="morph | spectral | both11")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--seed", type=int, dest="train.seed")
 
-    p = sub.add_parser("mccv", help="Monte Carlo cross-validation and t-tests")
+    p = command("mccv", cmd_mccv, "Monte Carlo cross-validation and t-tests")
     p.add_argument("features")
-    p.add_argument("--out", required=True)
-    p.add_argument("--variants", default="morph,spectral,both11")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_mccv)
+    p.add_argument("--variants", default=",".join(v.value for v in features.ModelVariant))
+    p.add_argument("--runs", type=int, dest="mccv.runs")
+    p.add_argument("--seed", type=int, dest="mccv.master_seed")
 
-    p = sub.add_parser("classify", help="predict classes for features or a stack")
+    p = command("classify", cmd_classify, "predict classes for features or a stack")
     p.add_argument("model")
     p.add_argument("input", help="feature CSV or corrected stack directory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_classify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    overrides = {}
+    for dest, value in vars(args).items():
+        if "." in dest:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = value
     try:
-        return args.func(args)
+        cfg = load_config(args.config, **overrides)
+        return args.func(args, cfg, config_hash(cfg))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -152,12 +152,7 @@ def regularized_incomplete_beta(a, b, x):
 
 def t_cdf(t, df):
     """Cumulative distribution of Student's t with df degrees of freedom."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
+    tail = 0.5 * t_two_sided_p(t, df)
     return 1.0 - tail if t > 0 else tail
 
 
@@ -260,7 +255,11 @@ def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
     if len(np.unique(y)) < 2:
         raise ValueError("dataset must contain at least 2 classes")
     x = assemble(fvs, variant)
-    k = max(int(y.max()) + 1, len(class_names))
+    # one class per name, else per label up to the largest; a test split
+    # may hold a label that no training split does, so all are checked here
+    k = len(class_names) or int(y.max()) + 1
+    if y.max() >= k:
+        raise ValueError(f"num_classes={k} too small for labels up to {y.max()}")
 
     splits, normalizers, train_seeds = [], [], []
     for r in range(runs):

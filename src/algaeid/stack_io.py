@@ -132,12 +132,9 @@ def atomic_write_bytes(path, data):
         raise
 
 
-def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def atomic_write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_pgm16(path, array):

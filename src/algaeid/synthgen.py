@@ -146,16 +146,21 @@ def _trim(mask):
     return mask[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
 
 
+def _frame(r, angle):
+    """Coordinates u (along `angle`) and v (across it) of the pixels of a
+    (2r+1)-square grid centred on 0."""
+    yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
+    ca, sa = math.cos(angle), math.sin(angle)
+    return xx * ca + yy * sa, -xx * sa + yy * ca
+
+
 def _ellipse_mask(length, ecc, angle):
     """Filled rotated ellipse; semi-minor axis floored at 1.2 px so the
     rasterization stays 8-connected."""
     a = max(length / 2.0, 1.2)
     b = max(a * math.sqrt(max(0.0, 1.0 - ecc * ecc)), 1.2)
     r = int(math.ceil(a)) + 1
-    yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
-    ca, sa = math.cos(angle), math.sin(angle)
-    u = xx * ca + yy * sa
-    v = -xx * sa + yy * ca
+    u, v = _frame(r, angle)
     return _trim((u / a) ** 2 + (v / b) ** 2 <= 1.0)
 
 
@@ -163,10 +168,7 @@ def _segment_mask(length, thickness, angle):
     """Pixels within thickness/2 of a centered line segment."""
     half = length / 2.0
     r = int(math.ceil(half + thickness)) + 1
-    yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
-    ca, sa = math.cos(angle), math.sin(angle)
-    u = xx * ca + yy * sa
-    v = -xx * sa + yy * ca
+    u, v = _frame(r, angle)
     du = np.maximum(np.abs(u) - half, 0.0)
     dist = np.sqrt(du ** 2 + v ** 2)
     return _trim(dist <= max(thickness / 2.0, 1.05))
@@ -210,10 +212,7 @@ def _paired_mask(length, ecc, angle):
     a = max(cell_len / 2.0, 1.5)
     b = max(a * math.sqrt(max(0.0, 1.0 - ecc * ecc)), 1.3)
     r = int(math.ceil(a + 2 * b)) + 2
-    yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
-    ca, sa = math.cos(angle), math.sin(angle)
-    u = xx * ca + yy * sa
-    v = -xx * sa + yy * ca
+    u, v = _frame(r, angle)
     m1 = (u / a) ** 2 + ((v - b * 0.95) / b) ** 2 <= 1.0
     m2 = (u / a) ** 2 + ((v + b * 0.95) / b) ** 2 <= 1.0
     return _trim(m1 | m2)
@@ -234,10 +233,6 @@ def _render_mask(species, rng):
     # spindle and flagellate-ellipse share the ellipse renderer; their
     # parameter ranges set them apart
     return _ellipse_mask(length, ecc, angle)
-
-
-def _is_single_component(mask):
-    return connected_components(mask).count == 1
 
 
 def _dilate1(mask):
@@ -281,7 +276,7 @@ def generate_scene(spec, catalog):
         placed = False
         for _ in range(60):
             mask = _render_mask(species, rng)
-            if not _is_single_component(mask):
+            if connected_components(mask).count != 1:
                 continue
             mh, mw = mask.shape
             if mh > h - 4 or mw > w - 4:

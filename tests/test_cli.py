@@ -128,13 +128,27 @@ def test_features_rerun_byte_identical(pipeline):
     assert out2.read_bytes() == pipeline["csv"].read_bytes()
 
 
-def test_train_seed_reaches_config_hash(pipeline, tmp_path):
+@pytest.mark.parametrize("argv,flag,section,key,report", [
+    (["synth"], "--seed", "synth", "master_seed", "scene_000/truth.json"),
+    (["synth"], "--scenes", "synth", "scenes", "scene_000/truth.json"),
+    (["train", "CSV", "--variant", "morph"], "--seed", "train", "seed", ""),
+    (["mccv", "CSV", "--variants", "morph"], "--runs", "mccv", "runs", "report.json"),
+    (["mccv", "CSV", "--variants", "morph"], "--seed", "mccv", "master_seed", "report.json"),
+], ids=["synth-seed", "synth-scenes", "train-seed", "mccv-runs", "mccv-seed"])
+def test_override_flag_reaches_config(pipeline, tmp_path, argv, flag, section, key, report):
+    # each override flag sets one config key: it reaches the output's
+    # config_sha256, and the config that report.json records
+    config = str(pipeline["config"])
+    argv = [str(pipeline["csv"]) if arg == "CSV" else arg for arg in argv]
     digests = []
-    for seed in ("1", "2"):
-        model = tmp_path / f"model{seed}.json"
-        assert main(["train", str(pipeline["csv"]), "--variant", "morph", "--seed", seed,
-                     "--config", str(pipeline["config"]), "--out", str(model)]) == 0
-        digests.append(json.loads(model.read_text())["config_sha256"])
+    for value in (2, 3):
+        out = tmp_path / f"out{value}"
+        assert main([*argv, flag, str(value), "--config", config, "--out", str(out)]) == 0
+        doc = json.loads((out / report).read_text() if report else out.read_text())
+        assert doc["config_sha256"] == config_hash(load_config(config, **{section: {key: value}}))
+        if "config" in doc:
+            assert doc["config"][section][key] == value
+        digests.append(doc["config_sha256"])
     assert digests[0] != digests[1]
 
 
@@ -245,6 +259,59 @@ def test_non_finite_feature_rejected(pipeline, tmp_path, capsys, command, value)
                 + args[command]) == 1
     err = capsys.readouterr().err
     assert f"{bad}: row 3 (line 4), column em450: non-finite value '{value}'" in err
+
+
+@pytest.mark.parametrize("command", ["train", "mccv"])
+def test_label_without_class_name_rejected(pipeline, tmp_path, capsys, command):
+    lines = pipeline["csv"].read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(",")
+    row[1] = "7"  # the meta file names 6 classes, 0-5
+    lines[3] = ",".join(row)
+    csv = tmp_path / "features.csv"
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    meta = tmp_path / "features.csv.meta.json"
+    shutil.copy(pipeline["root"] / "features.csv.meta.json", meta)
+    out = tmp_path / "out"
+    args = {"train": ["--variant", "morph"], "mccv": ["--variants", "morph"]}
+    assert main([command, str(csv), *args[command], "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: label 7 has no class name in {meta}, which names 6 classes\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side,text,problem", [
+    ("meta", '{"class_names": oops}',
+     "invalid feature meta JSON: Expecting value: line 1 column 17 (char 16)"),
+    ("meta", '["a", "b"]', "feature meta must be a JSON object"),
+    ("meta", '{"class_names": "abc"}', "class_names must be a list of strings, got 'abc'"),
+    ("meta", '{"class_names": ["a", 3, null]}',
+     "class_names must be a list of strings, got ['a', 3, None]"),
+    ("truth", '[{"class_names": []}]', "ground truth must be a JSON object"),
+    ("truth", '{"class_names": "abcdef", "organisms": []}',
+     "class_names must be a list of strings, got 'abcdef'"),
+    ("truth", '{"class_names": [], "organisms": [1, 2]}',
+     "organisms must be a list of objects"),
+], ids=["meta-invalid-json", "meta-array", "meta-class-names-string",
+        "meta-class-names-mixed", "truth-array", "truth-class-names-string",
+        "truth-organisms-not-objects"])
+def test_side_files_checked(pipeline, tmp_path, capsys, side, text, problem):
+    # the feature meta file and truth.json are read like the config: each
+    # must be a JSON object, and its class_names a list of strings
+    out = tmp_path / "out"
+    if side == "meta":
+        csv = shutil.copy(pipeline["csv"], tmp_path / "features.csv")
+        path = tmp_path / "features.csv.meta.json"
+        argv = ["train", str(csv), "--variant", "morph"]
+    else:
+        raw = shutil.copytree(pipeline["raw"], tmp_path / "raw")
+        path = raw / "scene_000" / "truth.json"
+        argv = ["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
+                "--truth", str(raw)]
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert not out.exists()
 
 
 def test_exit_code_validation_error(pipeline, tmp_path, capsys):

@@ -285,6 +285,9 @@ def test_run_mccv_validation():
         equivalent_diameter=2.5, extent=0.9, spectral=(1.0,) * 6)]
     with pytest.raises(ValueError):
         run_mccv(unlabeled, ModelVariant.SPECTRAL, runs=2)
+    # class names, when given, set the class count and must cover every label
+    with pytest.raises(ValueError, match=r"^num_classes=2 too small for labels up to 2$"):
+        run_mccv(fvs, ModelVariant.SPECTRAL, runs=2, class_names=("a", "b"))
 
 
 def _fake_report(variant, accs, k=3):
