@@ -8,7 +8,6 @@ categorical cross-entropy; everything is driven by a single seed so a
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import fields
 from .features import ModelVariant, Normalizer, apply_normalizer
-from .stack_io import atomic_write_json
+from .stack_io import atomic_write_json, read_json_object, string_list
 
 HIDDEN_SIZES = (12, 8, 6)
 
@@ -390,35 +389,45 @@ def save_model(model, path, extra_fields=None):
 
 
 def load_model(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"model file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The model in the JSON file at `path`, as save_model writes it. Its
+    feature_names and class_names must be lists of strings, each empty or
+    one per network input or output; its normalizer null or one finite
+    mean, finite positive std and constant flag per input. Every error
+    names the file."""
+    doc = read_json_object(path, "model")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(
             f"{path}: model schema version {version!r} unsupported "
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
+    nd = doc.get("normalizer")
+    if nd is not None and not isinstance(nd, dict):
+        raise ValueError(f"{path}: normalizer must be null or a JSON object, got {nd!r}")
     try:
         net = Network(
-            layer_sizes=tuple(doc["layer_sizes"]),
+            layer_sizes=tuple(fields.as_number("layer_sizes", s, int)
+                              for s in doc["layer_sizes"]),
             weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
             biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
         )
-        nrm = None
-        if doc.get("normalizer") is not None:
-            nd = doc["normalizer"]
-            nrm = Normalizer(
-                mean=np.array(nd["mean"]), std=np.array(nd["std"]),
-                constant=np.array(nd["constant"], dtype=bool),
-            )
-        return TrainedModel(
-            network=net,
-            variant=ModelVariant(doc["variant"]),
-            normalizer=nrm,
-            feature_names=tuple(doc.get("feature_names", ())),
-            class_names=tuple(doc.get("class_names", ())),
-        )
+        variant = ModelVariant(doc["variant"])
+        nrm = None if nd is None else Normalizer(
+            mean=nd["mean"], std=nd["std"], constant=nd["constant"])
     except KeyError as e:
         raise ValueError(f"{path}: model file has no key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
+    names = {}
+    for key, size, side in (("feature_names", net.input_dim, "inputs"),
+                            ("class_names", net.num_classes, "outputs")):
+        names[key] = tuple(string_list(doc.get(key, []), key, path))
+        if names[key] and len(names[key]) != size:
+            raise ValueError(f"{path}: {len(names[key])} {key} for the "
+                             f"network's {size} {side}")
+    if nrm is not None and not (
+            nrm.mean.shape == nrm.std.shape == nrm.constant.shape == (net.input_dim,)
+            and np.all(np.isfinite(nrm.mean)) and np.all(np.isfinite(nrm.std) & (nrm.std > 0))):
+        raise ValueError(f"{path}: normalizer must hold one finite mean, finite positive "
+                         f"std and constant flag per network input ({net.input_dim})")
+    return TrainedModel(network=net, variant=variant, normalizer=nrm, **names)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classifier, evaluation, features, illumination, segmentation, synthgen
 from .stack_io import (MANIFEST_NAME, atomic_write_bytes, atomic_write_json,
-                       load_stack, read_pgm, save_stack)
+                       load_stack, read_json_object, read_pgm, save_stack, string_list)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,27 +37,9 @@ class Config:
 DEFAULT_CONFIG = dataclasses.asdict(Config())
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not a number")
-
-
-def _read_json_object(path, what):
-    """The JSON object in the file at `path`; errors call the file `what`."""
-    if not os.path.exists(path):
-        raise ValueError(f"{what} file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except ValueError as e:  # JSONDecodeError is a ValueError
-            raise ValueError(f"{path}: invalid {what} JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    return doc
-
-
 def _read_config(path):
     """The JSON config file at `path`, if it holds only DEFAULT_CONFIG's sections and keys."""
-    user = _read_json_object(path, "config")
+    user = read_json_object(path, "config")
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
@@ -118,13 +100,6 @@ def _scene_dirs(root, *trees):
             for name in names]
 
 
-def _class_names(names, path):
-    """`names`, the class_names read from `path`, which must be a list of strings."""
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"{path}: class_names must be a list of strings, got {names!r}")
-    return names
-
-
 def cmd_synth(args, cfg, digest):
     catalog = synthgen.default_catalog()
     scenes = synthgen.generate_corpus(catalog, cfg.synth.scenes, cfg.synth.scene_spec(),
@@ -175,10 +150,10 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
     class_names = None
     if truth_dir is not None:
         truth_json = os.path.join(truth_dir, "truth.json")
-        doc = _read_json_object(truth_json, "ground truth")
+        doc = read_json_object(truth_json, "ground truth")
         truth = segmentation.LabelMap(read_pgm(os.path.join(truth_dir, "truth.pgm")))
         try:
-            class_names = _class_names(doc["class_names"], truth_json)
+            class_names = string_list(doc["class_names"], "class_names", truth_json)
             species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
         except KeyError as e:
             raise ValueError(f"{truth_dir}: truth.json has no key {e}") from None
@@ -213,6 +188,10 @@ def cmd_features(args, cfg, digest):
         corrected = _load_role(src, "corrected")
         wavelengths = _same_as_first(
             "wavelengths_nm", list(corrected.wavelengths_nm), wavelengths, src)
+        try:  # a wavelength no feature column can name fails here, naming its manifest
+            features.feature_names(features.ModelVariant.SPECTRAL_MORPHOLOGICAL, wavelengths)
+        except ValueError as e:
+            raise ValueError(f"{os.path.join(src, MANIFEST_NAME)}: {e}") from None
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
         if not os.path.exists(labels_pgm):
             raise ValueError(f"label map not found: {labels_pgm}")
@@ -257,9 +236,9 @@ def _labeled_rows(csv_path):
     if not labeled:
         raise ValueError(f"{csv_path}: no labeled rows")
     meta = _meta_path(csv_path)
-    doc = _read_json_object(meta, "feature meta") if os.path.exists(meta) else {}
+    doc = read_json_object(meta, "feature meta") if os.path.exists(meta) else {}
     names = doc.get("class_names")
-    class_names = () if names is None else tuple(_class_names(names, meta))
+    class_names = () if names is None else tuple(string_list(names, "class_names", meta))
     top = max(fv.label for fv in labeled)
     if class_names and top >= len(class_names):
         raise ValueError(f"{csv_path}: label {top} has no class name in {meta}, "
@@ -298,7 +277,7 @@ def cmd_mccv(args, cfg, digest):
                                    **dataclasses.asdict(cfg.mccv))
                for variant in variants]
     ttests = [(a.variant.value, b.variant.value,
-               evaluation.paired_t_test(a.accuracies, b.accuracies, alpha=0.01))
+               evaluation.paired_t_test(a.accuracies, b.accuracies))
               for a, b in itertools.combinations(reports, 2)]
     doc = evaluation.build_report(reports, ttests)
     doc["config_sha256"] = digest
@@ -312,8 +291,6 @@ def cmd_mccv(args, cfg, digest):
 
 
 def cmd_classify(args, cfg, digest):
-    if not os.path.exists(args.model):
-        raise ValueError(f"model file not found: {args.model}")
     model = classifier.load_model(args.model)
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")

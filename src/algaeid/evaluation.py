@@ -234,8 +234,9 @@ def _run_seeds(master_seed, run_index):
     return split_seed, train_seed
 
 
-def run_mccv(fvs, variant, cfg=None, runs=20, train_fraction=0.7,
-             master_seed=0, class_names=()):
+def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
+             train_fraction=MccvConfig.train_fraction,
+             master_seed=MccvConfig.master_seed, class_names=()):
     """MCCV over labeled feature vectors for one variant.
 
     Per run: split, fit the normalizer on the training split only, train,

@@ -173,7 +173,12 @@ def assemble(fvs, variant):
 
 
 def feature_names(variant, wavelengths_nm):
-    """Column names of `assemble(fvs, variant)` for the given bands."""
+    """Column names of `assemble(fvs, variant)` for the given bands, whose
+    wavelengths must be whole numbers of nm: a column names its band by one."""
+    for w in wavelengths_nm:
+        if not float(w).is_integer():
+            raise ValueError(f"wavelength {w} nm is not a whole number of nm, "
+                             "so no feature column can name it")
     names = list(MORPHOLOGICAL_FEATURE_NAMES) + [f"em{int(w)}" for w in wavelengths_nm]
     return names[variant.columns]
 
@@ -281,6 +286,8 @@ def read_features_csv(path):
             label = None if label_s == "" else int(label_s)
         except ValueError:
             raise bad(row_no, "label", f"non-integer label {label_s!r}") from None
+        if label is not None and label < 0:
+            raise bad(row_no, "label", f"negative label {label_s!r}")
         vals = []
         for name, text in zip(header[2:], row[2:]):
             try:

@@ -67,6 +67,14 @@ class Organism:
         return (x_max - x_min + 1) * (y_max - y_min + 1)
 
 
+@dataclass(frozen=True)
+class SegmentationConfig:
+    """The `segmentation` config section: the keyword arguments of `segment`."""
+    num_bins: int = 256
+    min_area_px: int = 8
+    __post_init__ = fields.coerce
+
+
 def otsu_index(counts):
     """Split index k minimizing within-class variance of a histogram:
     bins 0..k are background, bins k+1.. are foreground. Candidate splits
@@ -92,7 +100,7 @@ def otsu_index(counts):
     return int(np.argmin(objective))
 
 
-def otsu_threshold(band, num_bins=256):
+def otsu_threshold(band, num_bins=SegmentationConfig.num_bins):
     """Threshold minimizing within-class variance over a `num_bins`-bin
     histogram spanning the band's own [min, max]; returns the center of the
     last background bin. A constant band has no separable foreground and
@@ -176,7 +184,7 @@ def connected_components(mask):
     return LabelMap(out.reshape(h, w))
 
 
-def extract_organisms(labels, corrected, min_area_px=8):
+def extract_organisms(labels, corrected, min_area_px=SegmentationConfig.min_area_px):
     """One Organism per component with at least `min_area_px` pixels,
     ordered by component id. Components with a pixel in the first or last
     row or column of the map are kept and flagged as touching the border.
@@ -210,15 +218,8 @@ def extract_organisms(labels, corrected, min_area_px=8):
     return organisms
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    """The `segmentation` config section: the keyword arguments of `segment`."""
-    num_bins: int = 256
-    min_area_px: int = 8
-    __post_init__ = fields.coerce
-
-
-def segment(corrected, num_bins=256, min_area_px=8):
+def segment(corrected, num_bins=SegmentationConfig.num_bins,
+            min_area_px=SegmentationConfig.min_area_px):
     """The whole segmentation of a corrected stack: an Otsu threshold per
     band, the union of the band masks, 8-connected labelling, and the
     organisms of at least `min_area_px` pixels.

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
+
 ROLE_TAGS = ("raw", "background", "corrected")
 
 MANIFEST_NAME = "stack.json"
@@ -137,6 +139,33 @@ def atomic_write_json(path, obj):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a number")
+
+
+def read_json_object(path, what):
+    """The JSON object in the file at `path`; errors call the file `what`.
+    NaN and Infinity, which JSON does not allow, are rejected."""
+    if not os.path.exists(path):
+        raise ValueError(f"{what} file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as e:  # JSONDecodeError is a ValueError
+            raise ValueError(f"{path}: invalid {what} JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def string_list(value, field, path):
+    """`value`, the `field` read from the file at `path`, which must be a
+    list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{path}: {field} must be a list of strings, got {value!r}")
+    return value
+
+
 def write_pgm16(path, array):
     """Write a 2-D array as binary PGM, 16-bit big-endian, maxval 65535.
 
@@ -239,31 +268,41 @@ def load_stack(manifest_path):
     Bands come back in manifest order with wavelengths taken from the
     manifest. Raises a distinct error for a missing band file, a dimension
     mismatch between bands, non-increasing wavelengths, or an unsupported
-    bit depth.
+    bit depth. A manifest whose wavelengths or pixel pitch are not finite
+    numbers, or whose band_filenames are not a list of strings, raises a
+    StackIOError naming it.
     """
     manifest_path = os.fspath(manifest_path)
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise MissingBandFileError(f"manifest not found: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise StackIOError(f"{manifest_path}: invalid manifest JSON: {e}") from None
+    manifest = read_json_object(manifest_path, "manifest")
     for key in ("wavelengths_nm", "band_filenames", "role_tag"):
         if key not in manifest:
             raise StackIOError(f"{manifest_path}: manifest missing field {key!r}")
+    wavelengths = manifest["wavelengths_nm"]
+    try:  # every error names the manifest
+        filenames = string_list(manifest["band_filenames"], "band_filenames", manifest_path)
+        if not isinstance(wavelengths, list):
+            raise ValueError(f"{manifest_path}: wavelengths_nm must be a list of numbers, "
+                             f"got {wavelengths!r}")
+        wavelengths = tuple(fields.as_number(f"{manifest_path}: wavelengths_nm", w)
+                            for w in wavelengths)
+        pitch = fields.as_number(f"{manifest_path}: pixel_pitch_um", manifest.get(
+            "pixel_pitch_um", ImageStack.pixel_pitch_um))
+    except ValueError as e:
+        raise StackIOError(str(e)) from None
     base = os.path.dirname(manifest_path)
     bands = []
-    for name in manifest["band_filenames"]:
+    for name in filenames:
         band_path = os.path.join(base, name)
         if not os.path.exists(band_path):
             raise MissingBandFileError(f"band file not found: {band_path}")
         bands.append(read_pgm(band_path).astype(np.float64))
     return ImageStack(
         bands=tuple(bands),
-        wavelengths_nm=tuple(manifest["wavelengths_nm"]),
-        pixel_pitch_um=float(manifest.get("pixel_pitch_um", 1.2)),
+        wavelengths_nm=wavelengths,
+        pixel_pitch_um=pitch,
         role_tag=str(manifest["role_tag"]),
     )

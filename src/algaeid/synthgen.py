@@ -324,8 +324,7 @@ def generate_scene(spec, catalog):
         if spec.noise_sigma > 0:
             band = band + rng.normal(0.0, spec.noise_sigma, size=(h, w))
         bands.append(np.clip(band, 0.0, None))
-    stack = ImageStack(bands=tuple(bands), wavelengths_nm=wavelengths,
-                       pixel_pitch_um=1.2, role_tag="raw")
+    stack = ImageStack(bands=tuple(bands), wavelengths_nm=wavelengths, role_tag="raw")
     return SceneResult(
         stack=stack,
         truth=LabelMap(truth),

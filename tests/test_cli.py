@@ -314,6 +314,115 @@ def test_side_files_checked(pipeline, tmp_path, capsys, side, text, problem):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def model_doc(pipeline, tmp_path_factory):
+    """The JSON document of a spectral model trained on the pipeline's features."""
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["train", str(pipeline["csv"]), "--variant", "spectral",
+                 "--config", str(pipeline["config"]), "--out", str(model)]) == 0
+    return json.loads(model.read_text(encoding="utf-8"))
+
+
+def _set(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _set_normalizer(key, edit):
+    return lambda doc: {**doc, "normalizer": {**doc["normalizer"],
+                                              key: edit(doc["normalizer"][key])}}
+
+
+@pytest.mark.parametrize("edit,problem", [
+    ("[1, 2]", "model must be a JSON object"),
+    ('{"schema_version": 1,', "invalid model JSON: Expecting property name enclosed in "
+     "double quotes: line 1 column 22 (char 21)"),
+    ('{"schema_version": 1, "weights": [[NaN]]}', "invalid model JSON: NaN is not a number"),
+    (_set("class_names", "abc"), "class_names must be a list of strings, got 'abc'"),
+    (_set("class_names", ["a", 3, None]),
+     "class_names must be a list of strings, got ['a', 3, None]"),
+    (_set("class_names", ["a"]), "1 class_names for the network's 6 outputs"),
+    (_set("feature_names", ["em405"]), "1 feature_names for the network's 6 inputs"),
+    (_set("normalizer", [1, 2]), "normalizer must be null or a JSON object, got [1, 2]"),
+    (_set_normalizer("std", lambda std: [0.0] + std[1:]),
+     "normalizer must hold one finite mean, finite positive std and constant flag "
+     "per network input (6)"),
+    (_set_normalizer("mean", lambda mean: mean[1:]),
+     "normalizer must hold one finite mean, finite positive std and constant flag "
+     "per network input (6)"),
+    (_set("layer_sizes", "ab"), "layer_sizes must be a number, got 'a'"),
+], ids=["array", "invalid-json", "nan", "class-names-string", "class-names-mixed",
+        "class-names-short", "feature-names-short", "normalizer-list", "normalizer-zero-std",
+        "normalizer-short-mean", "layer-sizes-string"])
+def test_model_file_checked(pipeline, model_doc, tmp_path, capsys, edit, problem):
+    model = tmp_path / "model.json"
+    text = edit if isinstance(edit, str) else json.dumps(edit(model_doc))
+    model.write_text(text, encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    assert main(["classify", str(model), str(pipeline["csv"]),
+                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: {problem}\n"
+    assert not out.exists()
+
+
+def test_classify_missing_model(pipeline, tmp_path, capsys):
+    model = tmp_path / "none.json"
+    assert main(["classify", str(model), str(pipeline["csv"]),
+                 "--out", str(tmp_path / "pred.csv")]) == 1
+    assert capsys.readouterr().err == f"error: model file not found: {model}\n"
+
+
+def _edit_manifests(pipeline, tmp_path, edit, scenes=("scene_000",)):
+    """A copy of the corrected tree with `edit` applied to the manifest
+    document of each of `scenes`, written back as JSON text (NaN and
+    Infinity included)."""
+    corrected = shutil.copytree(pipeline["corrected"], tmp_path / "corrected")
+    for scene in scenes:
+        path = corrected / scene / "stack.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+    return corrected
+
+
+def _set_wavelength(index, value):
+    return lambda doc: {**doc, "wavelengths_nm": [
+        value if i == index else w for i, w in enumerate(doc["wavelengths_nm"])]}
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (_set_wavelength(0, float("nan")), "invalid manifest JSON: NaN is not a number"),
+    (_set_wavelength(5, float("inf")), "invalid manifest JSON: Infinity is not a number"),
+    (_set_wavelength(0, True), "wavelengths_nm must be a number, got True"),
+    (_set_wavelength(0, "405"), "wavelengths_nm must be a number, got '405'"),
+    (_set("wavelengths_nm", 405), "wavelengths_nm must be a list of numbers, got 405"),
+    (_set("band_filenames", "band_00.pgm"),
+     "band_filenames must be a list of strings, got 'band_00.pgm'"),
+    (_set("pixel_pitch_um", None), "pixel_pitch_um must be a number, got None"),
+], ids=["nan", "infinity", "true", "string", "not-a-list", "band-filenames-string",
+        "pitch-null"])
+def test_manifest_fields_checked(pipeline, tmp_path, capsys, edit, problem):
+    corrected = _edit_manifests(pipeline, tmp_path, edit)
+    out = tmp_path / "features.csv"
+    assert main(["features", str(corrected), str(pipeline["segmented"]),
+                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    manifest = corrected / "scene_000" / "stack.json"
+    assert capsys.readouterr().err == f"error: {manifest}: {problem}\n"
+    assert not out.exists()
+
+
+def test_features_rejects_fractional_wavelength(pipeline, tmp_path, capsys):
+    # em405 would name both bands, and every reader rejects a repeated column
+    corrected = _edit_manifests(
+        pipeline, tmp_path,
+        lambda doc: {**doc, "wavelengths_nm": [405.2, 405.7] + doc["wavelengths_nm"][2:]},
+        scenes=("scene_000", "scene_001"))
+    out = tmp_path / "features.csv"
+    assert main(["features", str(corrected), str(pipeline["segmented"]),
+                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corrected / 'scene_000' / 'stack.json'}: wavelength 405.2 nm is not a "
+        "whole number of nm, so no feature column can name it\n")
+    assert not out.exists()
+
+
 def test_exit_code_validation_error(pipeline, tmp_path, capsys):
     # segment requires a corrected stack: feeding raw input fails validation
     code = main(["segment", str(pipeline["raw"]), "--config",

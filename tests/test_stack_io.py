@@ -1,5 +1,11 @@
+import ast
+import json
+import pathlib
+
 import numpy as np
 import pytest
+
+import algaeid
 
 from algaeid.stack_io import (ImageStack, BandShapeMismatchError,
                               MissingBandFileError, StackIOError,
@@ -176,3 +182,28 @@ def test_manifest_extra_fields_ignored(tmp_path):
     save_stack(stack, tmp_path / "s", extra_fields={"config_sha256": "abc"})
     again = load_stack(tmp_path / "s")
     assert again.num_bands == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("band_filenames", "band_00.pgm"), ("wavelengths_nm", [True]),
+])
+def test_manifest_field_error_is_stack_error(tmp_path, field, value):
+    path = save_stack(ImageStack(bands=(np.zeros((2, 2)),), wavelengths_nm=(405.0,)),
+                      tmp_path / "s")
+    doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    doc[field] = value
+    pathlib.Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(StackIOError) as err:
+        load_stack(tmp_path / "s")
+    assert str(err.value).startswith(f"{path}: {field} must be")
+
+
+def test_only_stack_io_parses_json():
+    # every JSON input goes through stack_io.read_json_object
+    callers = []
+    for source in sorted(pathlib.Path(algaeid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                callers.append(f"{source.name}:{node.lineno}")
+    assert [c for c in callers if not c.startswith("stack_io.py:")] == []
