@@ -46,47 +46,41 @@ class TrainConfig:
         fields.non_negative(self, "seed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
     """Layer weights (out x in) and biases; ReLU hidden, softmax output."""
 
-    layer_sizes: tuple
     weights: list
     biases: list
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise ValueError("network needs at least input and output layers")
-        if sizes[-1] < 2:
-            raise ValueError("output layer must have >= 2 classes")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
+        for name in ("weights", "biases"):
+            object.__setattr__(self, name, [fields.as_array(f"layer {i} {name}", a)
+                                            for i, a in enumerate(getattr(self, name))])
+        weights, biases = self.weights, self.biases
+        if not weights or len(weights) != len(biases) or any(w.ndim != 2 for w in weights):
             raise ValueError("one weight matrix and bias vector per layer required")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i + 1], sizes[i]):
-                raise ValueError(
-                    f"layer {i}: weight shape {w.shape} != {(sizes[i + 1], sizes[i])}"
-                )
-            if b.shape != (sizes[i + 1],):
-                raise ValueError(f"layer {i}: bias shape {b.shape}")
+        sizes = self.layer_sizes
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape[1] != sizes[i] or b.shape != (sizes[i + 1],):
+                raise ValueError(f"layer {i}: weights {w.shape} and biases {b.shape} do not "
+                                 f"map {sizes[i]} inputs to {sizes[i + 1]} outputs")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i}: non-finite parameters")
-        self.layer_sizes = sizes
+        if sizes[-1] < 2:
+            raise ValueError("output layer must have >= 2 classes")
+
+    @property
+    def layer_sizes(self):
+        return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
 
     @property
     def input_dim(self):
-        return self.layer_sizes[0]
+        return self.weights[0].shape[1]
 
     @property
     def num_classes(self):
-        return self.layer_sizes[-1]
-
-    def copy(self):
-        return Network(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return self.weights[-1].shape[0]
 
 
 def relu(v):
@@ -117,7 +111,7 @@ def init_network(input_dim, num_classes, rng):
         limit = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Network(layer_sizes=sizes, weights=weights, biases=biases)
+    return Network(weights=weights, biases=biases)
 
 
 def _batch_major(shape):
@@ -290,6 +284,7 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None):
         return [trained for chunk in chunks for trained in chunk.result()]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run fails its Network check
 def _lockstep(x, y, seeds, cfg, k):
     """Train the runs of checked inputs x (R, n, d), y (R, n) with k classes
     together; returns one (network, final mean loss) per run.
@@ -336,9 +331,11 @@ def _lockstep(x, y, seeds, cfg, k):
             params -= grads
 
     results = []
-    for r, net in enumerate(nets):
-        net.weights = [w[r].copy() for w in weights]
-        net.biases = [b[r].copy() for b in biases]
+    for r, seed in enumerate(seeds):
+        try:
+            net = Network([w[r] for w in weights], [b[r] for b in biases])
+        except ValueError as e:
+            raise ValueError(f"training with seed {seed} diverged: {e}") from None
         results.append((net, loss(forward_batch(net, x[r]), y[r])))
     return results
 
@@ -348,7 +345,7 @@ def predict_batch(net, x):
     return np.argmax(forward_batch(net, x), axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """A network bundled with everything inference needs: the variant, the
     feature order it was trained on, the normalizer, and class names."""
@@ -358,6 +355,21 @@ class TrainedModel:
     normalizer: Normalizer | None = None
     feature_names: tuple = ()
     class_names: tuple = ()
+
+    def __post_init__(self):
+        net, nrm = self.network, self.normalizer
+        for key, size, side in (("feature_names", net.input_dim, "inputs"),
+                                ("class_names", net.num_classes, "outputs")):
+            names = tuple(string_list(getattr(self, key), key))
+            if names and len(names) != size:
+                raise ValueError(f"{len(names)} {key} for the network's {size} {side}")
+            object.__setattr__(self, key, names)
+        if nrm is not None and not (
+                nrm.mean.shape == nrm.std.shape == nrm.constant.shape == (net.input_dim,)
+                and np.all(np.isfinite(nrm.mean))
+                and np.all(np.isfinite(nrm.std) & (nrm.std > 0))):
+            raise ValueError("normalizer must hold one finite mean, finite positive std and "
+                             f"constant flag per network input ({net.input_dim})")
 
     def predict_features(self, x):
         """Class ids for the rows of an (n, d) matrix of raw features."""
@@ -390,44 +402,27 @@ def save_model(model, path, extra_fields=None):
 
 def load_model(path):
     """The model in the JSON file at `path`, as save_model writes it. Its
-    feature_names and class_names must be lists of strings, each empty or
-    one per network input or output; its normalizer null or one finite
-    mean, finite positive std and constant flag per input. Every error
-    names the file."""
+    layer_sizes must be those of its weights; the records built from it
+    check the rest. Every error names the file."""
     doc = read_json_object(path, "model")
-    version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: model schema version {version!r} unsupported "
-            f"(expected {MODEL_SCHEMA_VERSION})"
-        )
-    nd = doc.get("normalizer")
-    if nd is not None and not isinstance(nd, dict):
-        raise ValueError(f"{path}: normalizer must be null or a JSON object, got {nd!r}")
     try:
-        net = Network(
-            layer_sizes=tuple(fields.as_number("layer_sizes", s, int)
-                              for s in doc["layer_sizes"]),
-            weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-        )
-        variant = ModelVariant(doc["variant"])
-        nrm = None if nd is None else Normalizer(
-            mean=nd["mean"], std=nd["std"], constant=nd["constant"])
+        version = doc.get("schema_version")
+        if version != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"model schema version {version!r} unsupported "
+                             f"(expected {MODEL_SCHEMA_VERSION})")
+        nd = doc.get("normalizer")
+        if nd is not None and not isinstance(nd, dict):
+            raise ValueError(f"normalizer must be null or a JSON object, got {nd!r}")
+        sizes = [fields.as_number("layer_sizes", s, int) for s in doc["layer_sizes"]]
+        net = Network(weights=doc["weights"], biases=doc["biases"])
+        if sizes != list(net.layer_sizes):
+            raise ValueError(f"layer_sizes {sizes} != the weights' {list(net.layer_sizes)}")
+        return TrainedModel(
+            network=net, variant=ModelVariant(doc["variant"]),
+            normalizer=None if nd is None else Normalizer(
+                mean=nd["mean"], std=nd["std"], constant=nd["constant"]),
+            feature_names=doc.get("feature_names", ()), class_names=doc.get("class_names", ()))
     except KeyError as e:
         raise ValueError(f"{path}: model file has no key {e}") from None
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: {e}") from None
-    names = {}
-    for key, size, side in (("feature_names", net.input_dim, "inputs"),
-                            ("class_names", net.num_classes, "outputs")):
-        names[key] = tuple(string_list(doc.get(key, []), key, path))
-        if names[key] and len(names[key]) != size:
-            raise ValueError(f"{path}: {len(names[key])} {key} for the "
-                             f"network's {size} {side}")
-    if nrm is not None and not (
-            nrm.mean.shape == nrm.std.shape == nrm.constant.shape == (net.input_dim,)
-            and np.all(np.isfinite(nrm.mean)) and np.all(np.isfinite(nrm.std) & (nrm.std > 0))):
-        raise ValueError(f"{path}: normalizer must hold one finite mean, finite positive "
-                         f"std and constant flag per network input ({net.input_dim})")
-    return TrainedModel(network=net, variant=variant, normalizer=nrm, **names)

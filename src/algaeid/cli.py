@@ -153,7 +153,7 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
         doc = read_json_object(truth_json, "ground truth")
         truth = segmentation.LabelMap(read_pgm(os.path.join(truth_dir, "truth.pgm")))
         try:
-            class_names = string_list(doc["class_names"], "class_names", truth_json)
+            class_names = string_list(doc["class_names"], f"{truth_json}: class_names")
             species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
         except KeyError as e:
             raise ValueError(f"{truth_dir}: truth.json has no key {e}") from None
@@ -169,6 +169,15 @@ def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
         for org, lab in zip(organisms, matched)
     ]
     return fvs, class_names
+
+
+def _stack_feature_names(variant, stack_dir, wavelengths):
+    """`features.feature_names` of the stack in `stack_dir`: a wavelength no
+    feature column can name fails here, naming the stack's manifest."""
+    try:
+        return features.feature_names(variant, wavelengths)
+    except ValueError as e:
+        raise ValueError(f"{os.path.join(stack_dir, MANIFEST_NAME)}: {e}") from None
 
 
 def _same_as_first(key, value, first, where):
@@ -188,10 +197,7 @@ def cmd_features(args, cfg, digest):
         corrected = _load_role(src, "corrected")
         wavelengths = _same_as_first(
             "wavelengths_nm", list(corrected.wavelengths_nm), wavelengths, src)
-        try:  # a wavelength no feature column can name fails here, naming its manifest
-            features.feature_names(features.ModelVariant.SPECTRAL_MORPHOLOGICAL, wavelengths)
-        except ValueError as e:
-            raise ValueError(f"{os.path.join(src, MANIFEST_NAME)}: {e}") from None
+        _stack_feature_names(features.ModelVariant.SPECTRAL_MORPHOLOGICAL, src, wavelengths)
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
         if not os.path.exists(labels_pgm):
             raise ValueError(f"label map not found: {labels_pgm}")
@@ -238,7 +244,7 @@ def _labeled_rows(csv_path):
     meta = _meta_path(csv_path)
     doc = read_json_object(meta, "feature meta") if os.path.exists(meta) else {}
     names = doc.get("class_names")
-    class_names = () if names is None else tuple(string_list(names, "class_names", meta))
+    class_names = () if names is None else tuple(string_list(names, f"{meta}: class_names"))
     top = max(fv.label for fv in labeled)
     if class_names and top >= len(class_names):
         raise ValueError(f"{csv_path}: label {top} has no class name in {meta}, "
@@ -294,14 +300,14 @@ def cmd_classify(args, cfg, digest):
     model = classifier.load_model(args.model)
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")
-        wavelengths = corrected.wavelengths_nm
+        names = _stack_feature_names(model.variant, args.input, corrected.wavelengths_nm)
         _, organisms, _ = segmentation.segment(corrected, **dataclasses.asdict(cfg.segmentation))
         fvs = [features.compute_features(org, corrected) for org in organisms]
     else:
         if not os.path.exists(args.input):
             raise ValueError(f"input not found: {args.input}")
         fvs, wavelengths = features.read_features_csv(args.input)
-    names = features.feature_names(model.variant, wavelengths)
+        names = features.feature_names(model.variant, wavelengths)
     if tuple(names) != model.feature_names:
         raise ValueError(f"{args.input}: input features {names} do not match the "
                          f"model's {list(model.feature_names)}")

@@ -62,21 +62,30 @@ class TTestResult:
     df: int
     p_value: float
     alpha: float
-    reject: bool
+
+    @property
+    def reject(self):
+        return self.p_value < self.alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class MccvReport:
-    """Per-run accuracies and confusion matrices for one variant, with the
-    seed and split settings needed to reproduce them."""
+    """Per-run confusion matrices, and so accuracies, for one variant, with
+    the seed and split settings needed to reproduce them."""
 
     variant: ModelVariant
-    accuracies: list
-    confusions: list
+    confusions: tuple
     master_seed: int
-    runs: int
     train_fraction: float
     class_names: tuple = ()
+
+    @property
+    def runs(self):
+        return len(self.confusions)
+
+    @property
+    def accuracies(self):
+        return [accuracy(cm) for cm in self.confusions]
 
     @property
     def mean(self):
@@ -186,12 +195,12 @@ def paired_t_test(a, b, alpha=0.01):
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(t=0.0, df=df, p_value=1.0, alpha=alpha, reject=False)
+            return TTestResult(t=0.0, df=df, p_value=1.0, alpha=alpha)
         t = math.inf if mean > 0 else -math.inf
-        return TTestResult(t=t, df=df, p_value=0.0, alpha=alpha, reject=0.0 < alpha)
+        return TTestResult(t=t, df=df, p_value=0.0, alpha=alpha)
     t = mean / (sd / math.sqrt(n))
     p = t_two_sided_p(t, df)
-    return TTestResult(t=t, df=df, p_value=p, alpha=alpha, reject=p < alpha)
+    return TTestResult(t=t, df=df, p_value=p, alpha=alpha)
 
 
 # --- Monte Carlo cross-validation ---
@@ -276,19 +285,14 @@ def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
         train_seeds, cfg=cfg, num_classes=k,
     )
 
-    accuracies = []
     confusions = []
     for (net, _), nrm, (_, test_idx) in zip(trained, normalizers, splits):
         y_pred = classifier.predict_batch(net, apply_normalizer(nrm, x[test_idx]))
-        cm = confusion_from_predictions(y[test_idx], y_pred, k)
-        confusions.append(cm)
-        accuracies.append(accuracy(cm))
+        confusions.append(confusion_from_predictions(y[test_idx], y_pred, k))
     return MccvReport(
         variant=variant,
-        accuracies=accuracies,
-        confusions=confusions,
+        confusions=tuple(confusions),
         master_seed=int(master_seed),
-        runs=runs,
         train_fraction=train_fraction,
         class_names=tuple(class_names),
     )

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import fields
 from .stack_io import atomic_write_bytes
 
 MORPHOLOGICAL_FEATURE_NAMES = (
@@ -196,9 +197,9 @@ class Normalizer:
     constant: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
-        object.__setattr__(self, "constant", np.asarray(self.constant, dtype=bool))
+        for name, kind in (("mean", float), ("std", float), ("constant", bool)):
+            object.__setattr__(self, name, fields.as_array(f"normalizer {name}",
+                                                           getattr(self, name), kind))
 
 
 def fit_normalizer(train):

@@ -1,10 +1,12 @@
-"""Type checks for numeric config fields, shared by the config dataclasses."""
+"""Type checks for numeric fields, shared by the config and model dataclasses."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 import numbers
+
+import numpy as np
 
 
 def as_number(name, value, kind=float):
@@ -19,6 +21,19 @@ def as_number(name, value, kind=float):
                             or float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return kind(value)
+
+
+def as_array(name, value, kind=float):
+    """`value`, an array or nested lists, as a numpy array of `kind`, float
+    or bool. Each entry must be a number (an int or a float, not a bool)
+    for float and a bool for bool; any other entry, such as a string, None
+    or a list that does not nest evenly, raises ValueError naming `name`."""
+    items = np.asarray(value, dtype=object)
+    for v in items.flat:
+        if isinstance(v, bool) != (kind is bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must hold only "
+                             f"{'booleans' if kind is bool else 'numbers'}, got {v!r}")
+    return items.astype(kind)
 
 
 def non_negative(obj, name):

@@ -158,11 +158,11 @@ def read_json_object(path, what):
     return doc
 
 
-def string_list(value, field, path):
-    """`value`, the `field` read from the file at `path`, which must be a
-    list of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{path}: {field} must be a list of strings, got {value!r}")
+def string_list(value, name):
+    """`value`, which must be a list (or tuple) of strings; an error names it
+    `name`."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
     return value
 
 
@@ -283,16 +283,14 @@ def load_stack(manifest_path):
             raise StackIOError(f"{manifest_path}: manifest missing field {key!r}")
     wavelengths = manifest["wavelengths_nm"]
     try:  # every error names the manifest
-        filenames = string_list(manifest["band_filenames"], "band_filenames", manifest_path)
+        filenames = string_list(manifest["band_filenames"], "band_filenames")
         if not isinstance(wavelengths, list):
-            raise ValueError(f"{manifest_path}: wavelengths_nm must be a list of numbers, "
-                             f"got {wavelengths!r}")
-        wavelengths = tuple(fields.as_number(f"{manifest_path}: wavelengths_nm", w)
-                            for w in wavelengths)
-        pitch = fields.as_number(f"{manifest_path}: pixel_pitch_um", manifest.get(
+            raise ValueError(f"wavelengths_nm must be a list of numbers, got {wavelengths!r}")
+        wavelengths = tuple(fields.as_number("wavelengths_nm", w) for w in wavelengths)
+        pitch = fields.as_number("pixel_pitch_um", manifest.get(
             "pixel_pitch_um", ImageStack.pixel_pitch_um))
     except ValueError as e:
-        raise StackIOError(str(e)) from None
+        raise StackIOError(f"{manifest_path}: {e}") from None
     base = os.path.dirname(manifest_path)
     bands = []
     for name in filenames:
@@ -300,9 +298,12 @@ def load_stack(manifest_path):
         if not os.path.exists(band_path):
             raise MissingBandFileError(f"band file not found: {band_path}")
         bands.append(read_pgm(band_path).astype(np.float64))
-    return ImageStack(
-        bands=tuple(bands),
-        wavelengths_nm=wavelengths,
-        pixel_pitch_um=pitch,
-        role_tag=str(manifest["role_tag"]),
-    )
+    try:
+        return ImageStack(
+            bands=tuple(bands),
+            wavelengths_nm=wavelengths,
+            pixel_pitch_um=pitch,
+            role_tag=str(manifest["role_tag"]),
+        )
+    except StackIOError as e:  # its subclass, such as WavelengthOrderError, is kept
+        raise type(e)(f"{manifest_path}: {e}") from None

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -18,9 +19,8 @@ from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
 from helpers import _reference_backward_batch, reference_train
 
 
-def tiny_net(weights, biases, sizes):
-    return Network(layer_sizes=sizes,
-                   weights=[np.array(w, dtype=np.float64) for w in weights],
+def tiny_net(weights, biases):
+    return Network(weights=[np.array(w, dtype=np.float64) for w in weights],
                    biases=[np.array(b, dtype=np.float64) for b in biases])
 
 
@@ -34,7 +34,7 @@ def test_relu_fixtures():
 def test_single_linear_layer_preactivation():
     # z = x . w + b with w=[1,1], b=0, x=[2,3] -> 5; softmax needs >= 2
     # outputs, so pair the unit with a dead second row
-    net = tiny_net([[[1.0, 1.0], [0.0, 0.0]]], [[0.0, 0.0]], (2, 2))
+    net = tiny_net([[[1.0, 1.0], [0.0, 0.0]]], [[0.0, 0.0]])
     probs = forward_batch(net, np.array([[2.0, 3.0]]))[0]
     z = np.array([5.0, 0.0])
     expected = np.exp(z - 5.0) / np.exp(z - 5.0).sum()
@@ -360,10 +360,8 @@ def test_descent_direction_property():
 
     grads_w, grads_b = backward(net, x, y)
     before = batch_loss(net)
-    stepped = net.copy()
-    for i in range(len(stepped.weights)):
-        stepped.weights[i] -= 1e-6 * grads_w[i]
-        stepped.biases[i] -= 1e-6 * grads_b[i]
+    stepped = Network(weights=[w - 1e-6 * g for w, g in zip(net.weights, grads_w)],
+                      biases=[b - 1e-6 * g for b, g in zip(net.biases, grads_b)])
     after = batch_loss(stepped)
     assert after <= before + 1e-12
 
@@ -389,10 +387,9 @@ def test_batch_gradient_is_mean_of_samples():
 def test_predict_argmax_and_ties():
     # equal logits for classes 2 and 4, both above the rest: tie resolves
     # to the smaller id
-    net = tiny_net(
-        [np.zeros((6, 2))], [[0.0, 0.0, 3.0, 0.0, 3.0, 0.0]], (2, 6))
+    net = tiny_net([np.zeros((6, 2))], [[0.0, 0.0, 3.0, 0.0, 3.0, 0.0]])
     assert predict_batch(net, np.zeros((1, 2)))[0] == 2
-    net2 = tiny_net([np.zeros((6, 2))], [[0.0, 5.0, 0.0, 0.0, 0.0, 0.0]], (2, 6))
+    net2 = tiny_net([np.zeros((6, 2))], [[0.0, 5.0, 0.0, 0.0, 0.0, 0.0]])
     assert predict_batch(net2, np.zeros((1, 2)))[0] == 1
 
 
@@ -450,10 +447,60 @@ def test_model_missing_key_named(tmp_path, key):
 
 
 def test_network_validation():
-    with pytest.raises(ValueError):
-        tiny_net([np.zeros((3, 2))], [np.zeros(3)], (2, 3, 4))
-    with pytest.raises(ValueError):
-        tiny_net([[[np.inf, 0.0], [0.0, 0.0]]], [[0.0, 0.0]], (2, 2))
-    with pytest.raises(ValueError):
-        Network(layer_sizes=(5, 1), weights=[np.zeros((1, 5))],
-                biases=[np.zeros(1)])  # k < 2
+    with pytest.raises(ValueError, match=r"^one weight matrix and bias vector per layer"):
+        Network(weights=[], biases=[])
+    with pytest.raises(ValueError, match=r"^one weight matrix and bias vector per layer"):
+        tiny_net([np.zeros((3, 2))], [])
+    with pytest.raises(ValueError, match=r"^one weight matrix and bias vector per layer"):
+        tiny_net([np.zeros(3)], [np.zeros(3)])
+    with pytest.raises(ValueError, match=r"^layer 1: weights \(2, 4\) and biases \(2,\) do "
+                                         r"not map 3 inputs to 2 outputs$"):
+        tiny_net([np.zeros((3, 2)), np.zeros((2, 4))], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError, match=r"^layer 0: weights \(3, 2\) and biases \(2,\) do "
+                                         r"not map 2 inputs to 3 outputs$"):
+        tiny_net([np.zeros((3, 2))], [np.zeros(2)])
+    with pytest.raises(ValueError, match=r"^layer 0: non-finite parameters$"):
+        tiny_net([[[np.inf, 0.0], [0.0, 0.0]]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^layer 0: non-finite parameters$"):
+        tiny_net([[[0.0, 0.0], [0.0, 0.0]]], [[np.nan, 0.0]])
+    with pytest.raises(ValueError, match=r"^output layer must have >= 2 classes$"):
+        Network(weights=[np.zeros((1, 5))], biases=[np.zeros(1)])  # k < 2
+
+
+def test_network_sizes_follow_from_weights():
+    net = tiny_net([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
+    assert net.layer_sizes == (3, 4, 2)
+    assert (net.input_dim, net.num_classes) == (3, 2)
+
+
+def test_records_are_frozen():
+    net = init_network(5, 6, np.random.default_rng(0))
+    model = TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.weights = [w * 0 for w in net.weights]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.network = init_network(5, 6, np.random.default_rng(1))
+    assert not hasattr(classifier.Network, "copy")
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda nrm: {"normalizer": nrm, "feature_names": ("a",) * 4},
+     "4 feature_names for the network's 5 inputs"),
+    (lambda nrm: {"normalizer": nrm, "class_names": "abcdef"},
+     "class_names must be a list of strings, got 'abcdef'"),
+    (lambda nrm: {"normalizer": Normalizer(mean=np.zeros(4), std=np.ones(4),
+                                           constant=np.zeros(4, dtype=bool))},
+     "normalizer must hold one finite mean, finite positive std and constant flag "
+     "per network input (5)"),
+    (lambda nrm: {"normalizer": Normalizer(mean=nrm.mean, std=nrm.std * 0,
+                                           constant=nrm.constant)},
+     "normalizer must hold one finite mean, finite positive std and constant flag "
+     "per network input (5)"),
+], ids=["feature-names-short", "class-names-string", "normalizer-short", "normalizer-zero-std"])
+def test_trained_model_checks_itself(edit, problem):
+    # the checks load_model relies on hold for a model built in memory too
+    net = init_network(5, 6, np.random.default_rng(0))
+    nrm = fit_normalizer(np.random.default_rng(1).normal(size=(10, 5)))
+    with pytest.raises(ValueError) as err:
+        TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL, **edit(nrm))
+    assert str(err.value) == problem

@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
+import re
 import shutil
 
 import pytest
 
-from algaeid import classifier, evaluation, synthgen
+from algaeid import classifier, evaluation, segmentation, synthgen
 from algaeid.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from algaeid.features import read_features_csv
 from algaeid.stack_io import load_stack
@@ -236,6 +239,35 @@ def test_mccv_outputs_independent_of_worker_count(pipeline, tmp_path, monkeypatc
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("command", ["train", "mccv"])
+def test_diverged_training_rejected(pipeline, tmp_path, capsys, monkeypatch, command):
+    # on the pipeline's 14 rows a learning rate of 1e6 drives the weights to
+    # about 1e122 but leaves them finite; 1e300 overflows them
+    doc = json.loads(pipeline["config"].read_text(encoding="utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, "train": {**doc["train"], "learning_rate": 1e300}}),
+                      encoding="utf-8")
+    shutdowns = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def shutdown(self, wait=True, **kwargs):
+            shutdowns.append(wait)
+            super().shutdown(wait, **kwargs)
+
+    # the mccv runs train in forked workers, and the error is raised in one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 3)
+    out = tmp_path / "out"
+    args = {"train": ["--variant", "spectral"], "mccv": ["--variants", "spectral"]}
+    assert main([command, str(pipeline["csv"]), *args[command], "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: training with seed \d+ diverged: "
+                        r"layer \d: non-finite parameters\n", capsys.readouterr().err)
+    assert not out.exists()
+    assert shutdowns == ([True] if command == "mccv" else [])
+    assert multiprocessing.active_children() == []
+
+
 def test_mccv_rejects_duplicate_variant(pipeline, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),
@@ -327,6 +359,19 @@ def _set(key, value):
     return lambda doc: {**doc, key: value}
 
 
+def _set_entry(value, *keys):
+    """An edit that sets the entry of the document at `keys` (keys and
+    indices, outermost first) to `value`, in a copy."""
+    def edit(doc):
+        doc = json.loads(json.dumps(doc))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return edit
+
+
 def _set_normalizer(key, edit):
     return lambda doc: {**doc, "normalizer": {**doc["normalizer"],
                                               key: edit(doc["normalizer"][key])}}
@@ -350,9 +395,22 @@ def _set_normalizer(key, edit):
      "normalizer must hold one finite mean, finite positive std and constant flag "
      "per network input (6)"),
     (_set("layer_sizes", "ab"), "layer_sizes must be a number, got 'a'"),
+    (_set("layer_sizes", [6, 12, 8, 6, 7]),
+     "layer_sizes [6, 12, 8, 6, 7] != the weights' [6, 12, 8, 6, 6]"),
+    (_set_entry("0.5", "weights", 0, 0, 0), "layer 0 weights must hold only numbers, got '0.5'"),
+    (_set_entry(True, "weights", 1, 2, 3), "layer 1 weights must hold only numbers, got True"),
+    (_set_entry(None, "biases", 3, 0), "layer 3 biases must hold only numbers, got None"),
+    (_set_entry("1", "normalizer", "mean", 0), "normalizer mean must hold only numbers, got '1'"),
+    (_set_entry(True, "normalizer", "std", 5), "normalizer std must hold only numbers, got True"),
+    (_set_normalizer("constant", lambda flags: ["x"] * len(flags)),
+     "normalizer constant must hold only booleans, got 'x'"),
+    (_set_entry(0, "normalizer", "constant", 2),
+     "normalizer constant must hold only booleans, got 0"),
 ], ids=["array", "invalid-json", "nan", "class-names-string", "class-names-mixed",
         "class-names-short", "feature-names-short", "normalizer-list", "normalizer-zero-std",
-        "normalizer-short-mean", "layer-sizes-string"])
+        "normalizer-short-mean", "layer-sizes-string", "layer-sizes-not-the-weights",
+        "weights-string", "weights-bool", "biases-null", "normalizer-mean-string",
+        "normalizer-std-bool", "normalizer-constant-string", "normalizer-constant-number"])
 def test_model_file_checked(pipeline, model_doc, tmp_path, capsys, edit, problem):
     model = tmp_path / "model.json"
     text = edit if isinstance(edit, str) else json.dumps(edit(model_doc))
@@ -396,8 +454,14 @@ def _set_wavelength(index, value):
     (_set("band_filenames", "band_00.pgm"),
      "band_filenames must be a list of strings, got 'band_00.pgm'"),
     (_set("pixel_pitch_um", None), "pixel_pitch_um must be a number, got None"),
+    (lambda doc: {**doc, "wavelengths_nm": doc["wavelengths_nm"][:5]},
+     "5 wavelengths for 6 bands"),
+    (_set_wavelength(1, 405.0),
+     "wavelengths_nm must be strictly increasing, got (405.0, 405.0, 450.0, 470.0, 500.0, 530.0)"),
+    (_set("role_tag", "bogus"),
+     "role_tag must be one of ('raw', 'background', 'corrected'), got 'bogus'"),
 ], ids=["nan", "infinity", "true", "string", "not-a-list", "band-filenames-string",
-        "pitch-null"])
+        "pitch-null", "wavelength-count", "wavelengths-not-increasing", "role-tag-unknown"])
 def test_manifest_fields_checked(pipeline, tmp_path, capsys, edit, problem):
     corrected = _edit_manifests(pipeline, tmp_path, edit)
     out = tmp_path / "features.csv"
@@ -416,6 +480,27 @@ def test_features_rejects_fractional_wavelength(pipeline, tmp_path, capsys):
         scenes=("scene_000", "scene_001"))
     out = tmp_path / "features.csv"
     assert main(["features", str(corrected), str(pipeline["segmented"]),
+                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corrected / 'scene_000' / 'stack.json'}: wavelength 405.2 nm is not a "
+        "whole number of nm, so no feature column can name it\n")
+    assert not out.exists()
+
+
+def test_classify_stack_rejects_fractional_wavelength(pipeline, model_doc, tmp_path, capsys,
+                                                      monkeypatch):
+    # the stack's manifest is named, and the stack is not segmented first
+    def segment(*args, **kwargs):
+        raise AssertionError("segmented before the feature names were checked")
+
+    monkeypatch.setattr(segmentation, "segment", segment)
+    corrected = _edit_manifests(
+        pipeline, tmp_path,
+        lambda doc: {**doc, "wavelengths_nm": [405.2] + doc["wavelengths_nm"][1:]})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_doc), encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    assert main(["classify", str(model), str(corrected / "scene_000"),
                  "--config", str(pipeline["config"]), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {corrected / 'scene_000' / 'stack.json'}: wavelength 405.2 nm is not a "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -291,10 +292,17 @@ def test_run_mccv_validation():
 
 
 def _fake_report(variant, accs, k=3):
-    cms = [ConfusionMatrix(np.eye(k, dtype=int) * 5) for _ in accs]
-    return MccvReport(variant=variant, accuracies=list(accs), confusions=cms,
-                      master_seed=0, runs=len(accs), train_fraction=0.7,
-                      class_names=("a", "b", "c"))
+    # 100 samples per run, round(100 * acc) of them on the diagonal
+    cms = []
+    for acc in accs:
+        counts = np.zeros((k, k), dtype=int)
+        counts[0, 0] = round(100 * acc)
+        counts[0, 1] = 100 - counts[0, 0]
+        cms.append(ConfusionMatrix(counts))
+    rep = MccvReport(variant=variant, confusions=tuple(cms), master_seed=0,
+                     train_fraction=0.7, class_names=("a", "b", "c"))
+    assert rep.accuracies == list(accs) and rep.runs == len(accs)
+    return rep
 
 
 def test_build_report_three_variants():
@@ -319,6 +327,15 @@ def test_build_report_three_variants():
             doc["variants"][name]["std_accuracy"]
         assert parsed["variants"][name]["accuracies"] == \
             doc["variants"][name]["accuracies"]
+
+
+def test_mccv_records_are_frozen():
+    res = paired_t_test([0.5, 0.6, 0.7], [0.4, 0.6, 0.5])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.p_value = 0.0
+    rep = _fake_report(ModelVariant.SPECTRAL, [0.9, 0.95])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.confusions = ()
 
 
 def test_report_without_ttests():
