@@ -20,8 +20,9 @@ import sys
 import numpy as np
 
 from . import classifier, evaluation, features, illumination, segmentation, synthgen
-from .stack_io import (MANIFEST_NAME, atomic_write_bytes, atomic_write_json,
-                       load_stack, read_json_object, read_pgm, save_stack, string_list)
+from .stack_io import (MANIFEST_NAME, atomic_write_bytes, atomic_write_csv,
+                       atomic_write_json, load_stack, read_json_object, read_pgm,
+                       save_stack, string_list)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,14 +105,11 @@ def cmd_synth(args, cfg, digest):
     catalog = synthgen.default_catalog()
     scenes = synthgen.generate_corpus(catalog, cfg.synth.scenes, cfg.synth.scene_spec(),
                                       master_seed=cfg.synth.master_seed)
-    os.makedirs(args.out, exist_ok=True)
+    provenance = {"config_sha256": digest}
     for i, scene in enumerate(scenes):
         scene_dir = os.path.join(args.out, f"scene_{i:03d}")
-        save_stack(scene.stack, scene_dir, extra_fields={"config_sha256": digest})
-        segmentation.labelmap_to_pgm(scene.truth, os.path.join(scene_dir, "truth.pgm"))
-        truth_doc = synthgen.ground_truth_json(scene, catalog)
-        truth_doc["config_sha256"] = digest
-        atomic_write_json(os.path.join(scene_dir, "truth.json"), truth_doc)
+        save_stack(scene.stack, scene_dir, extra_fields=provenance)
+        synthgen.save_ground_truth(scene, catalog, scene_dir, extra_fields=provenance)
     print(f"wrote {len(scenes)} scene(s) to {args.out}")
     return 0
 
@@ -128,47 +126,14 @@ def cmd_correct(args, cfg, digest):
 
 def cmd_segment(args, cfg, digest):
     for _, src, dst in _scene_dirs(args.input, args.out):
-        labels, organisms, thresholds = segmentation.segment(
-            _load_role(src, "corrected"), **dataclasses.asdict(cfg.segmentation))
+        seg = segmentation.segment(_load_role(src, "corrected"),
+                                   **dataclasses.asdict(cfg.segmentation))
         os.makedirs(dst, exist_ok=True)
-        segmentation.labelmap_to_pgm(labels, os.path.join(dst, "labels.pgm"))
-        atomic_write_json(os.path.join(dst, "organisms.json"), {
-            "config_sha256": digest,
-            "component_count": labels.count,
-            "thresholds": thresholds,
-            "organisms": segmentation.organisms_to_json(organisms),
-        })
+        segmentation.labelmap_to_pgm(seg.labels, os.path.join(dst, "labels.pgm"))
+        atomic_write_json(os.path.join(dst, "organisms.json"),
+                          {**segmentation.segmentation_json(seg), "config_sha256": digest})
     print(f"segmentation written to {args.out}")
     return 0
-
-
-def _features_for_scene(corrected, labels_pgm, cfg, truth_dir=None):
-    labels = segmentation.LabelMap(read_pgm(labels_pgm))
-    organisms = segmentation.extract_organisms(
-        labels, corrected, min_area_px=cfg.segmentation.min_area_px)
-    matched = [None] * len(organisms)
-    class_names = None
-    if truth_dir is not None:
-        truth_json = os.path.join(truth_dir, "truth.json")
-        doc = read_json_object(truth_json, "ground truth")
-        truth = segmentation.LabelMap(read_pgm(os.path.join(truth_dir, "truth.pgm")))
-        try:
-            class_names = string_list(doc["class_names"], f"{truth_json}: class_names")
-            species_by_id = {o["id"]: o["species_index"] for o in doc["organisms"]}
-        except KeyError as e:
-            raise ValueError(f"{truth_dir}: truth.json has no key {e}") from None
-        except TypeError:
-            raise ValueError(f"{truth_json}: organisms must be a list of objects") from None
-        ids = synthgen.majority_truth_ids(organisms, truth)
-        for i in ids:
-            if i is not None and i not in species_by_id:
-                raise ValueError(f"{truth_dir}: truth.pgm id {i} has no record in truth.json")
-        matched = [None if i is None else species_by_id[i] for i in ids]
-    fvs = [
-        features.compute_features(org, corrected, label=lab)
-        for org, lab in zip(organisms, matched)
-    ]
-    return fvs, class_names
 
 
 def _stack_feature_names(variant, stack_dir, wavelengths):
@@ -201,20 +166,26 @@ def cmd_features(args, cfg, digest):
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
         if not os.path.exists(labels_pgm):
             raise ValueError(f"label map not found: {labels_pgm}")
-        fvs, names = _features_for_scene(corrected, labels_pgm, cfg, truth_dir)
-        class_names = _same_as_first("class_names", names, class_names, truth_dir)
+        organisms = segmentation.extract_organisms(
+            segmentation.LabelMap(read_pgm(labels_pgm)), corrected,
+            min_area_px=cfg.segmentation.min_area_px)
+        matched = [None] * len(organisms)
+        if truth_dir is not None:
+            truth, planted, names = synthgen.read_ground_truth(truth_dir)
+            class_names = _same_as_first("class_names", names, class_names, truth_dir)
+            try:
+                matched = synthgen.match_organisms_to_truth(organisms, truth, planted)
+            except ValueError as e:
+                raise ValueError(f"{truth_dir}: {e}") from None
         prefix = f"{name}:" if name else ""
-        all_fvs += [dataclasses.replace(fv, organism_id=f"{prefix}{fv.organism_id}")
-                    for fv in fvs]
+        all_fvs += [dataclasses.replace(features.compute_features(org, corrected, label=lab),
+                                        organism_id=f"{prefix}{org.id}")
+                    for org, lab in zip(organisms, matched)]
     if not all_fvs:
         raise ValueError(f"{args.corrected}: no organisms found to featurize")
     features.write_features_csv(args.out, all_fvs, wavelengths)
-    atomic_write_json(_meta_path(args.out), {
-        "config_sha256": digest,
-        "class_names": class_names,
-        "wavelengths_nm": wavelengths,
-        "rows": len(all_fvs),
-    })
+    atomic_write_json(_meta_path(args.out), {"config_sha256": digest, "class_names": class_names,
+                                             "wavelengths_nm": wavelengths, "rows": len(all_fvs)})
     print(f"wrote {len(all_fvs)} feature rows to {args.out}")
     return 0
 
@@ -301,8 +272,8 @@ def cmd_classify(args, cfg, digest):
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")
         names = _stack_feature_names(model.variant, args.input, corrected.wavelengths_nm)
-        _, organisms, _ = segmentation.segment(corrected, **dataclasses.asdict(cfg.segmentation))
-        fvs = [features.compute_features(org, corrected) for org in organisms]
+        seg = segmentation.segment(corrected, **dataclasses.asdict(cfg.segmentation))
+        fvs = [features.compute_features(org, corrected) for org in seg.organisms]
     else:
         if not os.path.exists(args.input):
             raise ValueError(f"input not found: {args.input}")
@@ -314,16 +285,11 @@ def cmd_classify(args, cfg, digest):
     if not fvs:
         raise ValueError(f"{args.input}: nothing to classify")
     preds = model.predict_features(features.assemble(fvs, model.variant))
-    lines = ["organism_id,predicted_label,predicted_class"]
-    for fv, p in zip(fvs, preds):
-        name = model.class_names[int(p)] if model.class_names else ""
-        lines.append(f"{fv.organism_id},{int(p)},{name}")
-    atomic_write_bytes(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-    atomic_write_json(_meta_path(args.out), {
-        "config_sha256": digest,
-        "model": os.path.abspath(args.model),
-        "rows": len(fvs),
-    })
+    atomic_write_csv(args.out, [("organism_id", "predicted_label", "predicted_class")] + [
+        (fv.organism_id, int(p), model.class_names[int(p)] if model.class_names else "")
+        for fv, p in zip(fvs, preds)])
+    atomic_write_json(_meta_path(args.out), {"config_sha256": digest, "rows": len(fvs),
+                                             "model": os.path.abspath(args.model)})
     print(f"wrote {len(fvs)} predictions to {args.out}")
     return 0
 

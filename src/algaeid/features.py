@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import fields
-from .stack_io import atomic_write_bytes
+from .stack_io import atomic_write_csv
 
 MORPHOLOGICAL_FEATURE_NAMES = (
     "area", "convex_area", "eccentricity", "equivalent_diameter", "extent",
@@ -220,23 +220,18 @@ def apply_normalizer(nrm, x):
 
 
 def write_features_csv(path, fvs, wavelengths_nm):
-    """One row per organism; UTF-8, LF line endings, fixed header order."""
-    header = ["organism_id", "label"] + feature_names(
-        ModelVariant.SPECTRAL_MORPHOLOGICAL, wavelengths_nm)
-    lines = [",".join(header)]
+    """One row per organism; UTF-8, LF line endings, fixed header order, a
+    field quoted only where it needs it. The csv writer writes None as ""
+    and floats with `repr`, so they round-trip exactly."""
+    rows = [["organism_id", "label"] + feature_names(
+        ModelVariant.SPECTRAL_MORPHOLOGICAL, wavelengths_nm)]
     for fv in fvs:
         if len(fv.spectral) != len(wavelengths_nm):
-            raise ValueError(
-                f"organism {fv.organism_id}: {len(fv.spectral)} spectral values "
-                f"for {len(wavelengths_nm)} wavelengths"
-            )
-        row = [str(fv.organism_id),
-               "" if fv.label is None else str(fv.label),
-               str(fv.area), str(fv.convex_area),
-               repr(fv.eccentricity), repr(fv.equivalent_diameter),
-               repr(fv.extent)] + [repr(s) for s in fv.spectral]
-        lines.append(",".join(row))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+            raise ValueError(f"organism {fv.organism_id}: {len(fv.spectral)} spectral "
+                             f"values for {len(wavelengths_nm)} wavelengths")
+        rows.append([fv.organism_id, fv.label, fv.area, fv.convex_area, fv.eccentricity,
+                     fv.equivalent_diameter, fv.extent, *fv.spectral])
+    atomic_write_csv(path, rows)
 
 
 def read_features_csv(path):

@@ -23,6 +23,14 @@ def as_number(name, value, kind=float):
     return kind(value)
 
 
+def as_numbers(name, value):
+    """`value`, a list or tuple of numbers, as a tuple of `as_number` floats;
+    anything else raises ValueError naming `name`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(as_number(name, v) for v in value)
+
+
 def as_array(name, value, kind=float):
     """`value`, an array or nested lists, as a numpy array of `kind`, float
     or bool. Each entry must be a number (an int or a float, not a bool)

@@ -218,19 +218,27 @@ def extract_organisms(labels, corrected, min_area_px=SegmentationConfig.min_area
     return organisms
 
 
+@dataclass(frozen=True)
+class Segmentation:
+    """The segmentation of one stack: the Otsu threshold per band, in band
+    order, the label map, and the organisms kept, in id order."""
+
+    thresholds: tuple
+    labels: LabelMap
+    organisms: tuple
+
+
 def segment(corrected, num_bins=SegmentationConfig.num_bins,
             min_area_px=SegmentationConfig.min_area_px):
-    """The whole segmentation of a corrected stack: an Otsu threshold per
+    """The whole Segmentation of a corrected stack: an Otsu threshold per
     band, the union of the band masks, 8-connected labelling, and the
     organisms of at least `min_area_px` pixels.
-
-    Returns (labels, organisms, thresholds), thresholds in band order.
     """
-    thresholds = [otsu_threshold(band, num_bins=num_bins) for band in corrected.bands]
+    thresholds = tuple(otsu_threshold(band, num_bins=num_bins) for band in corrected.bands)
     masks = [binarize(band, t) for band, t in zip(corrected.bands, thresholds)]
     labels = connected_components(fuse_masks(masks))
     organisms = extract_organisms(labels, corrected, min_area_px=min_area_px)
-    return labels, organisms, thresholds
+    return Segmentation(thresholds, labels, tuple(organisms))
 
 
 def labelmap_to_pgm(labels, path):
@@ -247,14 +255,13 @@ def labelmap_to_pgm(labels, path):
     write_pgm16(path, labels.labels.astype(np.float64))
 
 
-def organisms_to_json(organisms):
-    """JSON-ready summary per organism: id, bbox, area, border flag."""
-    return [
-        {
-            "id": org.id,
-            "bbox": list(org.bbox),
-            "area": org.area,
-            "touches_border": org.touches_border,
-        }
-        for org in organisms
-    ]
+def segmentation_json(seg):
+    """JSON-ready organisms.json document of a Segmentation: the component
+    count, the thresholds, and per organism its id, bbox, area and border
+    flag."""
+    return {
+        "component_count": seg.labels.count,
+        "thresholds": list(seg.thresholds),
+        "organisms": [{"id": org.id, "bbox": list(org.bbox), "area": org.area,
+                       "touches_border": org.touches_border} for org in seg.organisms],
+    }

@@ -8,8 +8,11 @@ a float64 array so processing never quantizes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -139,6 +142,14 @@ def atomic_write_json(path, obj):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def atomic_write_csv(path, rows):
+    """Write rows of fields as UTF-8 CSV with LF line endings, quoting only
+    the fields that hold a comma, a quote or a newline."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    atomic_write_bytes(path, text.getvalue().encode("utf-8"))
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not a number")
 
@@ -181,31 +192,11 @@ def write_pgm16(path, array):
     atomic_write_bytes(path, header + q.tobytes())
 
 
-def _read_pgm_tokens(data, count):
-    """Return the first `count` whitespace-separated header tokens,
-    skipping '#' comments, plus the offset just past the final delimiter."""
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        if i >= n:
-            raise StackIOError("truncated PGM header")
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < n and data[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    # exactly one whitespace byte separates the header from the raster
-    if i >= n or not data[i:i + 1].isspace():
-        raise StackIOError("malformed PGM header")
-    return tokens, i + 1
+# "P5", then width, height and maxval, then exactly one whitespace byte
+# before the raster. A separator is a whitespace byte or a '#' comment with
+# the newline that ends it; the width may follow "P5" directly.
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)"
+_PGM_HEADER = re.compile(rb"P5%s*([^\s#]+)%s+([^\s#]+)%s+([^\s#]+)\s" % ((_PGM_SEP,) * 3))
 
 
 def read_pgm(path):
@@ -214,10 +205,12 @@ def read_pgm(path):
         data = fh.read()
     if data[:2] != b"P5":
         raise StackIOError(f"{path}: not a binary PGM (P5) file")
-    tokens, offset = _read_pgm_tokens(data[2:], 3)
-    offset += 2
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise StackIOError(f"{path}: truncated or malformed PGM header")
+    offset = header.end()
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError:
         raise StackIOError(f"{path}: non-numeric PGM header") from None
     if width < 1 or height < 1:
@@ -281,12 +274,9 @@ def load_stack(manifest_path):
     for key in ("wavelengths_nm", "band_filenames", "role_tag"):
         if key not in manifest:
             raise StackIOError(f"{manifest_path}: manifest missing field {key!r}")
-    wavelengths = manifest["wavelengths_nm"]
     try:  # every error names the manifest
         filenames = string_list(manifest["band_filenames"], "band_filenames")
-        if not isinstance(wavelengths, list):
-            raise ValueError(f"wavelengths_nm must be a list of numbers, got {wavelengths!r}")
-        wavelengths = tuple(fields.as_number("wavelengths_nm", w) for w in wavelengths)
+        wavelengths = fields.as_numbers("wavelengths_nm", manifest["wavelengths_nm"])
         pitch = fields.as_number("pixel_pitch_um", manifest.get(
             "pixel_pitch_um", ImageStack.pixel_pitch_um))
     except ValueError as e:

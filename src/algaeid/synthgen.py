@@ -10,19 +10,26 @@ always renders bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from . import fields
-from .segmentation import LabelMap, connected_components
-from .stack_io import ImageStack
+from .segmentation import LabelMap, connected_components, labelmap_to_pgm
+from .stack_io import (ImageStack, atomic_write_json, read_json_object, read_pgm,
+                       string_list)
 
 SHAPE_FAMILIES = (
     "disk-colony", "paired-cells", "filament", "spindle", "flagellate-ellipse",
 )
 
 DEFAULT_WAVELENGTHS_NM = (405.0, 420.0, 450.0, 470.0, 500.0, 530.0)
+
+TRUTH_PGM = "truth.pgm"
+TRUTH_JSON = "truth.json"
+# the truth.json key of each PlantedOrganism field, in field order
+_TRUTH_RECORD_KEYS = ("id", "species_index", "species", "pixel_count", "signature")
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,11 @@ class PlantedOrganism:
     species_name: str
     pixel_count: int
     signature: tuple       # per-band planted intensity (jitter applied)
+
+    def __post_init__(self):
+        fields.coerce(self)
+        fields.non_negative(self, "species_index")
+        object.__setattr__(self, "signature", fields.as_numbers("signature", self.signature))
 
 
 @dataclass(frozen=True)
@@ -345,37 +357,55 @@ def generate_corpus(catalog, n_scenes, scene_template=None, master_seed=0):
     return scenes
 
 
-def majority_truth_ids(organisms, truth):
-    """Ground-truth id covering most pixels of each extracted organism (ties
-    go to the smaller id); None when an organism overlaps no planted one."""
-    ids_per_organism = []
+def match_organisms_to_truth(organisms, truth, planted):
+    """Species index per extracted organism: that of the ground-truth id
+    covering most of its pixels (ties go to the smaller id), or None when
+    it overlaps no planted organism. A majority id with no record among
+    `planted` raises ValueError."""
+    species_by_id = {p.id: p.species_index for p in planted}
+    matched = []
     for org in organisms:
         ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
         ids = ids[ids > 0]
-        ids_per_organism.append(int(np.argmax(np.bincount(ids))) if len(ids) else None)
-    return ids_per_organism
-
-
-def match_organisms_to_truth(organisms, truth, planted):
-    """Species index per extracted organism by majority overlap with the
-    ground-truth label map; None when an organism overlaps no planted one."""
-    species_by_id = {p.id: p.species_index for p in planted}
-    return [None if i is None else species_by_id[i]
-            for i in majority_truth_ids(organisms, truth)]
+        top = int(np.argmax(np.bincount(ids))) if len(ids) else None
+        if top is not None and top not in species_by_id:
+            raise ValueError(f"truth.pgm id {top} has no record in truth.json")
+        matched.append(species_by_id.get(top))
+    return matched
 
 
 def ground_truth_json(scene, catalog):
-    """JSON-ready ground truth: one record per planted organism."""
-    return {
-        "class_names": [sp.name for sp in catalog],
-        "organisms": [
-            {
-                "id": p.id,
-                "species_index": p.species_index,
-                "species": p.species_name,
-                "pixel_count": p.pixel_count,
-                "signature": list(p.signature),
-            }
-            for p in scene.organisms
-        ],
-    }
+    """JSON-ready ground truth: the class names and one record per planted
+    organism."""
+    return {"class_names": [sp.name for sp in catalog],
+            "organisms": [dict(zip(_TRUTH_RECORD_KEYS, astuple(p))) for p in scene.organisms]}
+
+
+def save_ground_truth(scene, catalog, directory, extra_fields=None):
+    """Write the scene's truth label map and its `ground_truth_json`, with
+    `extra_fields` added, into `directory`."""
+    os.makedirs(directory, exist_ok=True)
+    labelmap_to_pgm(scene.truth, os.path.join(directory, TRUTH_PGM))
+    atomic_write_json(os.path.join(directory, TRUTH_JSON),
+                      {**ground_truth_json(scene, catalog), **(extra_fields or {})})
+
+
+def read_ground_truth(directory):
+    """(truth LabelMap, PlantedOrganism records, class_names) of the ground
+    truth that `save_ground_truth` wrote into `directory`; errors name the
+    file or, for a missing key, the directory."""
+    path = os.path.join(directory, TRUTH_JSON)
+    doc = read_json_object(path, "ground truth")
+    truth = LabelMap(read_pgm(os.path.join(directory, TRUTH_PGM)))
+    try:
+        class_names = string_list(doc["class_names"], "class_names")
+        records = doc["organisms"]
+        if not isinstance(records, list) or not all(isinstance(o, dict) for o in records):
+            raise ValueError("organisms must be a list of objects")
+        planted = tuple(PlantedOrganism(*(o[key] for key in _TRUTH_RECORD_KEYS))
+                        for o in records)
+    except KeyError as e:
+        raise ValueError(f"{directory}: truth.json has no key {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return truth, planted, class_names

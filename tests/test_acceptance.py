@@ -24,7 +24,7 @@ from algaeid.illumination import (CorrectionConfig, estimate_background,
 from algaeid.segmentation import connected_components, otsu_index, segment
 from algaeid.stack_io import ImageStack, load_stack, save_stack
 from algaeid.synthgen import (SceneSpec, default_catalog, generate_corpus,
-                              majority_truth_ids)
+                              match_organisms_to_truth)
 
 from helpers import (disk_pixels, ellipse_pixels, flood_fill_components,
                      oracle_otsu_index, organism_from_pixels,
@@ -59,16 +59,16 @@ def corpus():
     for scene in scenes:
         background = estimate_background(scene.stack, CorrectionConfig())
         corrected = subtract_background(scene.stack, background, clamp=True)
-        _, organisms, _ = segment(corrected)
-        planted_by_id = {p.id: p for p in scene.organisms}
-        for org, truth_id in zip(organisms, majority_truth_ids(organisms, scene.truth)):
-            planted = None if truth_id is None else planted_by_id[truth_id]
-            fv = compute_features(
-                org, corrected, label=None if planted is None else planted.species_index)
+        organisms = segment(corrected).organisms
+        labels = match_organisms_to_truth(organisms, scene.truth, scene.organisms)
+        for org, label in zip(organisms, labels):
+            fv = compute_features(org, corrected, label=label)
             fvs.append(fv)
-            if planted is not None:
+            if label is not None:
+                # each organism's planted signature is its species' one
+                # times a positive factor, so both rank the bands alike
                 rank_total += 1
-                if tuple(np.argsort(planted.signature)) == \
+                if tuple(np.argsort(catalog[label].signature)) == \
                         tuple(np.argsort(fv.spectral)):
                     rank_ok += 1
     return {

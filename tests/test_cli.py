@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import multiprocessing
 import os
@@ -121,6 +122,27 @@ def test_features_rejects_truth_files_that_disagree(pipeline, tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {raw / 'scene_000'}: {problem}\n"
+
+
+def test_scene_name_with_comma(pipeline, tmp_path):
+    # a scene's name starts each of its organism ids, so the feature and
+    # prediction files quote it
+    trees = {}
+    for tree in ("corrected", "segmented", "raw"):
+        trees[tree] = shutil.copytree(pipeline[tree], tmp_path / tree)
+        (trees[tree] / "scene_001").rename(trees[tree] / "scene,001")
+    cfg = ["--config", str(pipeline["config"])]
+    features, model, pred = (tmp_path / name for name in ("f.csv", "model.json", "pred.csv"))
+    assert main(["features", str(trees["corrected"]), str(trees["segmented"]),
+                 "--truth", str(trees["raw"]), *cfg, "--out", str(features)]) == 0
+    assert main(["train", str(features), "--variant", "spectral", *cfg,
+                 "--out", str(model)]) == 0
+    assert main(["classify", str(model), str(features), *cfg, "--out", str(pred)]) == 0
+    fvs, _ = read_features_csv(features)
+    ids = [fv.organism_id for fv in fvs]
+    assert sorted({i.split(":")[0] for i in ids}) == ["scene,001", "scene_000"]
+    with open(pred, encoding="utf-8", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["organism_id", *ids]
 
 
 def test_features_rerun_byte_identical(pipeline):

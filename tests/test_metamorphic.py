@@ -61,21 +61,20 @@ def test_segmentation_commutes_with_flips(corrected_scenes, scene, window, name)
     whole = corrected_scenes[scene]
     stack = whole.with_bands([b[WINDOWS[window]] for b in whole.bands], role_tag="corrected")
     moved = stack.with_bands([transform(b) for b in stack.bands], role_tag="corrected")
-    labels, organisms, thresholds = segment(stack)
-    labels_t, organisms_t, thresholds_t = segment(moved)
+    seg, seg_t = segment(stack), segment(moved)
 
-    assert thresholds_t == thresholds
+    assert seg_t.thresholds == seg.thresholds
 
     # the same partition of the same foreground, with ids renumbered
-    a, b = transform(labels.labels), labels_t.labels
+    a, b = transform(seg.labels.labels), seg_t.labels.labels
     assert np.array_equal(a > 0, b > 0)
     fg = a > 0
     pairs = np.unique(np.stack([a[fg], b[fg]], axis=1), axis=0)
     assert len(pairs) == len(np.unique(pairs[:, 0])) == len(np.unique(pairs[:, 1]))
     id_t = dict(pairs.tolist())
 
-    fvs = {o.id: (compute_features(o, stack), o) for o in organisms}
-    fvs_t = {o.id: (compute_features(o, moved), o) for o in organisms_t}
+    fvs = {o.id: (compute_features(o, stack), o) for o in seg.organisms}
+    fvs_t = {o.id: (compute_features(o, moved), o) for o in seg_t.organisms}
     assert sorted(id_t[i] for i in fvs) == sorted(fvs_t)
     for i, (fv, org) in fvs.items():
         fv_t, org_t = fvs_t[id_t[i]]

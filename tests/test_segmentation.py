@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from algaeid.segmentation import (DegenerateBandError, LabelMap, Organism,
-                                  binarize, connected_components,
+                                  Segmentation, binarize, connected_components,
                                   extract_organisms, fuse_masks,
-                                  labelmap_to_pgm, organisms_to_json,
-                                  otsu_index, otsu_threshold, segment)
+                                  labelmap_to_pgm, otsu_index, otsu_threshold,
+                                  segment, segmentation_json)
 from algaeid.stack_io import ImageStack, read_pgm
 
 from helpers import flood_fill_components, oracle_otsu_index, random_histogram
@@ -276,13 +276,14 @@ def test_segment_equals_explicit_chain():
     bands[1][35, 3:6] += 80.0
     corrected = _stack_like((40, 48)).with_bands(bands, role_tag="corrected")
 
-    labels, orgs, thresholds = segment(corrected, num_bins=64, min_area_px=8)
+    seg = segment(corrected, num_bins=64, min_area_px=8)
+    labels, orgs = seg.labels, seg.organisms
 
-    want_thresholds = [otsu_threshold(b, num_bins=64) for b in corrected.bands]
+    want_thresholds = tuple(otsu_threshold(b, num_bins=64) for b in corrected.bands)
     want_labels = connected_components(fuse_masks(
         [binarize(b, t) for b, t in zip(corrected.bands, want_thresholds)]))
     want_orgs = extract_organisms(want_labels, corrected, min_area_px=8)
-    assert thresholds == want_thresholds
+    assert seg.thresholds == want_thresholds
     assert labels.count == want_labels.count
     assert np.array_equal(labels.labels, want_labels.labels)
     assert [o.id for o in orgs] == [o.id for o in want_orgs]
@@ -299,7 +300,8 @@ def test_organism_invariants():
 def test_organisms_json_bbox_is_python_ints():
     rng = np.random.default_rng(24)
     lab = connected_components(rng.random((30, 30)) < 0.4)
-    doc = organisms_to_json(extract_organisms(lab, _stack_like((30, 30)), min_area_px=1))
+    orgs = extract_organisms(lab, _stack_like((30, 30)), min_area_px=1)
+    doc = segmentation_json(Segmentation((), lab, tuple(orgs)))["organisms"]
     assert doc and all(type(v) is int for rec in doc for v in rec["bbox"])
     json.dumps(doc)  # numpy integers would not serialize
 
@@ -326,9 +328,9 @@ def test_organisms_json_round_trip():
     lab[0:3, 0:3] = 1
     stack = _stack_like((8, 8))
     orgs = extract_organisms(LabelMap(lab), stack, min_area_px=1)
-    doc = organisms_to_json(orgs)
-    parsed = json.loads(json.dumps(doc))
-    assert parsed[0]["id"] == 1
-    assert parsed[0]["area"] == 9
-    assert parsed[0]["bbox"] == [0, 0, 2, 2]
-    assert parsed[0]["touches_border"] is True
+    doc = segmentation_json(Segmentation((12.5,), LabelMap(lab), tuple(orgs)))
+    assert json.loads(json.dumps(doc)) == {
+        "component_count": 1,
+        "thresholds": [12.5],
+        "organisms": [{"id": 1, "area": 9, "bbox": [0, 0, 2, 2], "touches_border": True}],
+    }

@@ -150,6 +150,28 @@ def test_eight_bit_pgm_loads(tmp_path):
     assert np.array_equal(a, np.array([[0, 10], [200, 255]]))
 
 
+@pytest.mark.parametrize("header", [
+    b"P52 1 255\n",
+    b"P5 2 # width, then height\n1\n255\n",
+    b"P5\t2\r1\t255\r",
+], ids=["token-glued-to-magic", "comment-between-tokens", "tab-and-cr"])
+def test_pgm_header_accepted(tmp_path, header):
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header + bytes([7, 9]))
+    assert np.array_equal(read_pgm(p), [[7, 9]])
+
+
+@pytest.mark.parametrize("data", [
+    b"P5 2 1 # comment runs to the end of the file",
+    b"P5 2 1 255#\n" + bytes([7, 9]),
+], ids=["comment-without-newline", "comment-after-maxval"])
+def test_pgm_header_rejected(tmp_path, data):
+    p = tmp_path / "h.pgm"
+    p.write_bytes(data)
+    with pytest.raises(StackIOError, match="PGM header"):
+        read_pgm(p)
+
+
 def test_non_pgm_rejected(tmp_path):
     p = tmp_path / "x.pgm"
     p.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")

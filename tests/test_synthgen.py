@@ -1,13 +1,19 @@
+import ast
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+import algaeid
 from algaeid.illumination import CorrectionConfig, estimate_background, subtract_background
-from algaeid.segmentation import (binarize, connected_components,
-                                  extract_organisms, fuse_masks,
-                                  otsu_threshold)
-from algaeid.synthgen import (SceneSpec, SpeciesSpec, default_catalog,
-                              generate_corpus, generate_scene,
-                              ground_truth_json, match_organisms_to_truth)
+from algaeid.segmentation import (LabelMap, Organism, binarize,
+                                  connected_components, extract_organisms,
+                                  fuse_masks, otsu_threshold)
+from algaeid.synthgen import (PlantedOrganism, SceneSpec, SpeciesSpec,
+                              default_catalog, generate_corpus, generate_scene,
+                              ground_truth_json, match_organisms_to_truth,
+                              read_ground_truth, save_ground_truth)
 
 CATALOG_ABUNDANCE_WEIGHTS = (751, 382, 500, 548, 299, 131)
 
@@ -138,6 +144,16 @@ def test_match_organisms_to_truth():
     found_counts = np.bincount([m for m in matched if m is not None], minlength=6)
     assert np.array_equal(planted_counts, found_counts)
 
+    # a tie goes to the smaller id, no overlap gives None, and a majority id
+    # with no planted record is an error naming it
+    truth = LabelMap(np.array([[3, 3, 2, 2, 0]]))
+    planted = (PlantedOrganism(2, 4, "b", 2, (1.0,)), PlantedOrganism(3, 5, "c", 2, (1.0,)))
+    tie = Organism(id=1, pixels=[(0, 0), (0, 1), (0, 2), (0, 3)])
+    apart = Organism(id=2, pixels=[(0, 4)])
+    assert match_organisms_to_truth([tie, apart], truth, planted) == [4, None]
+    with pytest.raises(ValueError, match=r"^truth\.pgm id 2 has no record in truth\.json$"):
+        match_organisms_to_truth([apart, tie], truth, planted[1:])
+
 
 def test_ground_truth_json():
     spec = SceneSpec(width=96, height=96, n_organisms=3, seed=4)
@@ -149,6 +165,45 @@ def test_ground_truth_json():
     rec = doc["organisms"][0]
     assert set(rec) == {"id", "species_index", "species", "pixel_count", "signature"}
     assert len(rec["signature"]) == 6
+
+
+def test_ground_truth_round_trip(tmp_path):
+    catalog = default_catalog()
+    scene = generate_scene(SceneSpec(width=64, height=64, n_organisms=3, seed=4), catalog)
+    save_ground_truth(scene, catalog, tmp_path / "s", extra_fields={"config_sha256": "abc"})
+    truth, planted, class_names = read_ground_truth(tmp_path / "s")
+    assert np.array_equal(truth.labels, scene.truth.labels)
+    assert planted == scene.organisms
+    assert class_names == [sp.name for sp in catalog]
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda rec: {**rec, "species_index": "1"}, "species_index must be a number, got '1'"),
+    (lambda rec: {**rec, "species_index": -1}, "species_index must be non-negative, got -1"),
+    (lambda rec: {**rec, "signature": 5}, "signature must be a list of numbers, got 5"),
+], ids=["species-string", "species-negative", "signature-number"])
+def test_read_ground_truth_checks_records(tmp_path, edit, problem):
+    catalog = default_catalog()
+    scene = generate_scene(SceneSpec(width=64, height=64, n_organisms=2, seed=4), catalog)
+    save_ground_truth(scene, catalog, tmp_path)
+    doc = ground_truth_json(scene, catalog)
+    doc["organisms"][1] = edit(doc["organisms"][1])
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_ground_truth(tmp_path)
+    assert str(err.value) == f"{path}: {problem}"
+
+
+def test_only_synthgen_names_the_truth_files():
+    # synthgen writes and reads truth.pgm and truth.json; elsewhere only
+    # error messages may name them
+    names = []
+    for source in sorted(pathlib.Path(algaeid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in ("truth.json", "truth.pgm"):
+                names.append(f"{source.name}:{node.lineno}")
+    assert [n for n in names if not n.startswith("synthgen.py:")] == []
 
 
 def test_placement_failure_is_reported():
