@@ -8,7 +8,7 @@ in for microscope data so the whole pipeline runs end to end.
 """
 
 from .classifier import (Network, TrainConfig, TrainedModel, backward,
-                         forward_batch, load_model, loss, predict_batch,
+                         fit_models, forward_batch, load_model, loss, predict_batch,
                          relu, save_model, softmax, train, train_runs)
 from .evaluation import (ConfusionMatrix, MccvReport, TTestResult, accuracy,
                          build_report, mccv_split, paired_t_test,

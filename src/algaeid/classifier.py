@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .features import ModelVariant, Normalizer, apply_normalizer
+from .features import ModelVariant, Normalizer, apply_normalizer, fit_normalizer
 from .stack_io import atomic_write_json, read_json_object, string_list
 
 HIDDEN_SIZES = (12, 8, 6)
@@ -352,7 +352,7 @@ class TrainedModel:
 
     network: Network
     variant: ModelVariant
-    normalizer: Normalizer | None = None
+    normalizer: Normalizer
     feature_names: tuple = ()
     class_names: tuple = ()
 
@@ -364,8 +364,7 @@ class TrainedModel:
             if names and len(names) != size:
                 raise ValueError(f"{len(names)} {key} for the network's {size} {side}")
             object.__setattr__(self, key, names)
-        if nrm is not None and not (
-                nrm.mean.shape == nrm.std.shape == nrm.constant.shape == (net.input_dim,)
+        if not (nrm.mean.shape == nrm.std.shape == nrm.constant.shape == (net.input_dim,)
                 and np.all(np.isfinite(nrm.mean))
                 and np.all(np.isfinite(nrm.std) & (nrm.std > 0))):
             raise ValueError("normalizer must hold one finite mean, finite positive std and "
@@ -373,9 +372,20 @@ class TrainedModel:
 
     def predict_features(self, x):
         """Class ids for the rows of an (n, d) matrix of raw features."""
-        if self.normalizer is not None:
-            x = apply_normalizer(self.normalizer, x)
-        return predict_batch(self.network, x)
+        return predict_batch(self.network, apply_normalizer(self.normalizer, x))
+
+
+def fit_models(x, y, rows, seeds, variant, cfg=None, num_classes=None,
+               feature_names=(), class_names=()):
+    """One (TrainedModel, final mean loss) per index array in `rows`. Model r's
+    normalizer is fit on x[rows[r]] alone, and its network trains on those
+    rows z-scored, with seed seeds[r]; all train in one `train_runs` call."""
+    normalizers = [fit_normalizer(x[r]) for r in rows]
+    trained = train_runs([apply_normalizer(nrm, x[r]) for nrm, r in zip(normalizers, rows)],
+                         [y[r] for r in rows], seeds, cfg=cfg, num_classes=num_classes)
+    return [(TrainedModel(network=net, variant=variant, normalizer=nrm,
+                          feature_names=feature_names, class_names=class_names), final_loss)
+            for (net, final_loss), nrm in zip(trained, normalizers)]
 
 
 def save_model(model, path, extra_fields=None):
@@ -389,7 +399,7 @@ def save_model(model, path, extra_fields=None):
         "biases": [b.tolist() for b in net.biases],
         "feature_names": list(model.feature_names),
         "class_names": list(model.class_names),
-        "normalizer": None if model.normalizer is None else {
+        "normalizer": {
             "mean": model.normalizer.mean.tolist(),
             "std": model.normalizer.std.tolist(),
             "constant": model.normalizer.constant.tolist(),
@@ -410,17 +420,16 @@ def load_model(path):
         if version != MODEL_SCHEMA_VERSION:
             raise ValueError(f"model schema version {version!r} unsupported "
                              f"(expected {MODEL_SCHEMA_VERSION})")
-        nd = doc.get("normalizer")
-        if nd is not None and not isinstance(nd, dict):
-            raise ValueError(f"normalizer must be null or a JSON object, got {nd!r}")
+        nd = doc["normalizer"]
+        if not isinstance(nd, dict):
+            raise ValueError(f"normalizer must be a JSON object, got {nd!r}")
         sizes = [fields.as_number("layer_sizes", s, int) for s in doc["layer_sizes"]]
         net = Network(weights=doc["weights"], biases=doc["biases"])
         if sizes != list(net.layer_sizes):
             raise ValueError(f"layer_sizes {sizes} != the weights' {list(net.layer_sizes)}")
         return TrainedModel(
             network=net, variant=ModelVariant(doc["variant"]),
-            normalizer=None if nd is None else Normalizer(
-                mean=nd["mean"], std=nd["std"], constant=nd["constant"]),
+            normalizer=Normalizer(mean=nd["mean"], std=nd["std"], constant=nd["constant"]),
             feature_names=doc.get("feature_names", ()), class_names=doc.get("class_names", ()))
     except KeyError as e:
         raise ValueError(f"{path}: model file has no key {e}") from None

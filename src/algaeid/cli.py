@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -228,15 +227,10 @@ def cmd_train(args, cfg, digest):
     labeled, wavelengths, class_names = _labeled_rows(args.features)
     x = features.assemble(labeled, variant)
     y = np.array([fv.label for fv in labeled], dtype=np.int64)
-    nrm = features.fit_normalizer(x)
-    net, final_loss = classifier.train(
-        features.apply_normalizer(nrm, x), y, cfg=cfg.train,
-        num_classes=len(class_names) or None)
-    model = classifier.TrainedModel(
-        network=net, variant=variant, normalizer=nrm,
-        feature_names=tuple(features.feature_names(variant, wavelengths)),
-        class_names=class_names,
-    )
+    [(model, final_loss)] = classifier.fit_models(
+        x, y, [np.arange(len(y))], [cfg.train.seed], variant, cfg=cfg.train,
+        num_classes=len(class_names) or None,
+        feature_names=features.feature_names(variant, wavelengths), class_names=class_names)
     classifier.save_model(model, args.out, extra_fields={"config_sha256": digest})
     print(f"trained {variant.value} model (final loss {final_loss:.4f}) -> {args.out}")
     return 0
@@ -253,10 +247,7 @@ def cmd_mccv(args, cfg, digest):
     reports = [evaluation.run_mccv(labeled, variant, cfg=cfg.train, class_names=class_names,
                                    **dataclasses.asdict(cfg.mccv))
                for variant in variants]
-    ttests = [(a.variant.value, b.variant.value,
-               evaluation.paired_t_test(a.accuracies, b.accuracies))
-              for a, b in itertools.combinations(reports, 2)]
-    doc = evaluation.build_report(reports, ttests)
+    doc = evaluation.build_report(reports)
     doc["config_sha256"] = digest
     doc["config"] = dataclasses.asdict(cfg)
     os.makedirs(args.out, exist_ok=True)

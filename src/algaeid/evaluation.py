@@ -11,13 +11,14 @@ index pairing is what makes the paired t-test valid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classifier, fields
-from .features import ModelVariant, apply_normalizer, assemble, fit_normalizer
+from .features import ModelVariant, assemble
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,9 @@ def accuracy(cm):
 
 
 def confusion_from_predictions(y_true, y_pred, num_classes):
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        counts[int(t), int(p)] += 1
-    return ConfusionMatrix(counts=counts)
+    k = int(num_classes)
+    cells = k * np.asarray(y_true, dtype=np.int64) + np.asarray(y_pred, dtype=np.int64)
+    return ConfusionMatrix(counts=np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
 @dataclass(frozen=True)
@@ -248,12 +248,11 @@ def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
              master_seed=MccvConfig.master_seed, class_names=()):
     """MCCV over labeled feature vectors for one variant.
 
-    Per run: split, fit the normalizer on the training split only, train,
-    and score the held-out split. The runs train together in lockstep
-    (`classifier.train_runs`), each with its own seed, init and
-    permutations, exactly as if trained one after another. Reports per-run
-    accuracies and confusion matrices plus their mean and sample standard
-    deviation.
+    Per run: split, fit a model on the training split alone
+    (`classifier.fit_models`, which trains all runs together, each with its
+    own seed, exactly as if trained one after another), and score the
+    held-out split through that model. Reports per-run accuracies and
+    confusion matrices plus their mean and sample standard deviation.
     """
     cfg = cfg or classifier.TrainConfig()
     if runs < 2:
@@ -271,27 +270,14 @@ def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
     if y.max() >= k:
         raise ValueError(f"num_classes={k} too small for labels up to {y.max()}")
 
-    splits, normalizers, train_seeds = [], [], []
-    for r in range(runs):
-        split_seed, train_seed = _run_seeds(master_seed, r)
-        train_idx, test_idx = mccv_split(len(fvs), train_fraction, split_seed)
-        splits.append((train_idx, test_idx))
-        normalizers.append(fit_normalizer(x[train_idx]))
-        train_seeds.append(train_seed)
-    trained = classifier.train_runs(
-        np.stack([apply_normalizer(nrm, x[train_idx])
-                  for nrm, (train_idx, _) in zip(normalizers, splits)]),
-        np.stack([y[train_idx] for train_idx, _ in splits]),
-        train_seeds, cfg=cfg, num_classes=k,
-    )
-
-    confusions = []
-    for (net, _), nrm, (_, test_idx) in zip(trained, normalizers, splits):
-        y_pred = classifier.predict_batch(net, apply_normalizer(nrm, x[test_idx]))
-        confusions.append(confusion_from_predictions(y[test_idx], y_pred, k))
+    split_seeds, train_seeds = zip(*(_run_seeds(master_seed, r) for r in range(runs)))
+    splits = [mccv_split(len(fvs), train_fraction, seed) for seed in split_seeds]
+    models = classifier.fit_models(x, y, [train for train, _ in splits], train_seeds, variant,
+                                   cfg=cfg, num_classes=k, class_names=class_names)
     return MccvReport(
         variant=variant,
-        confusions=tuple(confusions),
+        confusions=tuple(confusion_from_predictions(y[test], model.predict_features(x[test]), k)
+                         for (model, _), (_, test) in zip(models, splits)),
         master_seed=int(master_seed),
         train_fraction=train_fraction,
         class_names=tuple(class_names),
@@ -300,9 +286,11 @@ def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
 
 # --- reporting ---
 
-def build_report(reports, ttests=None):
+def build_report(reports):
     """Machine-readable summary: accuracy statistics per variant, the best
-    run's confusion matrix, and pairwise test decisions."""
+    run's confusion matrix, and a paired t-test of every pair of reports, in
+    report order. A degenerate test's infinite t is written as the string
+    "inf" or "-inf", which JSON can hold."""
     doc = {"variants": {}, "ttests": []}
     for rep in reports:
         best = rep.best_run_index
@@ -318,11 +306,12 @@ def build_report(reports, ttests=None):
             "class_names": list(rep.class_names),
             "per_run_confusions": [cm.counts.tolist() for cm in rep.confusions],
         }
-    for name_a, name_b, res in (ttests or []):
+    for rep_a, rep_b in itertools.combinations(reports, 2):
+        res = paired_t_test(rep_a.accuracies, rep_b.accuracies)
         doc["ttests"].append({
-            "a": name_a,
-            "b": name_b,
-            "t": res.t,
+            "a": rep_a.variant.value,
+            "b": rep_b.variant.value,
+            "t": res.t if math.isfinite(res.t) else str(res.t),
             "df": res.df,
             "p_value": res.p_value,
             "alpha": res.alpha,
@@ -352,7 +341,7 @@ def render_report_text(doc):
             verdict = "yes" if tt["reject"] else "no"
             lines.append(
                 f"{tt['a']} vs {tt['b']}: reject null: {verdict}   "
-                f"(t={tt['t']:.4g}, p={tt['p_value']:.3g}, alpha={tt['alpha']:g})"
+                f"(t={float(tt['t']):.4g}, p={tt['p_value']:.3g}, alpha={tt['alpha']:g})"
             )
     for name, v in doc["variants"].items():
         lines.append("")

@@ -138,16 +138,21 @@ def atomic_write_bytes(path, data):
 
 
 def atomic_write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_csv(path, rows):
     """Write rows of fields as UTF-8 CSV with LF line endings, quoting only
-    the fields that hold a comma, a quote or a newline."""
+    the fields that hold a comma, a quote or a newline. A carriage return,
+    which the writer leaves unquoted and a reader ends a row at, is rejected."""
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
-    atomic_write_bytes(path, text.getvalue().encode("utf-8"))
+    data = text.getvalue()
+    if "\r" in data:
+        bad = next(f for row in rows for f in row if "\r" in str(f))
+        raise ValueError(f"{path}: CSV field {bad!r} holds a carriage return")
+    atomic_write_bytes(path, data.encode("utf-8"))
 
 
 def _reject_constant(name):

@@ -18,7 +18,7 @@ from algaeid.classifier import TrainConfig, forward_batch, init_network, train
 from algaeid.cli import main
 from algaeid.evaluation import (ConfusionMatrix, accuracy, paired_t_test,
                                 run_mccv, t_cdf)
-from algaeid.features import ModelVariant, compute_features
+from algaeid.features import ModelVariant, compute_features, fit_normalizer
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
 from algaeid.segmentation import connected_components, otsu_index, segment
@@ -278,8 +278,8 @@ def test_criterion_9_round_trips(tmp_path):
         x = rng.normal(size=(80, 11))
         y = rng.integers(0, 6, size=80)
         net, _ = train(x, y, cfg=TrainConfig(epochs=25, seed=3), num_classes=6)
-        model = TrainedModel(network=net,
-                             variant=ModelVariant.SPECTRAL_MORPHOLOGICAL)
+        model = TrainedModel(network=net, variant=ModelVariant.SPECTRAL_MORPHOLOGICAL,
+                             normalizer=fit_normalizer(x))
         save_model(model, tmp_path / "model.json")
         restored = load_model(tmp_path / "model.json")
         inputs = rng.normal(size=(100, 11))

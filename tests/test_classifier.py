@@ -1,12 +1,15 @@
+import ast
 import concurrent.futures
 import dataclasses
 import json
 import math
 import multiprocessing
+import pathlib
 
 import numpy as np
 import pytest
 
+import algaeid
 from algaeid import classifier
 from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
                                 TrainedModel, backward, forward_batch,
@@ -17,6 +20,10 @@ from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
                               fit_normalizer)
 
 from helpers import _reference_backward_batch, reference_train
+
+
+def unit_normalizer(d):
+    return Normalizer(mean=np.zeros(d), std=np.ones(d), constant=np.zeros(d, dtype=bool))
 
 
 def tiny_net(weights, biases):
@@ -409,8 +416,7 @@ def test_model_save_load_bitwise(tmp_path):
     net, _ = train(x, y, cfg=TrainConfig(epochs=20, seed=11), num_classes=6)
     model = TrainedModel(
         network=net, variant=ModelVariant.SPECTRAL,
-        normalizer=Normalizer(mean=np.zeros(6), std=np.ones(6),
-                              constant=np.zeros(6, dtype=bool)),
+        normalizer=unit_normalizer(6),
         feature_names=("em405", "em420", "em450", "em470", "em500", "em530"),
         class_names=("a", "b", "c", "d", "e", "f"),
     )
@@ -433,17 +439,34 @@ def test_model_schema_version_checked(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("key", ["layer_sizes", "weights", "variant"])
+@pytest.mark.parametrize("key", ["layer_sizes", "weights", "variant", "normalizer"])
 def test_model_missing_key_named(tmp_path, key):
     net = init_network(5, 6, np.random.default_rng(12))
     path = tmp_path / "model.json"
-    save_model(TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL), path)
+    save_model(TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL,
+                            normalizer=unit_normalizer(5)), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     del doc[key]
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError) as err:
         load_model(path)
     assert str(err.value) == f"{path}: model file has no key '{key}'"
+
+
+def test_only_classifier_fits_and_applies_normalizers():
+    # fit_models fits each normalizer on its own training rows and
+    # predict_features applies it: no other module z-scores features, so no
+    # other module can leak held-out rows into the statistics
+    callers = []
+    for source in sorted(pathlib.Path(algaeid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("fit_normalizer", "apply_normalizer"):
+                    callers.append(f"{source.name}:{node.lineno}")
+    assert any(c.startswith("classifier.py:") for c in callers)
+    assert [c for c in callers if not c.startswith("classifier.py:")] == []
 
 
 def test_network_validation():
@@ -475,7 +498,8 @@ def test_network_sizes_follow_from_weights():
 
 def test_records_are_frozen():
     net = init_network(5, 6, np.random.default_rng(0))
-    model = TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL)
+    model = TrainedModel(network=net, variant=ModelVariant.MORPHOLOGICAL,
+                         normalizer=unit_normalizer(5))
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.weights = [w * 0 for w in net.weights]
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -11,7 +11,7 @@ import pytest
 from algaeid import classifier, evaluation, segmentation, synthgen
 from algaeid.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from algaeid.features import read_features_csv
-from algaeid.stack_io import load_stack
+from algaeid.stack_io import load_stack, read_json_object
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,39 @@ def test_scene_name_with_comma(pipeline, tmp_path):
     assert sorted({i.split(":")[0] for i in ids}) == ["scene,001", "scene_000"]
     with open(pred, encoding="utf-8", newline="") as fh:
         assert [row[0] for row in csv.reader(fh)] == ["organism_id", *ids]
+
+
+def test_scene_name_with_carriage_return(pipeline, tmp_path, capsys):
+    # the CSV writer leaves a carriage return unquoted and the reader would
+    # end the row there, so `features` refuses the id and writes nothing
+    trees = {}
+    for tree in ("corrected", "segmented", "raw"):
+        trees[tree] = shutil.copytree(pipeline[tree], tmp_path / tree)
+        (trees[tree] / "scene_001").rename(trees[tree] / "scene\r001")
+    out = tmp_path / "f.csv"
+    assert main(["features", str(trees["corrected"]), str(trees["segmented"]),
+                 "--truth", str(trees["raw"]), "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}: CSV field 'scene\\r001:1' holds a carriage return\n")
+    assert not out.exists() and not (tmp_path / "f.csv.meta.json").exists()
+
+
+def test_every_json_output_reads_back(pipeline, tmp_path):
+    # each JSON file a stage writes goes back through the one JSON reader
+    cfg = ["--config", str(pipeline["config"])]
+    assert main(["train", str(pipeline["csv"]), "--variant", "morph", *cfg,
+                 "--out", str(tmp_path / "model.json")]) == 0
+    assert main(["classify", str(tmp_path / "model.json"), str(pipeline["csv"]), *cfg,
+                 "--out", str(tmp_path / "pred.csv")]) == 0
+    assert main(["mccv", str(pipeline["csv"]), "--variants", "morph,spectral", *cfg,
+                 "--out", str(tmp_path / "eval")]) == 0
+    written = sorted(pipeline["root"].rglob("*.json")) + sorted(tmp_path.rglob("*.json"))
+    names = {p.name for p in written}
+    assert {"stack.json", "truth.json", "organisms.json", "features.csv.meta.json",
+            "model.json", "pred.csv.meta.json", "report.json"} <= names
+    for path in written:
+        assert isinstance(read_json_object(path, "output"), dict)
 
 
 def test_features_rerun_byte_identical(pipeline):
@@ -409,7 +442,10 @@ def _set_normalizer(key, edit):
      "class_names must be a list of strings, got ['a', 3, None]"),
     (_set("class_names", ["a"]), "1 class_names for the network's 6 outputs"),
     (_set("feature_names", ["em405"]), "1 feature_names for the network's 6 inputs"),
-    (_set("normalizer", [1, 2]), "normalizer must be null or a JSON object, got [1, 2]"),
+    (_set("normalizer", [1, 2]), "normalizer must be a JSON object, got [1, 2]"),
+    (_set("normalizer", None), "normalizer must be a JSON object, got None"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "normalizer"},
+     "model file has no key 'normalizer'"),
     (_set_normalizer("std", lambda std: [0.0] + std[1:]),
      "normalizer must hold one finite mean, finite positive std and constant flag "
      "per network input (6)"),
@@ -429,7 +465,8 @@ def _set_normalizer(key, edit):
     (_set_entry(0, "normalizer", "constant", 2),
      "normalizer constant must hold only booleans, got 0"),
 ], ids=["array", "invalid-json", "nan", "class-names-string", "class-names-mixed",
-        "class-names-short", "feature-names-short", "normalizer-list", "normalizer-zero-std",
+        "class-names-short", "feature-names-short", "normalizer-list", "normalizer-null",
+        "normalizer-missing", "normalizer-zero-std",
         "normalizer-short-mean", "layer-sizes-string", "layer-sizes-not-the-weights",
         "weights-string", "weights-bool", "biases-null", "normalizer-mean-string",
         "normalizer-std-bool", "normalizer-constant-string", "normalizer-constant-number"])

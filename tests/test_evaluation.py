@@ -14,6 +14,7 @@ from algaeid.evaluation import (ConfusionMatrix, MccvReport, _run_seeds,
                                 t_two_sided_p)
 from algaeid.features import (FeatureVector, ModelVariant, apply_normalizer,
                               assemble, fit_normalizer)
+from algaeid.stack_io import atomic_write_json, read_json_object
 
 from helpers import reference_predict, reference_train
 
@@ -75,6 +76,19 @@ def test_confusion_validation():
         ConfusionMatrix(np.zeros((2, 3), dtype=int))
     with pytest.raises(ValueError):
         ConfusionMatrix(np.array([[-1, 0], [0, 0]]))
+
+
+def test_confusion_from_predictions_counts():
+    # one count per (true, predicted) pair, as a loop over the pairs counts;
+    # class 3 has no sample and class 0 is never predicted
+    rng = np.random.default_rng(4)
+    y_true = rng.integers(0, 3, size=200)
+    y_pred = rng.integers(1, 4, size=200)
+    expected = np.zeros((4, 4), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        expected[t, p] += 1
+    assert np.array_equal(confusion_from_predictions(y_true, y_pred, 4).counts, expected)
+    assert confusion_from_predictions([], [], 3).counts.tolist() == [[0] * 3] * 3
 
 
 def test_incomplete_beta_basic():
@@ -311,9 +325,13 @@ def test_build_report_three_variants():
         _fake_report(ModelVariant.SPECTRAL, [0.9, 0.95]),
         _fake_report(ModelVariant.SPECTRAL_MORPHOLOGICAL, [0.92, 0.96]),
     ]
-    tt = paired_t_test([0.5, 0.6], [0.9, 0.95])
-    doc = build_report(reports, [("morph", "spectral", tt)])
+    doc = build_report(reports)
     assert len(doc["variants"]) == 3
+    # every pair of reports, in report order
+    assert [(tt["a"], tt["b"]) for tt in doc["ttests"]] == [
+        ("morph", "spectral"), ("morph", "both11"), ("spectral", "both11")]
+    tt = paired_t_test([0.5, 0.6], [0.9, 0.95])
+    assert (doc["ttests"][0]["t"], doc["ttests"][0]["p_value"]) == (tt.t, tt.p_value)
     text = render_report_text(doc)
     assert text.count("%") >= 6  # a mean and std per variant
     assert "morph vs spectral" in text
@@ -338,8 +356,27 @@ def test_mccv_records_are_frozen():
         rep.confusions = ()
 
 
+def test_degenerate_t_test_report_round_trip(tmp_path):
+    # equal nonzero differences give t = inf, which JSON cannot hold as a
+    # number; the report's reader must accept what its writer wrote
+    doc = build_report([_fake_report(ModelVariant.SPECTRAL, [0.5, 0.6, 0.7]),
+                        _fake_report(ModelVariant.MORPHOLOGICAL, [0.4, 0.5, 0.6])])
+    path = tmp_path / "report.json"
+    atomic_write_json(path, doc)
+    back = read_json_object(path, "report")
+    assert (back["ttests"][0]["t"], back["ttests"][0]["p_value"]) == ("inf", 0.0)
+    assert "spectral vs morph: reject null: yes   (t=inf, p=0," in render_report_text(back)
+    flipped = build_report([_fake_report(ModelVariant.MORPHOLOGICAL, [0.4, 0.5, 0.6]),
+                            _fake_report(ModelVariant.SPECTRAL, [0.5, 0.6, 0.7])])
+    assert flipped["ttests"][0]["t"] == "-inf"
+    assert "(t=-inf, p=0," in render_report_text(flipped)
+    with pytest.raises(ValueError):
+        atomic_write_json(tmp_path / "nan.json", {"t": math.nan})
+    assert not (tmp_path / "nan.json").exists()
+
+
 def test_report_without_ttests():
-    doc = build_report([_fake_report(ModelVariant.SPECTRAL, [0.9, 0.95])], [])
+    doc = build_report([_fake_report(ModelVariant.SPECTRAL, [0.9, 0.95])])
     assert doc["ttests"] == []
     text = render_report_text(doc)
     assert "t-test" not in text.lower() or "Pairwise" not in text

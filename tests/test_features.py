@@ -288,6 +288,22 @@ def test_csv_round_trip_and_format(tmp_path):
     assert back.extent == fv.extent
     assert back.spectral == fv.spectral
 
+    # odd ids and extreme floats come back field for field, bit for bit
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    edge = [dataclasses.replace(fv, organism_id=oid, label=lab, eccentricity=ecc,
+                                extent=ext, equivalent_diameter=diam, spectral=spec)
+            for oid, lab, ecc, ext, diam, spec in [
+                ('say "hi":1', None, tiny, tiny, huge, (tiny, huge, -huge, -0.0, 0.0, 1 / 3)),
+                ("a,b:2", 0, 1.0, 1.0, tiny, (-tiny,) * 6),
+                ("algues-été:3", 5, 0.0, 0.5, 1.0, (huge,) * 6),
+                ("", 1, 0.25, 1e-300, 1e300, (2.5,) * 6),
+            ]]
+    write_features_csv(path, edge, stack.wavelengths_nm)
+    back, _ = read_features_csv(path)
+    assert back == edge
+    assert [repr(dataclasses.astuple(b)) for b in back] == \
+        [repr(dataclasses.astuple(e)) for e in edge]  # -0.0 keeps its sign
+
 
 def test_csv_standard_header_for_default_bands(tmp_path):
     stack_wl = (405.0, 420.0, 450.0, 470.0, 500.0, 530.0)

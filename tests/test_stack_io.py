@@ -7,6 +7,7 @@ import pytest
 
 import algaeid
 
+from algaeid.segmentation import LabelMap, labelmap_to_pgm
 from algaeid.stack_io import (ImageStack, BandShapeMismatchError,
                               MissingBandFileError, StackIOError,
                               UnsupportedBitDepthError, WavelengthOrderError,
@@ -189,8 +190,14 @@ def test_truncated_raster_rejected(tmp_path):
 def test_pgm16_round_trip_values(tmp_path):
     rng = np.random.default_rng(2)
     a = rng.integers(0, 65536, size=(17, 9)).astype(np.float64)
-    write_pgm16(tmp_path / "a.pgm", a)
-    assert np.array_equal(read_pgm(tmp_path / "a.pgm").astype(np.float64), a)
+    for raster in (a, np.array([[65535.0]]), np.array([[0.0]])):
+        write_pgm16(tmp_path / "a.pgm", raster)
+        assert np.array_equal(read_pgm(tmp_path / "a.pgm").astype(np.float64), raster)
+    # a label map of 65535 components, the most a 16-bit PGM can hold
+    labels = LabelMap(np.arange(1, 65536, dtype=np.int32)[None, :])
+    labelmap_to_pgm(labels, tmp_path / "labels.pgm")
+    back = LabelMap(read_pgm(tmp_path / "labels.pgm"))
+    assert back.count == 65535 and np.array_equal(back.labels, labels.labels)
 
 
 def test_stack_is_immutable():
