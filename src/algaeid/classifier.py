@@ -115,30 +115,53 @@ def init_network(input_dim, num_classes, rng):
 
 
 def _batch_major(shape):
-    """An empty array of shape (n, m) or (R, n, m) whose memory holds the n
-    axis outermost: (n, R, m) in memory for R stacked networks. A bias added
-    to, or summed over, the n rows of all runs then runs as one loop over
-    R * m values per row."""
+    """An empty array of shape (R, n, m) for R stacked networks whose memory
+    holds the n axis outermost, as (n, R, m). A bias added to, or summed
+    over, the n rows of all runs then runs as one loop over R * m values
+    per row."""
     return np.empty(shape[-2:-1] + shape[:-2] + shape[-1:]).swapaxes(0, -2)
 
 
-def _activations(weights, biases, x):
-    """The input and every layer's activation.
+def _group_slices(groups):
+    """The slice of the run axis that each of `groups` (arrays stacked along
+    a leading run axis, one after another) covers."""
+    stop = 0
+    for group in groups:
+        start, stop = stop, stop + len(group)
+        yield slice(start, stop)
 
-    Works on one network (weights (out, in), x (n, d_in)) or on R networks
-    stacked along a leading run axis (weights (R, out, in), biases (R, out),
-    x (R, n, d_in)); the stacked matmul computes each run's product exactly
-    as the single-network one does. Every layer's output is batch-major
+
+def _activations(weights, biases, x):
+    """The inputs and every layer's activation for R networks stacked along
+    a leading run axis.
+
+    Only layer 0 depends on the input width, so it comes in groups of
+    consecutive runs of one width: x holds each group's (R_g, n, d_g)
+    inputs and weights[0] its (R_g, out, d_g) weights. Every later layer's
+    weights (R, out, in) and every bias (R, out) cover all R runs. Each
+    group's product is written into its runs' slice of layer 0's output;
+    the stacked matmuls compute each run's product exactly as a single
+    network's 2-D one does. Every layer's output is batch-major
     (`_batch_major`).
     """
+    z = _batch_major(biases[0].shape[:1] + x[0].shape[-2:-1] + biases[0].shape[1:])
+    for runs, xg, w in zip(_group_slices(weights[0]), x, weights[0]):
+        np.matmul(xg, w.swapaxes(-1, -2), out=z[runs])
     activations = [x]
     last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        a = activations[-1]
-        z = np.matmul(a, w.swapaxes(-1, -2), out=_batch_major(a.shape[:-1] + w.shape[-2:-1]))
+    for i, b in enumerate(biases):
+        if i > 0:
+            a, w = activations[-1], weights[i]
+            z = np.matmul(a, w.swapaxes(-1, -2), out=_batch_major(a.shape[:-1] + w.shape[-2:-1]))
         z += b[..., None, :]
         activations.append(softmax(z) if i == last else relu(z))
     return activations
+
+
+def _one_run(net):
+    """net's weights and biases as a stack of one run (see `_activations`)."""
+    return ([[net.weights[0][None]]] + [w[None] for w in net.weights[1:]],
+            [b[None] for b in net.biases])
 
 
 def forward_batch(net, x):
@@ -146,7 +169,7 @@ def forward_batch(net, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
-    return _activations(net.weights, net.biases, x)[-1]
+    return _activations(*_one_run(net), [x[None]])[-1][0]
 
 
 def loss(probs, labels):
@@ -162,29 +185,32 @@ def loss(probs, labels):
 
 
 def _gradients(weights, biases, x, onehot, grads_w, grads_b):
-    """Mean gradients over a batch, for one network or a run-stacked set
-    (see `_activations`); `onehot` holds the one-hot labels, (..., n, k).
+    """Mean gradients over a batch for a run-stacked set of networks (see
+    `_activations`); `onehot` holds the one-hot labels, (R, n, k).
     Softmax and cross-entropy fuse to (probs - onehot) at the output
     pre-activation; the ReLU subgradient at exactly 0 is taken as 0, so a
     unit passes the gradient where its activation is positive.
 
-    Layer i's gradients are written into grads_w[i] and grads_b[i], or into
-    new arrays where those entries are None; the filled lists are returned.
+    Layer i's gradients are written into grads_w[i] and grads_b[i] (layer
+    0's weight gradients into grads_w[0][g] per group g), or into new
+    arrays where those entries are None; the filled lists are returned.
     Every delta is batch-major, so a bias gradient adds the batch rows one
     after another, as `delta.sum(axis=0)` does for one network.
     """
-    n = x.shape[-2]
+    n = x[0].shape[-2]
     activations = _activations(weights, biases, x)
     delta = activations[-1]
     delta -= onehot
     delta /= n
-    for i in range(len(weights) - 1, -1, -1):
+    for i in range(len(weights) - 1, 0, -1):
         grads_w[i] = np.matmul(delta.swapaxes(-1, -2), activations[i], out=grads_w[i])
         grads_b[i] = np.add.reduce(delta, axis=-2, out=grads_b[i])
-        if i > 0:
-            w = weights[i]
-            delta = np.matmul(delta, w, out=_batch_major(delta.shape[:-1] + w.shape[-1:]))
-            delta *= activations[i] > 0
+        w = weights[i]
+        delta = np.matmul(delta, w, out=_batch_major(delta.shape[:-1] + w.shape[-1:]))
+        delta *= activations[i] > 0
+    for g, (runs, xg) in enumerate(zip(_group_slices(weights[0]), x)):
+        grads_w[0][g] = np.matmul(delta[runs].swapaxes(-1, -2), xg, out=grads_w[0][g])
+    grads_b[0] = np.add.reduce(delta, axis=-2, out=grads_b[0])
     return grads_w, grads_b
 
 
@@ -200,8 +226,9 @@ def backward(net, x, labels):
     if labels.shape != x.shape[:1] or np.any((labels < 0) | (labels >= k)):
         raise ValueError(f"labels must be one class id in [0, {k}) per input row")
     layers = len(net.weights)
-    return _gradients(net.weights, net.biases, x, np.eye(k)[labels],
-                      [None] * layers, [None] * layers)
+    grads_w, grads_b = _gradients(*_one_run(net), [x[None]], np.eye(k)[labels][None],
+                                  [[None]] + [None] * (layers - 1), [None] * layers)
+    return [grads_w[0][0][0]] + [g[0] for g in grads_w[1:]], [g[0] for g in grads_b]
 
 
 def train(x, y, cfg=None, num_classes=None):
@@ -234,30 +261,34 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def train_runs(x, y, seeds, cfg=None, num_classes=None):
+def train_runs(x, y, seeds, cfg=None, num_classes=None, names=()):
     """Train R networks in lockstep; returns one (network, final mean loss)
     per run.
 
-    x is (R, n, d) and y (R, n): every run has its own n training samples
-    (its own split and normalizer), and all runs share n, so their
-    mini-batch boundaries line up. Run r draws its He-uniform init and then
-    one permutation per epoch from default_rng(seeds[r]), in that order;
-    cfg.seed is not used. Every run's weights are bitwise those of training
-    it alone with seed seeds[r], so the runs are split into
-    P = min(R, usable CPUs) contiguous chunks, each trained by `_lockstep`
-    in its own forked worker process (in this process when P is 1 or the
-    platform cannot fork), and the results are joined in run order. No
-    output depends on P.
+    x holds one (n, d_r) matrix per run and y (R, n) their labels: every
+    run has its own n training samples (its own split and normalizer), and
+    all runs share n, so their mini-batch boundaries line up; their input
+    widths d_r may differ. Run r draws its He-uniform init at its own
+    width and then one permutation per epoch from default_rng(seeds[r]),
+    in that order; cfg.seed is not used. Every run's weights are bitwise
+    those of training it alone with seed seeds[r], so the runs are split
+    into P = min(R, usable CPUs) contiguous chunks, each trained by
+    `_lockstep` in its own forked worker process (in this process when P
+    is 1 or the platform cannot fork), and the results are joined in run
+    order. No output depends on P. A diverged run raises ValueError naming
+    its names[r], if given, and its seed; of several, the first in run
+    order is named.
     """
     cfg = cfg or TrainConfig()
-    x = np.asarray(x, dtype=np.float64)
+    x = [np.asarray(a, dtype=np.float64) for a in x]
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 3 or y.ndim != 2 or x.shape[:2] != y.shape:
-        raise ValueError("x must be (runs, n, d) and y (runs, n) with matching n")
-    runs, n, d = x.shape
+    if y.ndim != 2 or len(x) != len(y) or any(a.ndim != 2 or len(a) != y.shape[1] for a in x):
+        raise ValueError("x must hold one (n, d) matrix and y one row of n labels per run, "
+                         "with the same n for every run")
+    runs, n = y.shape
     if len(seeds) != runs:
         raise ValueError(f"{len(seeds)} seeds for {runs} runs")
-    if not np.all(np.isfinite(x)):
+    if not all(np.all(np.isfinite(a)) for a in x):
         raise ValueError("training inputs contain non-finite values")
     for labels in y:
         if len(np.unique(labels)) < 2:
@@ -272,45 +303,55 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None):
 
     workers = min(runs, _usable_cpus()) if hasattr(os, "fork") else 1
     if workers == 1:
-        return _lockstep(x, y, seeds, cfg, k)
+        return _lockstep(x, y, seeds, cfg, k, names)
     # imported here: every process that imports the package would pay for
     # them, while only a multi-run training uses them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     bounds = [runs * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        chunks = [pool.submit(_lockstep, x[a:b], y[a:b], seeds[a:b], cfg, k)
+        chunks = [pool.submit(_lockstep, x[a:b], y[a:b], seeds[a:b], cfg, k, names[a:b])
                   for a, b in zip(bounds, bounds[1:])]
         return [trained for chunk in chunks for trained in chunk.result()]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run fails its Network check
-def _lockstep(x, y, seeds, cfg, k):
-    """Train the runs of checked inputs x (R, n, d), y (R, n) with k classes
-    together; returns one (network, final mean loss) per run.
+def _lockstep(x, y, seeds, cfg, k, names):
+    """Train the runs of checked inputs x (one (n, d_r) matrix per run) and
+    y (R, n) with k classes together; returns one (network, final mean
+    loss) per run.
 
-    Each epoch gathers every run's samples in its own order, and each step
-    runs forward and backward as matmuls over the leading run axis on an
-    (R, B, d) mini-batch. All weights and biases live in one flat buffer,
-    so the update is two ufunc calls.
+    Consecutive runs of one input width form a group. Each epoch gathers
+    every run's samples in its own order, and each step runs forward and
+    backward as matmuls over the leading run axis on an (R, B, .)
+    mini-batch, layer 0 as one matmul per group (`_activations`). All
+    weights and biases live in one flat buffer, so the update is two ufunc
+    calls.
     """
-    runs, n, d = x.shape
+    runs, n = y.shape
+    cuts = [r for r in range(1, runs) if x[r].shape[1] != x[r - 1].shape[1]]
+    groups = [slice(a, b) for a, b in zip([0] + cuts, cuts + [runs])]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    nets = [init_network(d, k, rng) for rng in rngs]
-    # one flat buffer of every layer's (R, out, in) weights, then every
-    # layer's (R, out) biases, and a twin buffer for their gradients
-    layers = len(nets[0].weights)
-    stacked = [np.stack(p) for p in zip(*(net.weights + net.biases for net in nets))]
+    nets = [init_network(a.shape[1], k, rng) for a, rng in zip(x, rngs)]
+    # one flat buffer of each group's (R_g, out, d_g) layer-0 weights, every
+    # later layer's (R, out, in) weights, then every layer's (R, out)
+    # biases, and a twin buffer for their gradients
+    stacked = ([np.stack([net.weights[0] for net in nets[g]]) for g in groups]
+               + [np.stack(p) for p in zip(*(net.weights[1:] + net.biases for net in nets))])
     shapes = [p.shape for p in stacked]
     params = np.concatenate([p.ravel() for p in stacked])
     grads = np.empty_like(params)
+    # arrays [0, first) of the buffer are layer 0's weights, [first, last)
+    # the later layers' weights and [last, ...) the biases
+    first, last = len(groups), len(groups) + len(nets[0].weights) - 1
     param_views, grad_views = _split(params, shapes), _split(grads, shapes)
-    weights, biases = param_views[:layers], param_views[layers:]
-    grads_w, grads_b = grad_views[:layers], grad_views[layers:]
-    n_weights = sum(p.size for p in stacked[:layers])
-    # sample i of run r is column r*n+i of x_table (one row per feature) and
-    # row r*n+i of t_table (its one-hot label)
-    x_table = np.ascontiguousarray(x.reshape(runs * n, d).T)
+    weights, biases = [param_views[:first]] + param_views[first:last], param_views[last:]
+    grads_w, grads_b = [grad_views[:first]] + grad_views[first:last], grad_views[last:]
+    n_weights = sum(p.size for p in stacked[:last])
+    # sample i of a group's j-th run is column j*n+i of its x table (one row
+    # per feature), and sample i of run r is row r*n+i of t_table (its
+    # one-hot label)
+    x_tables = [np.ascontiguousarray(np.concatenate(x[g]).T) for g in groups]
     t_table = np.eye(k)[y.reshape(runs * n)]
     first_row = np.arange(runs)[:, None] * n
     lr = cfg.learning_rate
@@ -320,22 +361,27 @@ def _lockstep(x, y, seeds, cfg, k):
         # matmul takes a faster BLAS path with the same bits, and the labels
         # batch-major like the deltas they are subtracted from
         order = np.stack([rng.permutation(n) for rng in rngs]) + first_row
-        x_epoch = x_table.take(order.ravel(), axis=1).reshape(d, runs, n).transpose(1, 2, 0)
+        x_epoch = [table.take((order[g] - g.start * n).ravel(), axis=1)
+                   .reshape(len(table), -1, n).transpose(1, 2, 0)
+                   for g, table in zip(groups, x_tables)]
         t_epoch = t_table.take(order.T.ravel(), axis=0).reshape(n, runs, k).swapaxes(0, 1)
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            _gradients(weights, biases, x_epoch[:, batch], t_epoch[:, batch], grads_w, grads_b)
+            _gradients(weights, biases, [xg[:, batch] for xg in x_epoch], t_epoch[:, batch],
+                       grads_w, grads_b)
             if cfg.l2:
                 grads[:n_weights] += cfg.l2 * params[:n_weights]
             grads *= lr
             params -= grads
 
+    first_layer = [w for group in weights[0] for w in group]
     results = []
     for r, seed in enumerate(seeds):
         try:
-            net = Network([w[r] for w in weights], [b[r] for b in biases])
+            net = Network([first_layer[r]] + [w[r] for w in weights[1:]], [b[r] for b in biases])
         except ValueError as e:
-            raise ValueError(f"training with seed {seed} diverged: {e}") from None
+            what = f"{names[r]} " if names else ""
+            raise ValueError(f"training {what}with seed {seed} diverged: {e}") from None
         results.append((net, loss(forward_batch(net, x[r]), y[r])))
     return results
 
@@ -375,17 +421,21 @@ class TrainedModel:
         return predict_batch(self.network, apply_normalizer(self.normalizer, x))
 
 
-def fit_models(x, y, rows, seeds, variant, cfg=None, num_classes=None,
-               feature_names=(), class_names=()):
-    """One (TrainedModel, final mean loss) per index array in `rows`. Model r's
-    normalizer is fit on x[rows[r]] alone, and its network trains on those
-    rows z-scored, with seed seeds[r]; all train in one `train_runs` call."""
-    normalizers = [fit_normalizer(x[r]) for r in rows]
-    trained = train_runs([apply_normalizer(nrm, x[r]) for nrm, r in zip(normalizers, rows)],
-                         [y[r] for r in rows], seeds, cfg=cfg, num_classes=num_classes)
+def fit_models(models, y, cfg=None, num_classes=None, class_names=()):
+    """One (TrainedModel, final mean loss) per (variant, x, rows, seed) entry
+    of `models`, where x is the variant's (n, d) feature matrix and y the n
+    labels. A model's normalizer is fit on x[rows] alone, and its network
+    trains on those rows z-scored, with its own seed; all models, of any
+    variants, train in one `train_runs` call."""
+    normalizers = [fit_normalizer(x[rows]) for _, x, rows, _ in models]
+    trained = train_runs([apply_normalizer(nrm, x[rows])
+                          for nrm, (_, x, rows, _) in zip(normalizers, models)],
+                         [y[rows] for _, _, rows, _ in models], [seed for *_, seed in models],
+                         cfg=cfg, num_classes=num_classes,
+                         names=[variant.value for variant, *_ in models])
     return [(TrainedModel(network=net, variant=variant, normalizer=nrm,
-                          feature_names=feature_names, class_names=class_names), final_loss)
-            for (net, final_loss), nrm in zip(trained, normalizers)]
+                          class_names=class_names), final_loss)
+            for (net, final_loss), nrm, (variant, *_) in zip(trained, normalizers, models)]
 
 
 def save_model(model, path, extra_fields=None):

@@ -225,13 +225,13 @@ def _labeled_rows(csv_path):
 def cmd_train(args, cfg, digest):
     variant = _parse_variant(args.variant)
     labeled, wavelengths, class_names = _labeled_rows(args.features)
-    x = features.assemble(labeled, variant)
+    names = features.feature_names(variant, wavelengths)
     y = np.array([fv.label for fv in labeled], dtype=np.int64)
     [(model, final_loss)] = classifier.fit_models(
-        x, y, [np.arange(len(y))], [cfg.train.seed], variant, cfg=cfg.train,
-        num_classes=len(class_names) or None,
-        feature_names=features.feature_names(variant, wavelengths), class_names=class_names)
-    classifier.save_model(model, args.out, extra_fields={"config_sha256": digest})
+        [(variant, features.assemble(labeled, variant), np.arange(len(y)), cfg.train.seed)], y,
+        cfg=cfg.train, num_classes=len(class_names) or None, class_names=class_names)
+    classifier.save_model(dataclasses.replace(model, feature_names=names), args.out,
+                          extra_fields={"config_sha256": digest})
     print(f"trained {variant.value} model (final loss {final_loss:.4f}) -> {args.out}")
     return 0
 
@@ -244,10 +244,8 @@ def cmd_mccv(args, cfg, digest):
         if variant in variants[:i]:
             raise ValueError(f"duplicate variant {variant.value!r}")
     labeled, _, class_names = _labeled_rows(args.features)
-    reports = [evaluation.run_mccv(labeled, variant, cfg=cfg.train, class_names=class_names,
-                                   **dataclasses.asdict(cfg.mccv))
-               for variant in variants]
-    doc = evaluation.build_report(reports)
+    doc = evaluation.build_report(evaluation.run_mccv(
+        labeled, variants, cfg=cfg.train, class_names=class_names, **dataclasses.asdict(cfg.mccv)))
     doc["config_sha256"] = digest
     doc["config"] = dataclasses.asdict(cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -243,16 +243,18 @@ def _run_seeds(master_seed, run_index):
     return split_seed, train_seed
 
 
-def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
+def run_mccv(fvs, variants, cfg=None, runs=MccvConfig.runs,
              train_fraction=MccvConfig.train_fraction,
              master_seed=MccvConfig.master_seed, class_names=()):
-    """MCCV over labeled feature vectors for one variant.
+    """MCCV over labeled feature vectors; one report per variant, in order.
 
-    Per run: split, fit a model on the training split alone
-    (`classifier.fit_models`, which trains all runs together, each with its
-    own seed, exactly as if trained one after another), and score the
-    held-out split through that model. Reports per-run accuracies and
-    confusion matrices plus their mean and sample standard deviation.
+    Per run: split, then fit each variant's model on the training split
+    alone, and score the held-out split through that model. Every variant
+    sees the same splits and train seeds run by run. All variants' runs are
+    fit in one `classifier.fit_models` call, which trains them together,
+    each with its own seed, exactly as if trained one after another.
+    Reports per-run accuracies and confusion matrices plus their mean and
+    sample standard deviation.
     """
     cfg = cfg or classifier.TrainConfig()
     if runs < 2:
@@ -263,7 +265,7 @@ def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
     y = np.array(labels, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("dataset must contain at least 2 classes")
-    x = assemble(fvs, variant)
+    xs = [assemble(fvs, variant) for variant in variants]
     # one class per name, else per label up to the largest; a test split
     # may hold a label that no training split does, so all are checked here
     k = len(class_names) or int(y.max()) + 1
@@ -272,16 +274,18 @@ def run_mccv(fvs, variant, cfg=None, runs=MccvConfig.runs,
 
     split_seeds, train_seeds = zip(*(_run_seeds(master_seed, r) for r in range(runs)))
     splits = [mccv_split(len(fvs), train_fraction, seed) for seed in split_seeds]
-    models = classifier.fit_models(x, y, [train for train, _ in splits], train_seeds, variant,
-                                   cfg=cfg, num_classes=k, class_names=class_names)
-    return MccvReport(
+    models = classifier.fit_models(
+        [(variant, x, train, seed) for variant, x in zip(variants, xs)
+         for (train, _), seed in zip(splits, train_seeds)],
+        y, cfg=cfg, num_classes=k, class_names=class_names)
+    return [MccvReport(
         variant=variant,
         confusions=tuple(confusion_from_predictions(y[test], model.predict_features(x[test]), k)
-                         for (model, _), (_, test) in zip(models, splits)),
+                         for (model, _), (_, test) in zip(models[v * runs:], splits)),
         master_seed=int(master_seed),
         train_fraction=train_fraction,
         class_names=tuple(class_names),
-    )
+    ) for v, (variant, x) in enumerate(zip(variants, xs))]
 
 
 # --- reporting ---

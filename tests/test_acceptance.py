@@ -85,13 +85,11 @@ def corpus():
 def mccv_reports(corpus):
     labeled = [fv for fv in corpus["fvs"] if fv.label is not None]
     names = tuple(sp.name for sp in corpus["catalog"])
-    reports = {}
-    for variant in (ModelVariant.MORPHOLOGICAL, ModelVariant.SPECTRAL,
-                    ModelVariant.SPECTRAL_MORPHOLOGICAL):
-        reports[variant] = run_mccv(
-            labeled, variant, cfg=TrainConfig(), runs=20, train_fraction=0.7,
-            master_seed=CORPUS_SEED, class_names=names)
-    return reports
+    variants = (ModelVariant.MORPHOLOGICAL, ModelVariant.SPECTRAL,
+                ModelVariant.SPECTRAL_MORPHOLOGICAL)
+    return dict(zip(variants, run_mccv(
+        labeled, variants, cfg=TrainConfig(), runs=20, train_fraction=0.7,
+        master_seed=CORPUS_SEED, class_names=names)))
 
 
 def test_criterion_1_otsu_oracle():

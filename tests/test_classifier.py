@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -255,20 +254,6 @@ def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, l2, epochs):
             assert np.array_equal(a, b)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of every process pool `train_runs` builds."""
-    sizes = []
-
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    return sizes
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("runs", [2, 5, 7])
 def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
@@ -301,6 +286,38 @@ def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
         train_runs(x, y, seeds, cfg=TrainConfig(batch_size=31))
     assert multiprocessing.active_children() == []
     assert len(pools) <= 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("widths,n,k,batch_size,l2,epochs", [
+    ([5, 5, 6, 6, 6, 11, 11], 17, 3, 1, 1e-3, 3),
+    ([5, 5, 6, 6, 6, 11, 11], 33, 4, 8, 0.0, 10),
+    ([5, 5, 5, 5, 10, 10], 24, 3, 24, 1e-3, 20),
+], ids=["single-row-batches", "single-row-last-batch", "shared-width"])
+def test_train_runs_mixed_widths_bitwise(monkeypatch, pools, widths, n, k, batch_size, l2,
+                                         epochs, cpus):
+    # runs of several input widths, as the three variants' MCCV runs are,
+    # train in one lockstep; 7 runs on 2 or 3 CPUs make chunks that straddle
+    # the width boundaries, and with 5 bands the morph and spectral runs
+    # (both 5 wide) form one group
+    rng = np.random.default_rng(n)
+    x = [rng.normal(size=(n, d)) for d in widths]
+    y = rng.integers(0, k, size=(len(widths), n))
+    y[:, :2] = [0, 1]
+    seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(widths))]
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size,
+                                                      l2=l2), num_classes=k)
+    workers = min(len(widths), cpus)
+    assert pools == ([] if workers == 1 else [workers])
+    assert [net.input_dim for net, _ in trained] == widths
+    for r, (net, final_loss) in enumerate(trained):
+        ref_net, ref_loss = reference_train(
+            x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, l2=l2,
+                                        seed=seeds[r]), num_classes=k)
+        assert final_loss == ref_loss
+        for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n,d,k", [(1, 5, 6), (2, 11, 6), (40, 6, 6), (25, 3, 9)])

@@ -282,8 +282,8 @@ def test_mccv_echoes_runs_and_split(pipeline, capsys):
 
 
 def test_mccv_outputs_independent_of_worker_count(pipeline, tmp_path, monkeypatch):
-    # the runs of each variant are split over min(runs, usable CPUs) worker
-    # processes; the count must not reach any output
+    # the runs of all variants are split over min(total runs, usable CPUs)
+    # worker processes; the count must not reach any output
     reports = []
     for cpus in (1, 3):
         monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
@@ -294,8 +294,14 @@ def test_mccv_outputs_independent_of_worker_count(pipeline, tmp_path, monkeypatc
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("command", ["train", "mccv"])
-def test_diverged_training_rejected(pipeline, tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command,variants,cpus", [
+    pytest.param("train", "spectral", 3, id="train"),
+    pytest.param("mccv", "spectral", 3, id="mccv"),
+    pytest.param("mccv", "morph,spectral", 1, id="mccv-two-variants-1cpu"),
+    pytest.param("mccv", "morph,spectral", 3, id="mccv-two-variants-3cpus"),
+])
+def test_diverged_training_rejected(pipeline, tmp_path, capsys, monkeypatch, command,
+                                    variants, cpus):
     # on the pipeline's 14 rows a learning rate of 1e6 drives the weights to
     # about 1e122 but leaves them finite; 1e300 overflows them
     doc = json.loads(pipeline["config"].read_text(encoding="utf-8"))
@@ -309,18 +315,40 @@ def test_diverged_training_rejected(pipeline, tmp_path, capsys, monkeypatch, com
             shutdowns.append(wait)
             super().shutdown(wait, **kwargs)
 
-    # the mccv runs train in forked workers, and the error is raised in one
+    # on 3 CPUs the mccv runs train in forked workers, and the error is raised
+    # in one; 6 runs make chunks of 2, so one chunk straddles the two variants
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
     out = tmp_path / "out"
-    args = {"train": ["--variant", "spectral"], "mccv": ["--variants", "spectral"]}
+    args = {"train": ["--variant", variants], "mccv": ["--variants", variants]}
     assert main([command, str(pipeline["csv"]), *args[command], "--config", str(config),
                  "--out", str(out)]) == 1
-    assert re.fullmatch(r"error: training with seed \d+ diverged: "
+    # the first diverged run in run order is named, here the first
+    # variant's first run; the other variants' first runs share its seed
+    seed = 0 if command == "train" else evaluation._run_seeds(doc["mccv"]["master_seed"], 0)[1]
+    first = variants.split(",")[0]
+    assert re.fullmatch(rf"error: training {first} with seed {seed} diverged: "
                         r"layer \d: non-finite parameters\n", capsys.readouterr().err)
     assert not out.exists()
-    assert shutdowns == ([True] if command == "mccv" else [])
+    assert shutdowns == ([True] if command == "mccv" and cpus > 1 else [])
     assert multiprocessing.active_children() == []
+
+
+def test_mccv_trains_every_variant_in_one_call(pipeline, tmp_path, monkeypatch, pools):
+    # all variants' runs train in one lockstep, chunked over one pool
+    calls = []
+    train_runs = classifier.train_runs
+
+    def counted(x, *args, **kwargs):
+        calls.append([len(a[0]) for a in x])
+        return train_runs(x, *args, **kwargs)
+
+    monkeypatch.setattr(classifier, "train_runs", counted)
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 2)
+    assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),
+                 "--variants", "morph,spectral,both11", "--out", str(tmp_path / "eval")]) == 0
+    assert calls == [[5] * 3 + [6] * 3 + [11] * 3]
+    assert pools == [2]
 
 
 def test_mccv_rejects_duplicate_variant(pipeline, tmp_path, capsys):

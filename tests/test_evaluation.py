@@ -208,7 +208,7 @@ def test_run_mccv_bookkeeping():
     rng = np.random.default_rng(31)
     fvs = _toy_feature_vectors(rng)
     cfg = TrainConfig(epochs=60, batch_size=16)
-    rep = run_mccv(fvs, ModelVariant.SPECTRAL, cfg=cfg, runs=5,
+    [rep] = run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=cfg, runs=5,
                    train_fraction=0.7, master_seed=7)
     assert len(rep.accuracies) == 5
     assert len(rep.confusions) == 5
@@ -224,7 +224,7 @@ def test_run_mccv_row_sums_match_test_counts():
     rng = np.random.default_rng(32)
     fvs = _toy_feature_vectors(rng, n_per_class=30)
     cfg = TrainConfig(epochs=30, batch_size=16)
-    rep = run_mccv(fvs, ModelVariant.SPECTRAL, cfg=cfg, runs=3,
+    [rep] = run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=cfg, runs=3,
                    train_fraction=0.7, master_seed=9)
     y = np.array([fv.label for fv in fvs])
     for r in range(3):
@@ -239,8 +239,9 @@ def test_run_mccv_splits_shared_across_variants():
     rng = np.random.default_rng(33)
     fvs = _toy_feature_vectors(rng, n_per_class=20)
     cfg = TrainConfig(epochs=5, batch_size=8)
-    rep_a = run_mccv(fvs, ModelVariant.SPECTRAL, cfg=cfg, runs=3, master_seed=11)
-    rep_b = run_mccv(fvs, ModelVariant.MORPHOLOGICAL, cfg=cfg, runs=3, master_seed=11)
+    rep_a, rep_b = run_mccv(fvs, [ModelVariant.SPECTRAL, ModelVariant.MORPHOLOGICAL],
+                            cfg=cfg, runs=3, master_seed=11)
+    assert (rep_a.variant, rep_b.variant) == (ModelVariant.SPECTRAL, ModelVariant.MORPHOLOGICAL)
     # same master seed means identical per-run test sets, which is what
     # makes index pairing a valid paired t-test
     for r in range(3):
@@ -250,28 +251,33 @@ def test_run_mccv_splits_shared_across_variants():
 
 def test_run_mccv_matches_per_run_reference():
     # overlapping spectral clusters, so runs differ and misclassify some
-    # samples; 55 training samples leave a partial last batch of 7
+    # samples; 55 training samples leave a partial last batch of 7. All
+    # three variants' runs train in one call, and each run matches its
+    # variant's columns trained and scored on their own.
     rng = np.random.default_rng(35)
     fvs = _toy_feature_vectors(rng, n_per_class=26, separation=0.1)
     cfg = TrainConfig(epochs=20, batch_size=16, l2=1e-4)
-    rep = run_mccv(fvs, ModelVariant.SPECTRAL, cfg=cfg, runs=4, master_seed=3)
-    x = assemble(fvs, ModelVariant.SPECTRAL)
+    variants = list(ModelVariant)
+    reports = run_mccv(fvs, variants, cfg=cfg, runs=4, master_seed=3)
+    assert [rep.variant for rep in reports] == variants
     y = np.array([fv.label for fv in fvs])
-    accuracies = []
-    for r in range(4):
-        split_seed, train_seed = _run_seeds(3, r)
-        train_idx, test_idx = mccv_split(len(fvs), 0.7, split_seed)
-        nrm = fit_normalizer(x[train_idx])
-        net, _ = reference_train(
-            apply_normalizer(nrm, x[train_idx]), y[train_idx],
-            cfg=TrainConfig(epochs=20, batch_size=16, l2=1e-4, seed=train_seed),
-            num_classes=3)
-        y_pred = reference_predict(net, apply_normalizer(nrm, x[test_idx]))
-        cm = confusion_from_predictions(y[test_idx], y_pred, 3)
-        assert np.array_equal(rep.confusions[r].counts, cm.counts)
-        accuracies.append(accuracy(cm))
-    assert rep.accuracies == accuracies
-    assert len(set(accuracies)) > 1
+    for variant, rep in zip(variants, reports):
+        x = assemble(fvs, variant)
+        accuracies = []
+        for r in range(4):
+            split_seed, train_seed = _run_seeds(3, r)
+            train_idx, test_idx = mccv_split(len(fvs), 0.7, split_seed)
+            nrm = fit_normalizer(x[train_idx])
+            net, _ = reference_train(
+                apply_normalizer(nrm, x[train_idx]), y[train_idx],
+                cfg=TrainConfig(epochs=20, batch_size=16, l2=1e-4, seed=train_seed),
+                num_classes=3)
+            y_pred = reference_predict(net, apply_normalizer(nrm, x[test_idx]))
+            cm = confusion_from_predictions(y[test_idx], y_pred, 3)
+            assert np.array_equal(rep.confusions[r].counts, cm.counts)
+            accuracies.append(accuracy(cm))
+        assert rep.accuracies == accuracies
+    assert len(set(reports[1].accuracies)) > 1
 
 
 def test_run_mccv_single_class_training_split():
@@ -283,7 +289,7 @@ def test_run_mccv_single_class_training_split():
     splits = [mccv_split(11, 0.7, _run_seeds(0, r)[0]) for r in range(5)]
     assert any(10 not in train_idx for train_idx, _ in splits)
     with pytest.raises(ValueError, match="training data must contain at least 2 classes"):
-        run_mccv(fvs, ModelVariant.SPECTRAL, cfg=TrainConfig(epochs=1, batch_size=2),
+        run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=TrainConfig(epochs=1, batch_size=2),
                  runs=5, master_seed=0)
 
 
@@ -291,18 +297,18 @@ def test_run_mccv_validation():
     rng = np.random.default_rng(34)
     fvs = _toy_feature_vectors(rng, n_per_class=5)
     with pytest.raises(ValueError):
-        run_mccv(fvs, ModelVariant.SPECTRAL, runs=1)
+        run_mccv(fvs, [ModelVariant.SPECTRAL], runs=1)
     one_class = [fv for fv in fvs if fv.label == 0]
     with pytest.raises(ValueError):
-        run_mccv(one_class, ModelVariant.SPECTRAL, runs=2)
+        run_mccv(one_class, [ModelVariant.SPECTRAL], runs=2)
     unlabeled = fvs[:10] + [FeatureVector(
         organism_id="u", label=None, area=5, convex_area=5, eccentricity=0.1,
         equivalent_diameter=2.5, extent=0.9, spectral=(1.0,) * 6)]
     with pytest.raises(ValueError):
-        run_mccv(unlabeled, ModelVariant.SPECTRAL, runs=2)
+        run_mccv(unlabeled, [ModelVariant.SPECTRAL], runs=2)
     # class names, when given, set the class count and must cover every label
     with pytest.raises(ValueError, match=r"^num_classes=2 too small for labels up to 2$"):
-        run_mccv(fvs, ModelVariant.SPECTRAL, runs=2, class_names=("a", "b"))
+        run_mccv(fvs, [ModelVariant.SPECTRAL], runs=2, class_names=("a", "b"))
 
 
 def _fake_report(variant, accs, k=3):
