@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
+from . import fields, stack_io
 from .features import ModelVariant, Normalizer, apply_normalizer, fit_normalizer
 from .stack_io import atomic_write_json, read_json_object, string_list
 
@@ -253,14 +253,6 @@ def _split(flat, shapes):
     return views
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def train_runs(x, y, seeds, cfg=None, num_classes=None, names=()):
     """Train R networks in lockstep; returns one (network, final mean loss)
     per run.
@@ -301,7 +293,7 @@ def train_runs(x, y, seeds, cfg=None, num_classes=None, names=()):
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds training size {n}")
 
-    workers = min(runs, _usable_cpus()) if hasattr(os, "fork") else 1
+    workers = min(runs, stack_io.usable_cpus()) if hasattr(os, "fork") else 1
     if workers == 1:
         return _lockstep(x, y, seeds, cfg, k, names)
     # imported here: every process that imports the package would pay for

@@ -122,6 +122,15 @@ class ImageStack:
         )
 
 
+def usable_cpus():
+    """The number of CPUs this process may run on. Every worker pool of the
+    package (the training processes, the band threads) is sized from it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def atomic_write_bytes(path, data):
     """Write bytes via a temp file in the same directory plus rename."""
     path = os.fspath(path)

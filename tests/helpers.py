@@ -65,6 +65,26 @@ def naive_opening(img, radius):
     return naive_dilate(naive_erode(img, radius), radius)
 
 
+def oracle_disk_is_open(big, r):
+    """Whether the disk of radius `big` is the union of the translates of
+    the disk of radius r that fit inside it, by listing those translates."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    def indicator(radius):
+        mask = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=bool)
+        for dy, dx in disk_offsets(radius):
+            mask[radius + dy, radius + dx] = True
+        return mask
+
+    small = indicator(r)
+    canvas = np.pad(indicator(big), r)
+    fits = sliding_window_view(canvas, small.shape)[..., small].all(axis=-1)
+    union = np.zeros_like(canvas)
+    for ty, tx in np.argwhere(fits):
+        union[ty:ty + 2 * r + 1, tx:tx + 2 * r + 1] |= small
+    return np.array_equal(union, canvas)
+
+
 def naive_gaussian(img, sigma):
     """Dense 2-D convolution with the truncated Gaussian kernel,
     edge-replicated borders."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import algaeid
-from algaeid import classifier
+from algaeid import classifier, stack_io
 from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
                                 TrainedModel, backward, forward_batch,
                                 init_network, load_model, loss,
@@ -265,9 +265,9 @@ def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
     y[:, :2] = [0, 1]
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=runs)]
     cfg = TrainConfig(epochs=6, batch_size=8, l2=1e-3)
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: 1)
     serial = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
     trained = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
     assert multiprocessing.active_children() == []
     workers = min(runs, cpus)
@@ -305,7 +305,7 @@ def test_train_runs_mixed_widths_bitwise(monkeypatch, pools, widths, n, k, batch
     y = rng.integers(0, k, size=(len(widths), n))
     y[:, :2] = [0, 1]
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(widths))]
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
     trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size,
                                                       l2=l2), num_classes=k)
     workers = min(len(widths), cpus)

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from algaeid import classifier, evaluation, segmentation, synthgen
+from algaeid import classifier, evaluation, segmentation, stack_io, synthgen
 from algaeid.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from algaeid.features import read_features_csv
 from algaeid.stack_io import load_stack, read_json_object
@@ -286,7 +286,7 @@ def test_mccv_outputs_independent_of_worker_count(pipeline, tmp_path, monkeypatc
     # worker processes; the count must not reach any output
     reports = []
     for cpus in (1, 3):
-        monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
         out = tmp_path / f"eval{cpus}"
         assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),
                      "--runs", "5", "--out", str(out)]) == 0
@@ -318,7 +318,7 @@ def test_diverged_training_rejected(pipeline, tmp_path, capsys, monkeypatch, com
     # on 3 CPUs the mccv runs train in forked workers, and the error is raised
     # in one; 6 runs make chunks of 2, so one chunk straddles the two variants
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
     out = tmp_path / "out"
     args = {"train": ["--variant", variants], "mccv": ["--variants", variants]}
     assert main([command, str(pipeline["csv"]), *args[command], "--config", str(config),
@@ -344,7 +344,7 @@ def test_mccv_trains_every_variant_in_one_call(pipeline, tmp_path, monkeypatch, 
         return train_runs(x, *args, **kwargs)
 
     monkeypatch.setattr(classifier, "train_runs", counted)
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: 2)
     assert main(["mccv", str(pipeline["csv"]), "--config", str(pipeline["config"]),
                  "--variants", "morph,spectral,both11", "--out", str(tmp_path / "eval")]) == 0
     assert calls == [[5] * 3 + [6] * 3 + [11] * 3]

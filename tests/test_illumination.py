@@ -1,13 +1,20 @@
+import concurrent.futures
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
-from algaeid.illumination import (CorrectionConfig, dilate_disk, erode_disk,
-                                  estimate_background, gaussian_kernel,
+from algaeid import illumination, stack_io
+from algaeid.classifier import TrainConfig, train_runs
+from algaeid.illumination import (CorrectionConfig, dilate_disk, disk_is_open,
+                                  erode_disk, estimate_background, gaussian_kernel,
                                   gaussian_lowpass, morphological_opening,
                                   subtract_background)
 from algaeid.stack_io import ImageStack
 
-from helpers import naive_dilate, naive_erode, naive_gaussian, naive_opening
+from helpers import (naive_dilate, naive_erode, naive_gaussian, naive_opening,
+                     oracle_disk_is_open, reference_train)
 
 
 def test_config_validation():
@@ -130,6 +137,121 @@ def test_opening_rejects_zero_radius():
 def _raw_stack(bands):
     wl = tuple(405.0 + 25 * i for i in range(len(bands)))
     return ImageStack(bands=tuple(bands), wavelengths_nm=wl, role_tag="raw")
+
+
+def test_disk_openness_matches_union_of_translates():
+    pairs = [(big, r) for big in range(2, 33) for r in range(1, big)]
+    table = {(big, r): disk_is_open(big, r) for big, r in pairs}
+    assert table == {(big, r): oracle_disk_is_open(big, r) for big, r in pairs}
+    assert len(pairs) == 496 and sum(table.values()) == 141
+    # of the default radii 4, 8, 16 and 32 only the r=4 opening is absorbed
+    assert [disk_is_open(8, 4), disk_is_open(16, 8), disk_is_open(32, 16)] == [True, False, False]
+
+
+OPEN_PAIRS = [(big, r) for big in range(2, 17) for r in range(1, big)
+              if oracle_disk_is_open(big, r)] + [(32, 4)]
+
+
+@pytest.mark.parametrize("big,r", OPEN_PAIRS, ids=[f"{r}-in-{big}" for big, r in OPEN_PAIRS])
+def test_absorbed_opening_changes_no_bit(big, r):
+    # the opening by D_big of the opening by D_r is the opening by D_big,
+    # bit for bit, with edge replication, also on fields smaller than D_big
+    rng = np.random.default_rng(big * 100 + r)
+    for _ in range(4):
+        shape = tuple(int(n) for n in rng.integers(1, 2 * big + 8, size=2))
+        img = rng.random(shape) * 1000
+        if rng.random() < 0.5:  # few levels, so openings tie
+            img = np.floor(img / 400)
+        assert np.array_equal(morphological_opening(morphological_opening(img, r), big),
+                              morphological_opening(img, big))
+
+
+def _serial_background(stack, cfg):
+    # every configured opening, absorbed or not, band after band
+    out = []
+    for band in stack.bands:
+        b = gaussian_lowpass(band, cfg.gaussian_sigma_px)
+        for radius in cfg.opening_radii_px:
+            b = morphological_opening(b, radius)
+        out.append(b)
+    return out
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The worker count of every thread pool `estimate_background` builds."""
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("bands,cpus", [(6, 1), (6, 2), (6, 3), (2, 3)])
+def test_background_independent_of_worker_count(monkeypatch, thread_pools, bands, cpus):
+    # min(bands, CPUs) threads, joined before the call returns
+    rng = np.random.default_rng(10 * bands + cpus)
+    ramp = np.linspace(60.0, 140.0, 71)
+    stack = _raw_stack([ramp + rng.random((53, 71)) * 400 * (rng.random((53, 71)) < 0.1)
+                        for _ in range(bands)])
+    cfg = CorrectionConfig()
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    bg = estimate_background(stack, cfg)
+    assert threading.active_count() == threads
+    workers = min(bands, cpus)
+    assert thread_pools == ([] if workers == 1 else [workers])
+    assert bg.role_tag == "background" and bg.num_bands == bands
+    for got, want in zip(bg.bands, _serial_background(stack, cfg)):
+        assert np.array_equal(got, want)
+
+
+def test_background_raises_first_failing_band(monkeypatch):
+    # bands 2 and 4 fail, band 4 first in time; band 2's error is raised
+    lowpass, failed = illumination.gaussian_lowpass, threading.Event()
+
+    def failing(band, sigma):
+        index = int(band[0, 0])
+        if index == 2:
+            failed.wait(timeout=30)
+        if index in (2, 4):
+            failed.set()
+            raise ValueError(f"band {index} failed")
+        return lowpass(band, sigma)
+
+    monkeypatch.setattr(illumination, "gaussian_lowpass", failing)
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: 3)
+    stack = _raw_stack([np.full((20, 24), float(i)) for i in range(6)])
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^band 2 failed$"):
+        estimate_background(stack, CorrectionConfig())
+    assert threading.active_count() == threads
+
+
+def test_training_forks_after_band_threads(monkeypatch, pools):
+    # the band threads are gone before training forks its workers
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: 2)
+    rng = np.random.default_rng(13)
+    estimate_background(_raw_stack([rng.random((40, 40)) * 100 for _ in range(6)]))
+    x = rng.normal(size=(3, 30, 4))
+    y = rng.integers(0, 3, size=(3, 30))
+    y[:, :2] = [0, 1]
+    seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=3)]
+    cfg = TrainConfig(epochs=6, batch_size=8, l2=1e-3)
+    trained = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    for r, (net, final_loss) in enumerate(trained):
+        ref_net, ref_loss = reference_train(
+            x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, l2=1e-3, seed=seeds[r]),
+            num_classes=3)
+        assert final_loss == ref_loss
+        for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert np.array_equal(a, b)
 
 
 def test_background_constant_stack():

@@ -1,9 +1,11 @@
 """Metamorphic tests: the method is symmetric under flips and rotations of
 the image, while several parts are implemented along one axis only (the
 horizontal runs of the labelling, the row extremes of the convex area, the
-border flag). Flipping or transposing a corrected stack must therefore
-segment into the same organisms, moved by the transform, with the same
-integer features; the float features may differ only by summation order.
+border flag, the horizontal chords of the disk morphology). Flipping or
+transposing a raw stack must therefore move its background estimate with
+it, and a corrected stack must segment into the same organisms, moved by
+the transform, with the same integer features; the float results may
+differ only by summation order.
 """
 
 import numpy as np
@@ -28,6 +30,10 @@ ECCENTRICITY_ATOL = 8 * EPS
 # spectral means, a relative bound: each band's pixels are summed in
 # another order (at most 3.3 eps seen)
 SPECTRAL_RTOL = 8 * EPS
+# background, a relative bound per pixel: the Gaussian low-pass adds its
+# taps in another order (at most 4.2 eps, about 1.1e-13 absolute, seen);
+# the openings only compare, so a disk that is not symmetric breaks it
+BACKGROUND_RTOL = 16 * EPS
 
 
 # The generator keeps organisms off the edge, so a 164x155 window of each
@@ -40,13 +46,31 @@ WINDOWS = {
 
 
 @pytest.fixture(scope="module")
-def corrected_scenes():
+def raw_scenes():
     catalog = synthgen.default_catalog()
-    stacks = []
-    for seed in range(4):
-        raw = synthgen.generate_scene(synthgen.SceneSpec(seed=seed), catalog).stack
-        stacks.append(subtract_background(raw, estimate_background(raw)))
-    return stacks
+    return [synthgen.generate_scene(synthgen.SceneSpec(seed=seed), catalog).stack
+            for seed in range(4)]
+
+
+@pytest.fixture(scope="module")
+def backgrounds(raw_scenes):
+    return [estimate_background(raw) for raw in raw_scenes]
+
+
+@pytest.fixture(scope="module")
+def corrected_scenes(raw_scenes, backgrounds):
+    return [subtract_background(raw, bg) for raw, bg in zip(raw_scenes, backgrounds)]
+
+
+@pytest.mark.parametrize("name", TRANSFORMS)
+@pytest.mark.parametrize("scene", range(4))
+def test_background_commutes_with_flips(raw_scenes, backgrounds, scene, name):
+    transform = TRANSFORMS[name]
+    raw = raw_scenes[scene]
+    moved = estimate_background(raw.with_bands([transform(b) for b in raw.bands],
+                                               role_tag="raw"))
+    for got, bg in zip(moved.bands, backgrounds[scene].bands):
+        np.testing.assert_allclose(got, transform(bg), rtol=BACKGROUND_RTOL, atol=0)
 
 
 def _integer_features(fv, org):

@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,11 +196,47 @@ def test_pgm16_round_trip_values(tmp_path):
     for raster in (a, np.array([[65535.0]]), np.array([[0.0]])):
         write_pgm16(tmp_path / "a.pgm", raster)
         assert np.array_equal(read_pgm(tmp_path / "a.pgm").astype(np.float64), raster)
+    # a 1x1 raster is its header and one big-endian sample
+    assert (tmp_path / "a.pgm").read_bytes() == b"P5\n1 1\n65535\n\x00\x00"
     # a label map of 65535 components, the most a 16-bit PGM can hold
     labels = LabelMap(np.arange(1, 65536, dtype=np.int32)[None, :])
     labelmap_to_pgm(labels, tmp_path / "labels.pgm")
     back = LabelMap(read_pgm(tmp_path / "labels.pgm"))
     assert back.count == 65535 and np.array_equal(back.labels, labels.labels)
+
+
+@pytest.mark.parametrize("bands", [
+    pytest.param([[[0.0]], [[65535.0]]], id="1x1-0-65535"),
+    pytest.param([[[65535.0]], [[0.0]]], id="1x1-65535-0"),
+    pytest.param([np.arange(1, 65536.0)[None, :], np.arange(65535.0, 0, -1)[None, :]],
+                 id="65535-labels-row"),
+    pytest.param([np.arange(1, 65536.0)[:, None]], id="65535-labels-column"),
+])
+@pytest.mark.parametrize("role_tag", ["raw", "corrected"])
+def test_stack_round_trip_edge_values(tmp_path, bands, role_tag):
+    # integer values in [0, 65535] survive the PGM codec bit for bit
+    stack = ImageStack(bands=tuple(np.array(b, dtype=np.float64) for b in bands),
+                       wavelengths_nm=tuple(405.0 + 25.0 * i for i in range(len(bands))),
+                       pixel_pitch_um=0.65, role_tag=role_tag)
+    manifest = save_stack(stack, tmp_path / "s")
+    again = load_stack(manifest)
+    assert (again.wavelengths_nm, again.pixel_pitch_um, again.role_tag) == \
+        (stack.wavelengths_nm, stack.pixel_pitch_um, stack.role_tag)
+    assert len(again.bands) == len(stack.bands)
+    for a, b in zip(again.bands, stack.bands):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+
+
+def test_import_loads_no_pool_machinery():
+    # the worker pools import their modules when they run, so a process that
+    # neither trains several runs nor corrects a stack does not load them
+    src = str(pathlib.Path(algaeid.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, algaeid; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_stack_is_immutable():
