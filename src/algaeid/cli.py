@@ -177,9 +177,8 @@ def cmd_features(args, cfg, digest):
             except ValueError as e:
                 raise ValueError(f"{truth_dir}: {e}") from None
         prefix = f"{name}:" if name else ""
-        all_fvs += [dataclasses.replace(features.compute_features(org, corrected, label=lab),
-                                        organism_id=f"{prefix}{org.id}")
-                    for org, lab in zip(organisms, matched)]
+        all_fvs += [dataclasses.replace(fv, organism_id=f"{prefix}{fv.organism_id}")
+                    for fv in features.feature_vectors(organisms, corrected, matched)]
     if not all_fvs:
         raise ValueError(f"{args.corrected}: no organisms found to featurize")
     features.write_features_csv(args.out, all_fvs, wavelengths)
@@ -262,7 +261,7 @@ def cmd_classify(args, cfg, digest):
         corrected = _load_role(args.input, "corrected")
         names = _stack_feature_names(model.variant, args.input, corrected.wavelengths_nm)
         seg = segmentation.segment(corrected, **dataclasses.asdict(cfg.segmentation))
-        fvs = [features.compute_features(org, corrected) for org in seg.organisms]
+        fvs = features.feature_vectors(seg.organisms, corrected)
     else:
         if not os.path.exists(args.input):
             raise ValueError(f"input not found: {args.input}")

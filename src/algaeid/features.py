@@ -18,6 +18,8 @@ import numpy as np
 from . import fields
 from .stack_io import atomic_write_csv
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 MORPHOLOGICAL_FEATURE_NAMES = (
     "area", "convex_area", "eccentricity", "equivalent_diameter", "extent",
 )
@@ -68,23 +70,78 @@ def area(org):
     return org.area
 
 
-def convex_area(org):
-    """Number of pixel centers inside or on the convex hull of the
-    organism's pixel centers, counted exactly by Pick's theorem.
+def _pixel_batch(organisms):
+    """The organisms' (row, col) pixels concatenated in their given order,
+    and each one's pixel count."""
+    sizes = np.array([org.area for org in organisms], dtype=np.int64)
+    return np.concatenate([org.pixels for org in organisms]), sizes
 
-    Only the first and last pixel of each row are hulled: every other pixel
-    lies between them, so the hull is the same. Sorted by row, those points
-    feed two monotone chains. The hull's vertices are lattice points, so
+
+def _segment_means(values, sizes):
+    """Mean of each run of `sizes` consecutive columns, per row of `values`:
+    shape (rows, len(sizes)). Bit for bit the `.mean()` of each run: numpy's
+    reduce sums a run pairwise from the identity 0, while reduceat starts
+    from the run's first value, so a 0 is put in front of each run."""
+    starts = np.cumsum(sizes) - sizes
+    padded = np.insert(values, starts, 0.0, axis=1)
+    return np.add.reduceat(padded, starts + np.arange(len(sizes)), axis=1) / sizes
+
+
+def _pixel_means(pixels, sizes, bands=()):
+    """Per organism of a batch: its mean row, its mean column and its mean
+    intensity in each of `bands`, as rows of a (2 + bands, n) array."""
+    ys, xs = pixels.T
+    values = np.empty((2 + len(bands), len(pixels)))
+    values[:2] = pixels.T
+    for row, band in zip(values[2:], bands):
+        row[...] = band[ys, xs]
+    return _segment_means(values, sizes)
+
+
+def _convex_areas(pixels, sizes):
+    """Convex area of each organism of a batch: the number of pixel centers
+    inside or on the convex hull of its pixel centers.
+
+    Only the first and last pixel of each row can be hull vertices: every
+    other pixel lies between them. One stable sort by (organism, row, col)
+    finds those pixels of every organism.
+    """
+    (y0, x0), (y1, x1) = pixels.min(axis=0).tolist(), pixels.max(axis=0).tolist()
+    height, width = y1 - y0 + 1, x1 - x0 + 1
+    # organism k's rows are lines k * height .. (k + 1) * height - 1
+    line = np.repeat(np.arange(len(sizes)) * height - y0, sizes) + pixels[:, 0]
+    if len(sizes) * height * width <= _INT64_MAX:
+        order = np.argsort(line * width + (pixels[:, 1] - x0), kind="stable")
+    else:  # that key would overflow
+        order = np.lexsort((pixels[:, 1], line))
+    line = line[order]
+    new_line = line[1:] != line[:-1]
+    first = np.concatenate(([True], new_line))
+    # (row, col) as Python ints, by organism and then row
+    lefts = pixels[order[first]].tolist()
+    rights = pixels[order[np.concatenate((new_line, [True]))]].tolist()
+    stops = np.searchsorted(line[first], np.arange(1, len(sizes) + 1) * height).tolist()
+    return [_lattice_hull_count(lefts[start:stop], rights[start:stop])
+            for start, stop in zip([0] + stops, stops)]
+
+
+def _lattice_hull_count(lefts, rights):
+    """Lattice points inside or on the convex hull of a pixel set, given the
+    first (`lefts`) and last (`rights`) pixel of each of its rows, (row, col)
+    pairs in ascending row order.
+
+    Two monotone chains build the hull: the left one over the rows' first
+    pixels and then the last row's last pixel, the right one back over the
+    rows' last pixels and then the first row's first pixel. A pixel that is
+    both first and last of its row is listed in both; a chain drops the
+    repeat as a turn of zero. The hull's vertices are lattice points, so
     with 2A the absolute shoelace sum and B the sum of gcd(|dx|, |dy|) over
     its edges, A = I + B/2 - 1 gives the count I + B = (2A - B)/2 + 1 + B.
-    A one-point hull (no edges) gives 1 and a segment of g steps g + 1.
+    A one-point hull (no area, no boundary steps) gives 1 and a segment of
+    g steps g + 1.
     """
-    px = org.pixels[np.lexsort((org.pixels[:, 1], org.pixels[:, 0]))]
-    new_row = np.diff(px[:, 0]) != 0
-    ends = np.concatenate(([True], new_row)) | np.concatenate((new_row, [True]))
-    points = px[ends].tolist()  # (row, col) as Python ints, sorted
     hull = []
-    for sweep in (points, points[::-1]):
+    for sweep in (lefts + rights[-1:], rights[::-1] + lefts[:1]):
         chain = []
         for y, x in sweep:
             while len(chain) >= 2:
@@ -101,30 +158,38 @@ def convex_area(org):
     return (abs(twice_area) - boundary) // 2 + 1 + boundary
 
 
-def _central_second_moments(org):
-    """Second central moments of the pixel coordinates with the +1/12
-    per-pixel variance term, which accounts for each pixel covering a unit
-    square rather than a point (keeps thin shapes well-conditioned)."""
-    ys = org.pixels[:, 0].astype(np.float64)
-    xs = org.pixels[:, 1].astype(np.float64)
-    mu_xx = xs.var() + 1.0 / 12.0
-    mu_yy = ys.var() + 1.0 / 12.0
-    mu_xy = float(((xs - xs.mean()) * (ys - ys.mean())).mean())
-    return mu_xx, mu_yy, mu_xy
+def _eccentricities(pixels, sizes, coordinate_means):
+    """Elongation in [0, 1] of each organism of a batch from its moment
+    ellipse: sqrt(1 - b^2/a^2) with a >= b the semi-axes (eigenvalues of
+    the coordinate covariance). A single pixel yields 0.
+
+    The second central moments carry a +1/12 per-pixel variance term,
+    which accounts for each pixel covering a unit square rather than a
+    point (keeps thin shapes well-conditioned)."""
+    d = pixels.T - np.repeat(coordinate_means, sizes, axis=1)  # rows dy, dx
+    moments = _segment_means(np.concatenate((d * d, d[:1] * d[1:])), sizes)
+    moments[:2] += 1.0 / 12.0
+    out = []
+    for mu_yy, mu_xx, mu_xy in moments.T.tolist():
+        half_trace = (mu_xx + mu_yy) / 2.0
+        spread = math.hypot((mu_xx - mu_yy) / 2.0, mu_xy)
+        l1 = half_trace + spread
+        l2 = half_trace - spread
+        out.append(0.0 if l1 <= 0 else math.sqrt(max(0.0, 1.0 - l2 / l1)))
+    return out
+
+
+def convex_area(org):
+    """Number of pixel centers inside or on the convex hull of the
+    organism's pixel centers (`_convex_areas` of the one organism)."""
+    return _convex_areas(*_pixel_batch([org]))[0]
 
 
 def eccentricity(org):
-    """Elongation in [0, 1] from the moment ellipse: sqrt(1 - b^2/a^2) with
-    a >= b the semi-axes (eigenvalues of the coordinate covariance).
-    A single pixel yields 0."""
-    mu_xx, mu_yy, mu_xy = _central_second_moments(org)
-    half_trace = (mu_xx + mu_yy) / 2.0
-    spread = math.hypot((mu_xx - mu_yy) / 2.0, mu_xy)
-    l1 = half_trace + spread
-    l2 = half_trace - spread
-    if l1 <= 0:
-        return 0.0
-    return math.sqrt(max(0.0, 1.0 - l2 / l1))
+    """Elongation in [0, 1] from the moment ellipse (`_eccentricities` of
+    the one organism). A single pixel yields 0."""
+    pixels, sizes = _pixel_batch([org])
+    return _eccentricities(pixels, sizes, _pixel_means(pixels, sizes))[0]
 
 
 def equivalent_diameter(org):
@@ -140,22 +205,44 @@ def extent(org):
 def spectral_means(org, corrected):
     """Mean intensity over exactly the organism's pixel set, one value per
     band in ascending wavelength order."""
-    ys = org.pixels[:, 0]
-    xs = org.pixels[:, 1]
-    return tuple(float(band[ys, xs].mean()) for band in corrected.bands)
+    pixels, sizes = _pixel_batch([org])
+    return tuple(_pixel_means(pixels, sizes, corrected.bands)[2:, 0].tolist())
 
 
-def compute_features(org, corrected, label=None):
-    return FeatureVector(
+def feature_vectors(organisms, corrected, labels=None):
+    """The FeatureVector of each organism, in order, with the matching
+    entry of `labels` (None for all without it).
+
+    The organisms are featurized as one batch: their pixels are
+    concatenated, every mean and second moment comes from one segmented
+    sum, and one sort finds every organism's row extremes for its hull.
+    Each value is bit for bit what the organism gets on its own.
+    """
+    organisms = list(organisms)
+    labels = [None] * len(organisms) if labels is None else list(labels)
+    if len(labels) != len(organisms):
+        raise ValueError(f"{len(labels)} labels for {len(organisms)} organisms")
+    if not organisms:
+        return []
+    pixels, sizes = _pixel_batch(organisms)
+    means = _pixel_means(pixels, sizes, corrected.bands)
+    return [FeatureVector(
         organism_id=org.id,
         label=label,
         area=area(org),
-        convex_area=convex_area(org),
-        eccentricity=eccentricity(org),
+        convex_area=hull,
+        eccentricity=ecc,
         equivalent_diameter=equivalent_diameter(org),
         extent=extent(org),
-        spectral=spectral_means(org, corrected),
-    )
+        spectral=spectral,
+    ) for org, label, hull, ecc, spectral in zip(
+        organisms, labels, _convex_areas(pixels, sizes),
+        _eccentricities(pixels, sizes, means[:2]), means[2:].T.tolist())]
+
+
+def compute_features(org, corrected, label=None):
+    """The FeatureVector of one organism (`feature_vectors` of it alone)."""
+    return feature_vectors([org], corrected, [label])[0]
 
 
 def assemble(fvs, variant):

@@ -105,6 +105,10 @@ def otsu_threshold(band, num_bins=SegmentationConfig.num_bins):
     histogram spanning the band's own [min, max]; returns the center of the
     last background bin. A constant band has no separable foreground and
     raises DegenerateBandError.
+
+    A band of whole numbers in [0, PGM_MAXVAL], as every band read from a
+    16-bit PGM is, is histogrammed by value: each distinct value is binned
+    once, weighted by how often it occurs, which gives the same counts.
     """
     band = np.asarray(band, dtype=np.float64)
     if num_bins < 2:
@@ -115,7 +119,14 @@ def otsu_threshold(band, num_bins=SegmentationConfig.num_bins):
         raise DegenerateBandError(
             f"degenerate: no separable foreground (band is constant at {lo})"
         )
-    counts, _ = np.histogram(band, bins=num_bins, range=(lo, hi))
+    values = band.astype(np.int64) if 0.0 <= lo and hi <= PGM_MAXVAL else None
+    if values is not None and np.array_equal(values, band):
+        tally = np.bincount(values.ravel())
+        present = np.flatnonzero(tally)
+        counts, _ = np.histogram(present.astype(np.float64), bins=num_bins, range=(lo, hi),
+                                 weights=tally[present])
+    else:
+        counts, _ = np.histogram(band, bins=num_bins, range=(lo, hi))
     k = otsu_index(counts)
     return lo + (k + 0.5) * (hi - lo) / num_bins
 

@@ -238,6 +238,87 @@ def oracle_convex_area(pixels):
     return count
 
 
+# --- per-organism feature reference (one numpy reduction per value) ---
+
+def reference_convex_area(org):
+    """Convex area of one organism on its own: its pixels sorted by row,
+    the first and last pixel of each row fed to two monotone chains over
+    all of them, and the lattice points counted by Pick's theorem."""
+    import math
+    px = org.pixels[np.lexsort((org.pixels[:, 1], org.pixels[:, 0]))]
+    new_row = np.diff(px[:, 0]) != 0
+    ends = np.concatenate(([True], new_row)) | np.concatenate((new_row, [True]))
+    points = px[ends].tolist()
+    hull = []
+    for sweep in (points, points[::-1]):
+        chain = []
+        for y, x in sweep:
+            while len(chain) >= 2:
+                (y0, x0), (y1, x1) = chain[-2], chain[-1]
+                if (y1 - y0) * (x - x0) - (x1 - x0) * (y - y0) > 0:
+                    break
+                chain.pop()
+            chain.append((y, x))
+        hull += chain[:-1]
+    twice_area = boundary = 0
+    for (y0, x0), (y1, x1) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        boundary += math.gcd(abs(x1 - x0), abs(y1 - y0))
+    return (abs(twice_area) - boundary) // 2 + 1 + boundary
+
+
+def reference_eccentricity(org):
+    """Eccentricity of one organism from `.var()` and `.mean()` of its own
+    coordinates, with the +1/12 pixel term."""
+    import math
+    ys = org.pixels[:, 0].astype(np.float64)
+    xs = org.pixels[:, 1].astype(np.float64)
+    mu_xx = xs.var() + 1.0 / 12.0
+    mu_yy = ys.var() + 1.0 / 12.0
+    mu_xy = float(((xs - xs.mean()) * (ys - ys.mean())).mean())
+    half_trace = (mu_xx + mu_yy) / 2.0
+    spread = math.hypot((mu_xx - mu_yy) / 2.0, mu_xy)
+    l1 = half_trace + spread
+    l2 = half_trace - spread
+    if l1 <= 0:
+        return 0.0
+    return math.sqrt(max(0.0, 1.0 - l2 / l1))
+
+
+def reference_spectral_means(org, corrected):
+    """`.mean()` of each band over exactly the organism's pixels."""
+    ys, xs = org.pixels[:, 0], org.pixels[:, 1]
+    return tuple(float(band[ys, xs].mean()) for band in corrected.bands)
+
+
+def reference_features(org, corrected, label=None):
+    """The FeatureVector of one organism, each value computed on its own."""
+    import math
+    from algaeid.features import FeatureVector
+    return FeatureVector(
+        organism_id=org.id, label=label, area=org.area,
+        convex_area=reference_convex_area(org),
+        eccentricity=reference_eccentricity(org),
+        equivalent_diameter=math.sqrt(4.0 * org.area / math.pi),
+        extent=org.area / org.bbox_area,
+        spectral=reference_spectral_means(org, corrected))
+
+
+def reference_match_organisms_to_truth(organisms, truth, planted):
+    """Species index per organism, one organism at a time: the truth id
+    covering most of its pixels (the smaller on ties), None without one."""
+    species_by_id = {p.id: p.species_index for p in planted}
+    matched = []
+    for org in organisms:
+        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
+        ids = ids[ids > 0]
+        top = int(np.argmax(np.bincount(ids))) if len(ids) else None
+        if top is not None and top not in species_by_id:
+            raise ValueError(f"truth.pgm id {top} has no record in truth.json")
+        matched.append(species_by_id.get(top))
+    return matched
+
+
 def random_organism(rng, max_size=14):
     """A random 8-connected component harvested from a random mask."""
     from algaeid.segmentation import connected_components

@@ -1,14 +1,16 @@
+import ast
 import concurrent.futures
 import csv
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import shutil
 
 import pytest
 
-from algaeid import classifier, evaluation, segmentation, stack_io, synthgen
+from algaeid import classifier, cli, evaluation, segmentation, stack_io, synthgen
 from algaeid.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from algaeid.features import read_features_csv
 from algaeid.stack_io import load_stack, read_json_object
@@ -798,3 +800,15 @@ def test_classify_checks_feature_columns(pipeline, tmp_path, capsys, bands, name
     trained = shape + ["em405", "em420", "em450", "em470", "em500", "em530"]
     assert capsys.readouterr().err == (
         f"error: {csv}: input features {given} do not match the model's {trained}\n")
+
+
+def test_cli_featurizes_each_scene_in_one_batch():
+    # `features` and `classify` on a stack featurize a scene's organisms
+    # through one feature_vectors call, not one compute_features call each
+    called = []
+    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.append(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    assert "compute_features" not in called
+    assert called.count("feature_vectors") == 2

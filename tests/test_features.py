@@ -7,13 +7,18 @@ import pytest
 from algaeid.features import (FeatureVector, ModelVariant, apply_normalizer,
                               area, assemble, compute_features, convex_area,
                               eccentricity, equivalent_diameter, extent,
-                              feature_names, fit_normalizer,
+                              feature_names, feature_vectors, fit_normalizer,
                               read_features_csv, spectral_means,
                               write_features_csv)
+from algaeid.illumination import (CorrectionConfig, estimate_background,
+                                  subtract_background)
+from algaeid.segmentation import Organism, segment
 from algaeid.stack_io import ImageStack
+from algaeid.synthgen import SceneSpec, default_catalog, generate_corpus, generate_scene
 
 from helpers import (disk_pixels, ellipse_pixels, oracle_convex_area,
-                     organism_from_pixels, random_organism)
+                     organism_from_pixels, random_organism, reference_convex_area,
+                     reference_features)
 
 L_SHAPE = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]
 
@@ -67,6 +72,18 @@ def test_convex_area_matches_halfplane_oracle():
         # the hull must not depend on the pixels being in row-major order
         shuffled = dataclasses.replace(org, pixels=rng.permutation(org.pixels))
         assert convex_area(shuffled) == convex_area(org)
+
+
+def test_convex_area_of_pixels_too_far_apart_for_one_sort_key():
+    # rows times columns of these spans overflow int64, so the row extremes
+    # are sorted by organism, row and column as separate keys
+    far = 2 ** 32
+    triangle = organism_from_pixels([(0, 0), (0, far), (far, 0), (1, 1)])
+    assert convex_area(triangle) == (far + 1) * (far + 2) // 2
+    segment_ = organism_from_pixels([(-far, -far), (far, far), (0, 0)])
+    assert convex_area(segment_) == 2 * far + 1
+    for org in (triangle, segment_):
+        assert convex_area(org) == reference_convex_area(org)
 
 
 def test_eccentricity_single_pixel():
@@ -385,3 +402,105 @@ def test_csv_malformed_row_rejected(tmp_path, edit, column, problem):
     with pytest.raises(ValueError) as err:
         read_features_csv(path)
     assert str(err.value) == f"{path}: row 2 (line 3), column {column}: {problem}"
+
+
+# --- the batch against each organism featurized on its own ---
+
+def _bits(fvs):
+    """Every field of every vector, floats by repr: equal strings are equal bits."""
+    return [repr(dataclasses.astuple(fv)) for fv in fvs]
+
+
+def _assert_batch_matches_reference(organisms, corrected, labels=None):
+    labels = [None] * len(organisms) if labels is None else labels
+    expected = [reference_features(org, corrected, lab) for org, lab in zip(organisms, labels)]
+    assert _bits(feature_vectors(organisms, corrected, labels)) == _bits(expected)
+    assert _bits(compute_features(org, corrected, lab)
+                 for org, lab in zip(organisms, labels)) == _bits(expected)
+
+
+@pytest.fixture(scope="module")
+def synth_segmentations():
+    """Two illuminated 192x192 corpus scenes, corrected, and one crowded
+    512x512 field without illumination, each with its organisms."""
+    catalog = default_catalog()
+    out = []
+    for scene in generate_corpus(catalog, 2, SceneSpec(), master_seed=31):
+        background = estimate_background(scene.stack, CorrectionConfig())
+        corrected = subtract_background(scene.stack, background, clamp=True)
+        out.append((corrected, segment(corrected).organisms))
+    field = generate_scene(SceneSpec(width=512, height=512, n_organisms=150,
+                                     background_level=0.0, vignette_strength=0.0,
+                                     seed=32), catalog)
+    corrected = field.stack.with_bands(field.stack.bands, role_tag="corrected")
+    out.append((corrected, segment(corrected).organisms))
+    return out
+
+
+def test_feature_vectors_match_reference_on_synth_scenes(synth_segmentations):
+    assert len(synth_segmentations[-1][1]) >= 100  # the crowded field
+    for corrected, organisms in synth_segmentations:
+        labels = [org.id % 6 for org in organisms]
+        _assert_batch_matches_reference(list(organisms), corrected, labels)
+
+
+def test_feature_vectors_match_reference_on_shuffled_pixels(synth_segmentations):
+    rng = np.random.default_rng(33)
+    for corrected, organisms in synth_segmentations:
+        shuffled = [dataclasses.replace(org, pixels=rng.permutation(org.pixels))
+                    for org in organisms]
+        _assert_batch_matches_reference(shuffled, corrected)
+        # the sums change order, but the counts do not
+        counts = [[(fv.area, fv.convex_area, fv.extent) for fv in feature_vectors(orgs, corrected)]
+                  for orgs in (shuffled, organisms)]
+        assert counts[0] == counts[1]
+
+
+def _noise_stack(rng, shape, bands=6):
+    return _corrected_stack([rng.random(shape) * 10.0 ** rng.integers(0, 5)
+                             for _ in range(bands)])
+
+
+def test_feature_vectors_match_reference_at_summation_block_edges():
+    # numpy sums pairwise in blocks of 8 and of 128 values, so these sizes
+    # sit on each side of every block edge
+    rng = np.random.default_rng(34)
+    stack = _noise_stack(rng, (40, 40))
+    cells = [(y, x) for y in range(40) for x in range(40)]
+    organisms = []
+    for size in (1, 7, 8, 9, 127, 128, 129, 256, 257):
+        for _ in range(2):
+            chosen = rng.choice(len(cells), size=size, replace=False)
+            organisms.append(Organism(id=len(organisms) + 1,
+                                      pixels=[cells[i] for i in sorted(chosen)]))
+    _assert_batch_matches_reference(organisms, stack)
+    _assert_batch_matches_reference(organisms[::-1], stack)
+
+
+def test_feature_vectors_match_reference_on_lines():
+    rng = np.random.default_rng(35)
+    stack = _noise_stack(rng, (30, 30))
+    organisms = [organism_from_pixels([(4, x) for x in range(3, 3 + n)], org_id=n)
+                 for n in (1, 2, 9, 27)]
+    organisms += [organism_from_pixels([(y, 6) for y in range(n)], org_id=100 + n)
+                  for n in (2, 9, 30)]
+    organisms += [organism_from_pixels([(i, i) for i in range(n)], org_id=200 + n)
+                  for n in (2, 9, 30)]
+    organisms += [organism_from_pixels([(i, 29 - i) for i in range(n)], org_id=300 + n)
+                  for n in (2, 9, 30)]
+    _assert_batch_matches_reference(organisms, stack)
+    got = feature_vectors(organisms, stack)
+    assert [fv.convex_area for fv in got] == [org.area for org in organisms]
+
+
+def test_feature_vectors_of_no_organisms():
+    stack = _noise_stack(np.random.default_rng(36), (4, 4))
+    assert feature_vectors([], stack) == []
+    assert feature_vectors([], stack, []) == []
+
+
+def test_feature_vectors_label_count_must_match():
+    stack = _noise_stack(np.random.default_rng(37), (4, 4))
+    org = organism_from_pixels([(1, 1)])
+    with pytest.raises(ValueError, match=r"^2 labels for 1 organisms$"):
+        feature_vectors([org], stack, [0, 1])

@@ -38,6 +38,85 @@ def test_otsu_constant_band_degenerate():
         otsu_threshold(np.full((8, 8), 42.0))
 
 
+def _whole_band_threshold(band, num_bins=256):
+    """The threshold of an np.histogram over every pixel of the band."""
+    band = np.asarray(band, dtype=np.float64)
+    lo, hi = float(band.min()), float(band.max())
+    counts, _ = np.histogram(band, bins=num_bins, range=(lo, hi))
+    return lo + (otsu_index(counts) + 0.5) * (hi - lo) / num_bins
+
+
+@pytest.fixture
+def histogram_calls(monkeypatch):
+    """(weighted, values binned) of each np.histogram call from here on."""
+    calls = []
+    histogram = np.histogram
+
+    def spy(a, *args, **kwargs):
+        calls.append((kwargs.get("weights") is not None, np.size(a)))
+        return histogram(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "histogram", spy)
+    return calls
+
+
+def _integer_bands(rng):
+    shape = (37, 53)
+    yield rng.integers(0, 65536, size=shape)
+    yield rng.integers(0, 300, size=shape)
+    yield rng.choice([0, 65535], size=shape)
+    with_extremes = rng.integers(1000, 2000, size=shape)
+    with_extremes[0, 0], with_extremes[-1, -1] = 0, 65535
+    yield with_extremes
+    # every value on an edge of the 256 bins spanning [0, 1024]
+    yield rng.integers(0, 257, size=shape) * 4
+    for a, b in ((0, 1), (7, 9), (0, 65535), (65534, 65535)):
+        yield np.where(rng.random(shape) < 0.3, a, b)
+
+
+@pytest.mark.parametrize("num_bins", [256, 7, 100, 2])
+def test_otsu_integer_band_histogrammed_by_value(histogram_calls, num_bins):
+    rng = np.random.default_rng(num_bins)
+    for values in _integer_bands(rng):
+        band = values.astype(np.float64)
+        if band.min() == band.max():
+            continue
+        expected = _whole_band_threshold(band, num_bins)
+        histogram_calls.clear()
+        assert otsu_threshold(band, num_bins=num_bins) == expected
+        # one weighted histogram of the distinct values
+        assert histogram_calls == [(True, len(np.unique(values)))]
+
+
+@pytest.mark.parametrize("band", [
+    np.arange(-5.0, 6.0).reshape(1, -1),
+    np.array([[0.0, 1.5, 3.0, 7.0]]),
+    np.array([[0.0, 65535.0, 65536.0]]),
+    np.array([[0.25, 0.75, 0.5]]),
+    np.array([[0.0, 1.0, np.inf]]),
+], ids=["negative-integers", "one-fraction", "above-16-bit", "all-fractions", "infinite"])
+def test_otsu_other_bands_histogram_every_pixel(histogram_calls, band):
+    if np.isfinite(band).all():
+        expected = _whole_band_threshold(band)
+        histogram_calls.clear()
+        assert otsu_threshold(band) == expected
+    else:
+        with pytest.raises(ValueError):
+            otsu_threshold(band)
+    assert histogram_calls == [(False, band.size)]
+
+
+@pytest.mark.parametrize("level", [0.0, 7.0, 65535.0])
+def test_otsu_constant_integer_band_degenerate(level):
+    with pytest.raises(DegenerateBandError, match="degenerate"):
+        otsu_threshold(np.full((8, 8), level))
+    # a dead channel in a stack read from 16-bit PGMs fails the segmentation
+    rng = np.random.default_rng(int(level))
+    bands = (rng.integers(0, 4000, size=(16, 16)).astype(np.float64), np.full((16, 16), level))
+    with pytest.raises(DegenerateBandError, match="degenerate"):
+        segment(ImageStack(bands=bands, wavelengths_nm=(470.0, 530.0), role_tag="corrected"))
+
+
 def test_otsu_validates_bins():
     with pytest.raises(ValueError):
         otsu_threshold(np.array([[0.0, 1.0]]), num_bins=1)
