@@ -18,8 +18,6 @@ import numpy as np
 from . import fields
 from .stack_io import atomic_write_csv
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 MORPHOLOGICAL_FEATURE_NAMES = (
     "area", "convex_area", "eccentricity", "equivalent_diameter", "extent",
 )
@@ -106,14 +104,11 @@ def _convex_areas(pixels, sizes):
     other pixel lies between them. One stable sort by (organism, row, col)
     finds those pixels of every organism.
     """
-    (y0, x0), (y1, x1) = pixels.min(axis=0).tolist(), pixels.max(axis=0).tolist()
-    height, width = y1 - y0 + 1, x1 - x0 + 1
+    y0, y1 = pixels[:, 0].min(), pixels[:, 0].max()
+    height = y1 - y0 + 1
     # organism k's rows are lines k * height .. (k + 1) * height - 1
     line = np.repeat(np.arange(len(sizes)) * height - y0, sizes) + pixels[:, 0]
-    if len(sizes) * height * width <= _INT64_MAX:
-        order = np.argsort(line * width + (pixels[:, 1] - x0), kind="stable")
-    else:  # that key would overflow
-        order = np.lexsort((pixels[:, 1], line))
+    order = np.lexsort((pixels[:, 1], line))
     line = line[order]
     new_line = line[1:] != line[:-1]
     first = np.concatenate(([True], new_line))

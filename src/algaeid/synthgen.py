@@ -361,29 +361,17 @@ def match_organisms_to_truth(organisms, truth, planted):
     """Species index per extracted organism: that of the ground-truth id
     covering most of its pixels (ties go to the smaller id), or None when
     it overlaps no planted organism. A majority id with no record among
-    `planted` raises ValueError.
-
-    All organisms are matched in one pass: their pixels' truth ids are
-    counted per (organism, id) pair, and a stable sort by organism and
-    falling count puts each organism's majority id first."""
+    `planted` raises ValueError."""
     species_by_id = {p.id: p.species_index for p in planted}
-    top = [None] * len(organisms)
-    if organisms:
-        pixels = np.concatenate([org.pixels for org in organisms])
-        ids = truth.labels[pixels[:, 0], pixels[:, 1]].astype(np.int64)
-        owner = np.repeat(np.arange(len(organisms)), [org.area for org in organisms])
-        hit = ids > 0
-        span = truth.count + 1
-        # ascending by organism and then id
-        pairs, counts = np.unique(owner[hit] * span + ids[hit], return_counts=True)
-        best = pairs[np.lexsort((-counts, pairs // span))]
-        first = np.concatenate(([True], np.diff(best // span) != 0))
-        for k, truth_id in zip((best[first] // span).tolist(), (best[first] % span).tolist()):
-            top[k] = truth_id
-    for truth_id in top:
-        if truth_id is not None and truth_id not in species_by_id:
-            raise ValueError(f"truth.pgm id {truth_id} has no record in truth.json")
-    return [species_by_id.get(truth_id) for truth_id in top]
+    matched = []
+    for org in organisms:
+        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
+        ids = ids[ids > 0]
+        top = int(np.argmax(np.bincount(ids))) if len(ids) else None
+        if top is not None and top not in species_by_id:
+            raise ValueError(f"truth.pgm id {top} has no record in truth.json")
+        matched.append(species_by_id.get(top))
+    return matched
 
 
 def ground_truth_json(scene, catalog):

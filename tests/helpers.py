@@ -304,21 +304,6 @@ def reference_features(org, corrected, label=None):
         spectral=reference_spectral_means(org, corrected))
 
 
-def reference_match_organisms_to_truth(organisms, truth, planted):
-    """Species index per organism, one organism at a time: the truth id
-    covering most of its pixels (the smaller on ties), None without one."""
-    species_by_id = {p.id: p.species_index for p in planted}
-    matched = []
-    for org in organisms:
-        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
-        ids = ids[ids > 0]
-        top = int(np.argmax(np.bincount(ids))) if len(ids) else None
-        if top is not None and top not in species_by_id:
-            raise ValueError(f"truth.pgm id {top} has no record in truth.json")
-        matched.append(species_by_id.get(top))
-    return matched
-
-
 def random_organism(rng, max_size=14):
     """A random 8-connected component harvested from a random mask."""
     from algaeid.segmentation import connected_components

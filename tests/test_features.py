@@ -74,9 +74,7 @@ def test_convex_area_matches_halfplane_oracle():
         assert convex_area(shuffled) == convex_area(org)
 
 
-def test_convex_area_of_pixels_too_far_apart_for_one_sort_key():
-    # rows times columns of these spans overflow int64, so the row extremes
-    # are sorted by organism, row and column as separate keys
+def test_convex_area_of_pixels_far_apart():
     far = 2 ** 32
     triangle = organism_from_pixels([(0, 0), (0, far), (far, 0), (1, 1)])
     assert convex_area(triangle) == (far + 1) * (far + 2) // 2
