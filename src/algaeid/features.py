@@ -68,11 +68,21 @@ def area(org):
     return org.area
 
 
-def _pixel_batch(organisms):
+def _pixel_batch(organisms, corrected=None):
     """The organisms' (row, col) pixels concatenated in their given order,
-    and each one's pixel count."""
+    and each one's pixel count. With a `corrected` stack, a pixel outside
+    its bands raises ValueError naming the first organism that has one."""
     sizes = np.array([org.area for org in organisms], dtype=np.int64)
-    return np.concatenate([org.pixels for org in organisms]), sizes
+    pixels = np.concatenate([org.pixels for org in organisms])
+    if corrected is not None:
+        shape = (corrected.height, corrected.width)
+        ys, xs = pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
+        if pixels.min() < 0 or ys.max() >= shape[0] or xs.max() >= shape[1]:
+            i = int(np.argmax(((pixels < 0) | (pixels >= shape)).any(axis=1)))
+            org = organisms[int(np.searchsorted(np.cumsum(sizes), i, side="right"))]
+            raise ValueError(f"organism {org.id}: pixel {tuple(pixels[i].tolist())} lies "
+                             f"outside the {shape[0]}x{shape[1]} stack")
+    return pixels, sizes
 
 
 def _segment_means(values, sizes):
@@ -87,12 +97,14 @@ def _segment_means(values, sizes):
 
 def _pixel_means(pixels, sizes, bands=()):
     """Per organism of a batch: its mean row, its mean column and its mean
-    intensity in each of `bands`, as rows of a (2 + bands, n) array."""
-    ys, xs = pixels.T
+    intensity in each of `bands`, as rows of a (2 + bands, n) array. The
+    pixels must lie inside the bands."""
     values = np.empty((2 + len(bands), len(pixels)))
     values[:2] = pixels.T
-    for row, band in zip(values[2:], bands):
-        row[...] = band[ys, xs]
+    if bands:
+        flat = pixels[:, 0] * bands[0].shape[1] + pixels[:, 1]
+        for row, band in zip(values[2:], bands):
+            band.ravel().take(flat, out=row)
     return _segment_means(values, sizes)
 
 
@@ -200,7 +212,7 @@ def extent(org):
 def spectral_means(org, corrected):
     """Mean intensity over exactly the organism's pixel set, one value per
     band in ascending wavelength order."""
-    pixels, sizes = _pixel_batch([org])
+    pixels, sizes = _pixel_batch([org], corrected)
     return tuple(_pixel_means(pixels, sizes, corrected.bands)[2:, 0].tolist())
 
 
@@ -211,7 +223,8 @@ def feature_vectors(organisms, corrected, labels=None):
     The organisms are featurized as one batch: their pixels are
     concatenated, every mean and second moment comes from one segmented
     sum, and one sort finds every organism's row extremes for its hull.
-    Each value is bit for bit what the organism gets on its own.
+    Each value is bit for bit what the organism gets on its own. A pixel
+    outside the stack raises ValueError naming its organism.
     """
     organisms = list(organisms)
     labels = [None] * len(organisms) if labels is None else list(labels)
@@ -219,7 +232,7 @@ def feature_vectors(organisms, corrected, labels=None):
         raise ValueError(f"{len(labels)} labels for {len(organisms)} organisms")
     if not organisms:
         return []
-    pixels, sizes = _pixel_batch(organisms)
+    pixels, sizes = _pixel_batch(organisms, corrected)
     means = _pixel_means(pixels, sizes, corrected.bands)
     return [FeatureVector(
         organism_id=org.id,

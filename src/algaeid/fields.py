@@ -13,6 +13,9 @@ def as_number(name, value, kind=float):
     """`value` as `kind` (float or int). A bool, a string or another
     non-number raises ValueError naming `name`, as do NaN, an infinity and,
     where `kind` is int, a fractional value."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)
+                              and (kind is float or value.is_integer())):
+        return kind(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not isinstance(value, numbers.Integral) and not math.isfinite(value):

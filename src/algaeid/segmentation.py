@@ -54,8 +54,9 @@ class Organism:
             raise ValueError("pixel set must be a non-empty (N, 2) array")
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
-        (y_min, x_min), (y_max, x_max) = px.min(axis=0).tolist(), px.max(axis=0).tolist()
-        object.__setattr__(self, "bbox", (x_min, y_min, x_max, y_max))
+        ys, xs = px.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
+        object.__setattr__(self, "bbox", (int(xs.min()), int(ys.min()),
+                                          int(xs.max()), int(ys.max())))
 
     @property
     def area(self):
@@ -159,46 +160,58 @@ def connected_components(mask):
     ascend in raster order. A run touches the runs of the row above whose
     end key is at least its start key less one padded row and whose start
     key is at most its end key less one padded row; two searchsorted calls
-    give that range. Union-find joins the touching runs and always keeps
-    the smaller run index as the root, so each component's root is its
-    first run. Ids are the ranks of the roots: contiguous 1..n in
-    raster-scan order of each component's first pixel.
+    give that range, and each touching pair is one link.
+
+    The links are resolved by hook-and-compress over whole arrays
+    (Shiloach & Vishkin 1982): every link whose two runs still have
+    different roots hooks the larger root to the smallest root linked to
+    it, then pointer jumping points every run straight at its root, until
+    no link joins two roots. Parents never exceed their index, so each
+    component's root is its first run. Ids are the ranks of the roots:
+    contiguous 1..n in raster-scan order of each component's first pixel.
     """
     fg = np.asarray(mask, dtype=bool)
     h, w = fg.shape
     row = w + 2
-    padded = np.zeros((h, row), dtype=np.int8)
+    padded = np.zeros((h, row), dtype=bool)
     padded[:, 1:-1] = fg
-    edges = np.flatnonzero(np.diff(padded.ravel())) + 1
+    flat = padded.ravel()
+    # a bool array: numpy finds its nonzero entries fastest
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
-    first = np.searchsorted(ends, starts - row).tolist()
-    stop = np.searchsorted(starts, ends - row, side="right").tolist()
-    parent = list(range(len(starts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for run, (a, b) in enumerate(zip(first, stop)):
-        for above in range(a, b):
-            ra, rb = find(above), find(run)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    # parents never exceed their index, so one forward pass resolves roots
-    for i, p in enumerate(parent):
-        parent[i] = parent[p]
-    roots = np.array(parent, dtype=np.intp)
-    ids = np.cumsum(roots == np.arange(len(parent)), dtype=np.int32)[roots]
-    out = np.zeros(h * w, dtype=np.int32)
-    out[np.flatnonzero(fg)] = np.repeat(ids, ends - starts)
-    return LabelMap(out.reshape(h, w))
+    first = np.searchsorted(ends, starts - row)
+    touching = np.searchsorted(starts, ends - row, side="right") - first
+    # run i is linked to the touching runs first[i] .. first[i] + touching[i] - 1
+    below = np.repeat(np.arange(len(starts)), touching)
+    above = np.arange(len(below)) + np.repeat(first - np.cumsum(touching) + touching, touching)
+    parent = np.arange(len(starts))
+    while True:
+        root_above, root_below = parent[above], parent[below]
+        apart = root_above != root_below
+        if not apart.any():
+            break
+        above, below = above[apart], below[apart]
+        root_above, root_below = root_above[apart], root_below[apart]
+        np.minimum.at(parent, np.maximum(root_above, root_below),
+                      np.minimum(root_above, root_below))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+    ids = np.cumsum(parent == np.arange(len(parent)), dtype=np.int32)[parent]
+    out = np.zeros((h, w), dtype=np.int32)
+    out[fg] = np.repeat(ids, ends - starts)
+    return LabelMap(out)
 
 
 def extract_organisms(labels, corrected, min_area_px=SegmentationConfig.min_area_px):
     """One Organism per component with at least `min_area_px` pixels,
     ordered by component id. Components with a pixel in the first or last
     row or column of the map are kept and flagged as touching the border.
+
+    Every organism's `pixels` is a read-only row slice of one (N, 2) table
+    of all foreground pixels, grouped by id.
     """
     lab = labels.labels
     h, w = lab.shape
@@ -212,21 +225,15 @@ def extract_organisms(labels, corrected, min_area_px=SegmentationConfig.min_area
     # keeps each component's pixels in row-major order, as
     # np.argwhere(lab == id) would
     flat = lab.ravel()
-    fg = np.flatnonzero(flat)
+    fg = np.flatnonzero(flat != 0)  # a bool mask: numpy's fastest nonzero
     ids = flat[fg]
-    order = fg[np.argsort(ids, kind="stable")]
-    ends = np.cumsum(np.bincount(ids, minlength=labels.count + 1))
-    organisms = []
-    for comp_id in range(1, labels.count + 1):
-        start, stop = ends[comp_id - 1], ends[comp_id]
-        if stop - start < min_area_px:
-            continue
-        organisms.append(Organism(
-            id=comp_id,
-            pixels=np.stack(np.divmod(order[start:stop], w), axis=1),
-            touches_border=comp_id in border,
-        ))
-    return organisms
+    table = np.stack(np.divmod(fg[np.argsort(ids, kind="stable")], w), axis=1)
+    table.flags.writeable = False
+    sizes = np.bincount(ids, minlength=labels.count + 1)
+    ends = np.cumsum(sizes).tolist()
+    return [Organism(id=comp_id, pixels=table[ends[comp_id - 1]:ends[comp_id]],
+                     touches_border=comp_id in border)
+            for comp_id in (np.flatnonzero(sizes[1:] >= min_area_px) + 1).tolist()]
 
 
 @dataclass(frozen=True)
@@ -263,7 +270,7 @@ def labelmap_to_pgm(labels, path):
             f"{path}: {labels.count} components exceed the 16-bit PGM "
             f"id limit of {PGM_MAXVAL}"
         )
-    write_pgm16(path, labels.labels.astype(np.float64))
+    write_pgm16(path, labels.labels)
 
 
 def segmentation_json(seg):

@@ -196,11 +196,15 @@ def write_pgm16(path, array):
 
     Real-valued input is clamped to [0, 65535] and rounded to nearest
     (ties to even). Files are the only quantized representation of a stack.
+    An integer raster already within [0, 65535] is written as it is.
     """
-    a = np.asarray(array, dtype=np.float64)
+    a = np.asarray(array)
     if a.ndim != 2:
         raise StackIOError(f"PGM raster must be 2-D, got shape {a.shape}")
-    q = np.rint(np.clip(a, 0, PGM_MAXVAL)).astype(">u2")
+    if a.dtype.kind in "iu" and a.size and a.min() >= 0 and a.max() <= PGM_MAXVAL:
+        q = a.astype(">u2")
+    else:
+        q = np.rint(np.clip(a.astype(np.float64, copy=False), 0, PGM_MAXVAL)).astype(">u2")
     h, w = q.shape
     header = f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii")
     atomic_write_bytes(path, header + q.tobytes())

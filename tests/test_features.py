@@ -477,7 +477,7 @@ def test_feature_vectors_match_reference_at_summation_block_edges():
 
 def test_feature_vectors_match_reference_on_lines():
     rng = np.random.default_rng(35)
-    stack = _noise_stack(rng, (30, 30))
+    stack = _noise_stack(rng, (30, 41))  # not square: rows and columns differ in length
     organisms = [organism_from_pixels([(4, x) for x in range(3, 3 + n)], org_id=n)
                  for n in (1, 2, 9, 27)]
     organisms += [organism_from_pixels([(y, 6) for y in range(n)], org_id=100 + n)
@@ -502,3 +502,19 @@ def test_feature_vectors_label_count_must_match():
     org = organism_from_pixels([(1, 1)])
     with pytest.raises(ValueError, match=r"^2 labels for 1 organisms$"):
         feature_vectors([org], stack, [0, 1])
+
+
+@pytest.mark.parametrize("pixel", [(-1, 2), (2, -1), (4, 2), (2, 5)],
+                         ids=["negative-row", "negative-column", "row-past-edge",
+                              "column-past-edge"])
+def test_pixels_outside_the_stack_name_their_organism(pixel):
+    # a column one past the edge would otherwise read the next row's first pixel
+    stack = _noise_stack(np.random.default_rng(38), (4, 5))
+    inside = organism_from_pixels([(0, 0), (3, 4)], org_id=3)
+    outside = organism_from_pixels([(1, 1), pixel], org_id=9)
+    later = organism_from_pixels([(0, 0), (-1, -1)], org_id=11)
+    message = rf"^organism 9: pixel \({pixel[0]}, {pixel[1]}\) lies outside the 4x5 stack$"
+    with pytest.raises(ValueError, match=message):
+        feature_vectors([inside, outside, later], stack)
+    with pytest.raises(ValueError, match=message):
+        spectral_means(outside, stack)

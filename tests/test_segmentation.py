@@ -175,6 +175,28 @@ def test_components_diagonal_is_connected():
     assert connected_components(mask).count == 1
 
 
+def _comb(height, teeth):
+    # one-pixel teeth, one column apart, that meet only in the bottom row
+    mask = np.zeros((height, 2 * teeth - 1), dtype=bool)
+    mask[:, ::2] = mask[-1] = True
+    return mask
+
+
+def _serpentine(height, width):
+    # rows two apart, joined at the right and the left end in turn
+    mask = np.zeros((height, width), dtype=bool)
+    mask[::2] = True
+    for i, y in enumerate(range(1, height, 2)):
+        mask[y, -1 if i % 2 == 0 else 0] = True
+    return mask
+
+
+def _diagonals(height, width, step):
+    # lines of pixels that touch only at their corners, `step` columns apart
+    y, x = np.mgrid[:height, :width]
+    return (x - y) % step == 0
+
+
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(15)
     masks = [rng.random((64, 64)) < rng.uniform(0.2, 0.7) for _ in range(50)]
@@ -194,6 +216,13 @@ def test_components_match_flood_fill_oracle():
     for y in range(10):
         stair[y, 2 * y:2 * y + 2] = True
     masks += [u, u[::-1], comb, stair, stair[:, ::-1]]
+    masks += [_comb(48, 48), _comb(48, 48)[::-1],
+              _serpentine(63, 64), _serpentine(63, 64).T,
+              rng.random((128, 128)) < 0.45,
+              _diagonals(40, 50, 3), _diagonals(40, 50, 3)[:, ::-1], _diagonals(40, 50, 2),
+              np.zeros((30, 40), dtype=bool), np.ones((30, 40), dtype=bool),
+              rng.random((1, 300)) < 0.45, rng.random((300, 1)) < 0.45,
+              np.ones((1, 300), dtype=bool), np.ones((300, 1), dtype=bool)]
     for mask in masks:
         lab = connected_components(mask)
         oracle_labels, oracle_count = flood_fill_components(mask)
@@ -400,6 +429,20 @@ def test_labelmap_pgm_rejects_ids_beyond_16_bits(tmp_path):
     with pytest.raises(ValueError, match="65536 components"):
         labelmap_to_pgm(LabelMap(lab), path)
     assert not path.exists()
+
+
+def test_extract_pixels_are_read_only_rows_of_one_table():
+    rng = np.random.default_rng(25)
+    lab = connected_components(rng.random((40, 40)) < 0.4)
+    orgs = extract_organisms(lab, _stack_like((40, 40)), min_area_px=1)
+    assert len(orgs) > 1
+    table = orgs[0].pixels.base
+    assert table is not None and table.shape == (np.count_nonzero(lab.labels), 2)
+    for org in orgs:
+        assert org.pixels.base is table and org.pixels.dtype == np.int64
+        assert not org.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            org.pixels[0, 0] = 0
 
 
 def test_organisms_json_round_trip():

@@ -205,6 +205,26 @@ def test_pgm16_round_trip_values(tmp_path):
     assert back.count == 65535 and np.array_equal(back.labels, labels.labels)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+def test_pgm16_integer_raster_written_as_float_path(tmp_path, dtype):
+    values = np.array([[0, 1, 65535], [65535, 1, 0]])
+    write_pgm16(tmp_path / "int.pgm", values.astype(dtype))
+    write_pgm16(tmp_path / "float.pgm", values.astype(np.float64))
+    assert (tmp_path / "int.pgm").read_bytes() == (tmp_path / "float.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("values, clamped", [
+    ([[-70000, -1, 0, 7]], [[0, 0, 0, 7]]),
+    ([[7, 65535, 65536, 2 ** 31 - 1]], [[7, 65535, 65535, 65535]]),
+], ids=["negative", "above-16-bit"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_pgm16_integers_out_of_range_clamp(tmp_path, values, clamped, dtype):
+    write_pgm16(tmp_path / "int.pgm", np.array(values, dtype=dtype))
+    write_pgm16(tmp_path / "float.pgm", np.array(values, dtype=np.float64))
+    assert (tmp_path / "int.pgm").read_bytes() == (tmp_path / "float.pgm").read_bytes()
+    assert read_pgm(tmp_path / "int.pgm").tolist() == clamped
+
+
 @pytest.mark.parametrize("bands", [
     pytest.param([[[0.0]], [[65535.0]]], id="1x1-0-65535"),
     pytest.param([[[65535.0]], [[0.0]]], id="1x1-65535-0"),
