@@ -12,12 +12,11 @@ from .classifier import (Network, TrainConfig, TrainedModel, backward,
                          relu, save_model, softmax, train, train_runs)
 from .evaluation import (ConfusionMatrix, MccvReport, TTestResult, accuracy,
                          build_report, mccv_split, paired_t_test,
-                         render_report_text, run_mccv, t_cdf)
+                         render_report_text, run_mccv, t_two_sided_p)
 from .features import (FeatureVector, ModelVariant, Normalizer,
-                       apply_normalizer, area, assemble, compute_features,
-                       convex_area, eccentricity, equivalent_diameter,
-                       extent, fit_normalizer, read_features_csv,
-                       spectral_means, write_features_csv)
+                       apply_normalizer, assemble, compute_features,
+                       equivalent_diameter, extent, feature_vectors,
+                       fit_normalizer, read_features_csv, write_features_csv)
 from .illumination import (CorrectionConfig, estimate_background,
                            gaussian_lowpass, morphological_opening,
                            subtract_background)

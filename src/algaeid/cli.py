@@ -172,6 +172,10 @@ def cmd_features(args, cfg, digest):
         if truth_dir is not None:
             truth, planted, names = synthgen.read_ground_truth(truth_dir)
             class_names = _same_as_first("class_names", names, class_names, truth_dir)
+            h, w = truth.labels.shape
+            if (h, w) != (corrected.height, corrected.width):
+                raise ValueError(f"{truth_dir}: truth map {h}x{w} does not match "
+                                 f"stack {corrected.height}x{corrected.width}")
             try:
                 matched = synthgen.match_organisms_to_truth(organisms, truth, planted)
             except ValueError as e:

@@ -56,16 +56,19 @@ def confusion_from_predictions(y_true, y_pred, num_classes):
     return ConfusionMatrix(counts=np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
+# significance level of every paired t-test, the paper's
+ALPHA = 0.01
+
+
 @dataclass(frozen=True)
 class TTestResult:
     t: float
     df: int
     p_value: float
-    alpha: float
 
     @property
     def reject(self):
-        return self.p_value < self.alpha
+        return self.p_value < ALPHA
 
 
 @dataclass(frozen=True)
@@ -159,12 +162,6 @@ def regularized_incomplete_beta(a, b, x):
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def t_cdf(t, df):
-    """Cumulative distribution of Student's t with df degrees of freedom."""
-    tail = 0.5 * t_two_sided_p(t, df)
-    return 1.0 - tail if t > 0 else tail
-
-
 def t_two_sided_p(t, df):
     """Two-sided p-value P(|T| >= |t|)."""
     if df < 1:
@@ -175,8 +172,8 @@ def t_two_sided_p(t, df):
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-def paired_t_test(a, b, alpha=0.01):
-    """Paired-sample t-test on per-run accuracy differences d = a - b.
+def paired_t_test(a, b):
+    """Paired-sample t-test at level `ALPHA` on per-run accuracy differences d = a - b.
 
     Degenerate conventions: identical lists give p = 1 and no rejection;
     zero-variance differences with a nonzero mean give an infinite t,
@@ -195,12 +192,12 @@ def paired_t_test(a, b, alpha=0.01):
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(t=0.0, df=df, p_value=1.0, alpha=alpha)
+            return TTestResult(t=0.0, df=df, p_value=1.0)
         t = math.inf if mean > 0 else -math.inf
-        return TTestResult(t=t, df=df, p_value=0.0, alpha=alpha)
+        return TTestResult(t=t, df=df, p_value=0.0)
     t = mean / (sd / math.sqrt(n))
     p = t_two_sided_p(t, df)
-    return TTestResult(t=t, df=df, p_value=p, alpha=alpha)
+    return TTestResult(t=t, df=df, p_value=p)
 
 
 # --- Monte Carlo cross-validation ---
@@ -318,7 +315,7 @@ def build_report(reports):
             "t": res.t if math.isfinite(res.t) else str(res.t),
             "df": res.df,
             "p_value": res.p_value,
-            "alpha": res.alpha,
+            "alpha": ALPHA,
             "reject": res.reject,
         })
     return doc

@@ -63,25 +63,19 @@ class FeatureVector:
         object.__setattr__(self, "spectral", tuple(float(s) for s in self.spectral))
 
 
-def area(org):
-    """Total number of pixels in the organism."""
-    return org.area
-
-
-def _pixel_batch(organisms, corrected=None):
+def _pixel_batch(organisms, corrected):
     """The organisms' (row, col) pixels concatenated in their given order,
-    and each one's pixel count. With a `corrected` stack, a pixel outside
-    its bands raises ValueError naming the first organism that has one."""
+    and each one's pixel count. A pixel outside the `corrected` stack
+    raises ValueError naming the first organism that has one."""
     sizes = np.array([org.area for org in organisms], dtype=np.int64)
     pixels = np.concatenate([org.pixels for org in organisms])
-    if corrected is not None:
-        shape = (corrected.height, corrected.width)
-        ys, xs = pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
-        if pixels.min() < 0 or ys.max() >= shape[0] or xs.max() >= shape[1]:
-            i = int(np.argmax(((pixels < 0) | (pixels >= shape)).any(axis=1)))
-            org = organisms[int(np.searchsorted(np.cumsum(sizes), i, side="right"))]
-            raise ValueError(f"organism {org.id}: pixel {tuple(pixels[i].tolist())} lies "
-                             f"outside the {shape[0]}x{shape[1]} stack")
+    shape = (corrected.height, corrected.width)
+    ys, xs = pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
+    if pixels.min() < 0 or ys.max() >= shape[0] or xs.max() >= shape[1]:
+        i = int(np.argmax(((pixels < 0) | (pixels >= shape)).any(axis=1)))
+        org = organisms[int(np.searchsorted(np.cumsum(sizes), i, side="right"))]
+        raise ValueError(f"organism {org.id}: pixel {tuple(pixels[i].tolist())} lies "
+                         f"outside the {shape[0]}x{shape[1]} stack")
     return pixels, sizes
 
 
@@ -95,16 +89,15 @@ def _segment_means(values, sizes):
     return np.add.reduceat(padded, starts + np.arange(len(sizes)), axis=1) / sizes
 
 
-def _pixel_means(pixels, sizes, bands=()):
+def _pixel_means(pixels, sizes, bands):
     """Per organism of a batch: its mean row, its mean column and its mean
     intensity in each of `bands`, as rows of a (2 + bands, n) array. The
     pixels must lie inside the bands."""
     values = np.empty((2 + len(bands), len(pixels)))
     values[:2] = pixels.T
-    if bands:
-        flat = pixels[:, 0] * bands[0].shape[1] + pixels[:, 1]
-        for row, band in zip(values[2:], bands):
-            band.ravel().take(flat, out=row)
+    flat = pixels[:, 0] * bands[0].shape[1] + pixels[:, 1]
+    for row, band in zip(values[2:], bands):
+        band.ravel().take(flat, out=row)
     return _segment_means(values, sizes)
 
 
@@ -186,19 +179,6 @@ def _eccentricities(pixels, sizes, coordinate_means):
     return out
 
 
-def convex_area(org):
-    """Number of pixel centers inside or on the convex hull of the
-    organism's pixel centers (`_convex_areas` of the one organism)."""
-    return _convex_areas(*_pixel_batch([org]))[0]
-
-
-def eccentricity(org):
-    """Elongation in [0, 1] from the moment ellipse (`_eccentricities` of
-    the one organism). A single pixel yields 0."""
-    pixels, sizes = _pixel_batch([org])
-    return _eccentricities(pixels, sizes, _pixel_means(pixels, sizes))[0]
-
-
 def equivalent_diameter(org):
     """Diameter of the circle whose area equals the pixel count."""
     return math.sqrt(4.0 * org.area / math.pi)
@@ -207,13 +187,6 @@ def equivalent_diameter(org):
 def extent(org):
     """Pixel count divided by bounding-box area (box inclusive)."""
     return org.area / org.bbox_area
-
-
-def spectral_means(org, corrected):
-    """Mean intensity over exactly the organism's pixel set, one value per
-    band in ascending wavelength order."""
-    pixels, sizes = _pixel_batch([org], corrected)
-    return tuple(_pixel_means(pixels, sizes, corrected.bands)[2:, 0].tolist())
 
 
 def feature_vectors(organisms, corrected, labels=None):
@@ -237,7 +210,7 @@ def feature_vectors(organisms, corrected, labels=None):
     return [FeatureVector(
         organism_id=org.id,
         label=label,
-        area=area(org),
+        area=org.area,
         convex_area=hull,
         eccentricity=ecc,
         equivalent_diameter=equivalent_diameter(org),

@@ -17,8 +17,8 @@ import pytest
 from algaeid.classifier import TrainConfig, forward_batch, init_network, train
 from algaeid.cli import main
 from algaeid.evaluation import (ConfusionMatrix, accuracy, paired_t_test,
-                                run_mccv, t_cdf)
-from algaeid.features import ModelVariant, compute_features, fit_normalizer
+                                run_mccv, t_two_sided_p)
+from algaeid.features import ModelVariant, feature_vectors, fit_normalizer
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
 from algaeid.segmentation import connected_components, otsu_index, segment
@@ -61,8 +61,7 @@ def corpus():
         corrected = subtract_background(scene.stack, background, clamp=True)
         organisms = segment(corrected).organisms
         labels = match_organisms_to_truth(organisms, scene.truth, scene.organisms)
-        for org, label in zip(organisms, labels):
-            fv = compute_features(org, corrected, label=label)
+        for fv, label in zip(feature_vectors(organisms, corrected, labels), labels):
             fvs.append(fv)
             if label is not None:
                 # each organism's planted signature is its species' one
@@ -119,29 +118,32 @@ def test_criterion_2_labeling_oracle():
 
 def test_criterion_3_feature_analytics():
     with criterion(3, "shape feature fixtures and analytic values"):
-        from algaeid.features import (area, convex_area, eccentricity,
-                                      equivalent_diameter, extent)
-        disk = organism_from_pixels(disk_pixels(10))
-        assert eccentricity(disk) <= 0.1
-        ellipse = organism_from_pixels(ellipse_pixels(20, 10))
-        assert abs(eccentricity(ellipse) - 0.866) <= 0.02
-
+        disk = organism_from_pixels(disk_pixels(10, cy=10, cx=10))
+        ellipse = organism_from_pixels(ellipse_pixels(20, 10, cy=11, cx=21))
         square = organism_from_pixels(
             [(y, x) for y in range(5) for x in range(5)])
         l_shape = organism_from_pixels([(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)])
         single = organism_from_pixels([(0, 0)])
-        assert area(square) == 25 and convex_area(square) == 25
-        assert extent(square) == 1.0
-        assert area(l_shape) == 5 and extent(l_shape) == 5.0 / 9.0
-        assert area(single) == 1 and convex_area(single) == 1
-        assert extent(single) == 1.0
         triangle = organism_from_pixels(
             [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
-        assert convex_area(triangle) == 6
+        # one batch on a zero stack that covers every shape
+        zeros = ImageStack(bands=(np.zeros((23, 43)),), wavelengths_nm=(405.0,),
+                           role_tag="corrected")
+        disk, ellipse, square, l_shape, single, triangle = feature_vectors(
+            [disk, ellipse, square, l_shape, single, triangle], zeros)
+        assert disk.eccentricity <= 0.1
+        assert abs(ellipse.eccentricity - 0.866) <= 0.02
 
-        assert abs(equivalent_diameter(square) - math.sqrt(100 / math.pi)) < 1e-5
-        assert abs(equivalent_diameter(square) - 5.64190) < 1e-5
-        assert abs(equivalent_diameter(single) - 1.12838) < 1e-5
+        assert square.area == 25 and square.convex_area == 25
+        assert square.extent == 1.0
+        assert l_shape.area == 5 and l_shape.extent == 5.0 / 9.0
+        assert single.area == 1 and single.convex_area == 1
+        assert single.extent == 1.0
+        assert triangle.convex_area == 6
+
+        assert abs(square.equivalent_diameter - math.sqrt(100 / math.pi)) < 1e-5
+        assert abs(square.equivalent_diameter - 5.64190) < 1e-5
+        assert abs(single.equivalent_diameter - 1.12838) < 1e-5
 
 
 def test_criterion_4_gradient_check():
@@ -173,7 +175,8 @@ def test_criterion_6_statistics_fixtures():
         assert abs(accuracy(ConfusionMatrix(np.array(BEST_MODEL1))) - 440 / 783) < 1e-12
         for df in (1, 4, 19, 100):
             for t in np.linspace(-10.0, 10.0, 41):
-                assert abs(t_cdf(float(t), df) - quadrature_t_cdf(float(t), df)) < 1e-6
+                lower_tail = 0.5 * t_two_sided_p(float(t), df)
+                assert abs(lower_tail - quadrature_t_cdf(-abs(float(t)), df)) < 1e-6
         res = paired_t_test([2.0, 4.0, 6.0, 8.0, 10.0], [1.0, 2.0, 3.0, 4.0, 5.0])
         assert abs(res.t - 4.2426) <= 1e-4
         assert res.df == 4
@@ -194,7 +197,7 @@ def test_criterion_7_qualitative_reproduction(corpus, mccv_reports):
         assert m2.mean >= 0.90 and m3.mean >= 0.90
 
         # shape-only vs spectral difference is statistically significant
-        tt = paired_t_test(m1.accuracies, m2.accuracies, alpha=0.01)
+        tt = paired_t_test(m1.accuracies, m2.accuracies)
         assert tt.reject is True
 
         # shape-only errors concentrate between the two filament species,

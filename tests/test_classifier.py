@@ -449,6 +449,27 @@ def test_model_save_load_bitwise(tmp_path):
     assert np.array_equal(p1, p2)  # bitwise identical probabilities
 
 
+def test_model_save_load_keeps_edge_values_bitwise(tmp_path):
+    # subnormals, -0.0 and the largest finite doubles in every saved array;
+    # a std must be positive, so it holds the positive ones
+    edge = np.array([5e-324, -5e-324, 1e-310, -0.0,
+                     1.7976931348623157e308, -1.7976931348623157e308])
+    net = tiny_net([np.resize(edge, (4, 6)), np.resize(edge[::-1], (3, 4))],
+                   [np.resize(edge, 4), np.resize(edge[::-1], 3)])
+    normalizer = Normalizer(mean=edge, std=np.resize(edge[edge > 0], 6),
+                            constant=np.zeros(6, dtype=bool))
+    path = tmp_path / "model.json"
+    save_model(TrainedModel(network=net, variant=ModelVariant.SPECTRAL,
+                            normalizer=normalizer), path)
+    loaded = load_model(path)
+    saved = [*net.weights, *net.biases, normalizer.mean, normalizer.std]
+    back = [*loaded.network.weights, *loaded.network.biases,
+            loaded.normalizer.mean, loaded.normalizer.std]
+    for got, want in zip(back, saved, strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_model_schema_version_checked(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 99}', encoding="utf-8")

@@ -8,6 +8,7 @@ import pathlib
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from algaeid import classifier, cli, evaluation, segmentation, stack_io, synthgen
@@ -124,6 +125,27 @@ def test_features_rejects_truth_files_that_disagree(pipeline, tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {raw / 'scene_000'}: {problem}\n"
+
+
+@pytest.mark.parametrize("resize", [
+    lambda labels: np.pad(labels, ((0, 16), (0, 9))),
+    lambda labels: labels[:100, :90],
+], ids=["larger", "smaller"])
+def test_features_rejects_truth_map_of_another_size(pipeline, tmp_path, capsys, resize):
+    # a map of another size belongs to another scene: a larger one was
+    # matched without a word and a smaller one failed on an out-of-range index
+    raw = shutil.copytree(pipeline["raw"], tmp_path / "raw")
+    path = raw / "scene_001" / "truth.pgm"
+    labels = resize(stack_io.read_pgm(path))
+    segmentation.labelmap_to_pgm(segmentation.LabelMap(labels), path)
+    out = tmp_path / "features.csv"
+    assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
+                 "--truth", str(raw), "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    h, w = labels.shape
+    assert capsys.readouterr().err == (
+        f"error: {raw / 'scene_001'}: truth map {h}x{w} does not match stack 120x120\n")
 
 
 def test_scene_name_with_comma(pipeline, tmp_path):
@@ -803,12 +825,16 @@ def test_classify_checks_feature_columns(pipeline, tmp_path, capsys, bands, name
 
 
 def test_cli_featurizes_each_scene_in_one_batch():
-    # `features` and `classify` on a stack featurize a scene's organisms
-    # through one feature_vectors call, not one compute_features call each
-    called = []
-    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call):
-            func = node.func
-            called.append(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
-    assert "compute_features" not in called
-    assert called.count("feature_vectors") == 2
+    # every module featurizes through feature_vectors, never one organism at
+    # a time through compute_features; `features` and `classify` on a stack
+    # each make one feature_vectors call per scene
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        called = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.append(func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", ""))
+        assert "compute_features" not in called, path.name
+        if path.name == "cli.py":
+            assert called.count("feature_vectors") == 2

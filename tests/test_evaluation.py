@@ -10,8 +10,7 @@ from algaeid.evaluation import (ConfusionMatrix, MccvReport, _run_seeds,
                                 accuracy, build_report,
                                 confusion_from_predictions, mccv_split,
                                 paired_t_test, regularized_incomplete_beta,
-                                render_report_text, run_mccv, t_cdf,
-                                t_two_sided_p)
+                                render_report_text, run_mccv, t_two_sided_p)
 from algaeid.features import (FeatureVector, ModelVariant, apply_normalizer,
                               assemble, fit_normalizer)
 from algaeid.stack_io import atomic_write_json, read_json_object
@@ -104,22 +103,23 @@ def test_incomplete_beta_basic():
 
 
 def test_t_cdf_against_quadrature():
+    # half the two-sided p-value is the lower tail CDF(-|t|)
     for df in (1, 4, 19, 100):
         for t in (-10.0, -3.5, -1.0, -0.2, 0.0, 0.4, 1.5, 2.7, 6.0, 10.0):
-            assert abs(t_cdf(t, df) - quadrature_t_cdf(t, df)) < 1e-6
+            assert abs(0.5 * t_two_sided_p(t, df) - quadrature_t_cdf(-abs(t), df)) < 1e-6
 
 
 def test_t_cdf_known_values():
     # CDF(0) = 1/2; df=1 is a Cauchy: CDF(1) = 3/4
-    assert t_cdf(0.0, 7) == 0.5
-    assert abs(t_cdf(1.0, 1) - 0.75) < 1e-12
+    assert 0.5 * t_two_sided_p(0.0, 7) == 0.5
+    assert abs(1.0 - 0.5 * t_two_sided_p(1.0, 1) - 0.75) < 1e-12
     assert abs(t_two_sided_p(1.0, 1) - 0.5) < 1e-12
 
 
 def test_paired_t_fixture():
     a = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
     b = np.array([1.0, 2.0, 3.0, 4.0, 5.0])  # d = 1..5
-    res = paired_t_test(a, b, alpha=0.01)
+    res = paired_t_test(a, b)
     assert abs(res.t - 4.2426) < 1e-4
     assert res.df == 4
     assert abs(res.p_value - 0.0132) < 1e-3

@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from algaeid.features import (FeatureVector, ModelVariant, apply_normalizer,
-                              area, assemble, compute_features, convex_area,
-                              eccentricity, equivalent_diameter, extent,
-                              feature_names, feature_vectors, fit_normalizer,
-                              read_features_csv, spectral_means,
-                              write_features_csv)
+from algaeid.features import (FeatureVector, ModelVariant, _convex_areas,
+                              apply_normalizer, assemble, feature_names,
+                              feature_vectors, fit_normalizer,
+                              read_features_csv, write_features_csv)
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
 from algaeid.segmentation import Organism, segment
@@ -27,27 +25,49 @@ def square(n, oy=0, ox=0):
     return [(oy + y, ox + x) for y in range(n) for x in range(n)]
 
 
+def _corrected_stack(bands):
+    wl = tuple(405.0 + 25 * i for i in range(len(bands)))
+    base = ImageStack(bands=tuple(np.zeros_like(b) for b in bands),
+                      wavelengths_nm=wl, role_tag="background")
+    return base.with_bands(tuple(bands), role_tag="corrected")
+
+
+def _features(pixels):
+    """The FeatureVector of the organism with these pixels, from
+    `feature_vectors` on a zero stack that covers it."""
+    org = organism_from_pixels(pixels)
+    height, width = org.pixels.max(axis=0) + 1
+    return feature_vectors([org], _corrected_stack([np.zeros((height, width))]))[0]
+
+
+def _batch_convex_areas(organisms):
+    """`_convex_areas` of the organisms as one batch, for pixel sets that no
+    stack holds: negative coordinates, or coordinates 2**32 apart."""
+    return _convex_areas(np.concatenate([org.pixels for org in organisms]),
+                         np.array([org.area for org in organisms]))
+
+
 def test_area_fixtures():
-    assert area(organism_from_pixels(square(5))) == 25
-    assert area(organism_from_pixels([(3, 4)])) == 1
-    assert area(organism_from_pixels(L_SHAPE)) == 5
+    assert _features(square(5)).area == 25
+    assert _features([(3, 4)]).area == 1
+    assert _features(L_SHAPE).area == 5
 
 
 def test_convex_area_convex_blobs():
-    assert convex_area(organism_from_pixels(square(5))) == 25
+    assert _features(square(5)).convex_area == 25
     triangle = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    assert convex_area(organism_from_pixels(triangle)) == 6
+    assert _features(triangle).convex_area == 6
 
 
 def test_convex_area_degenerate_shapes():
-    assert convex_area(organism_from_pixels([(2, 2)])) == 1
+    assert _features([(2, 2)]).convex_area == 1
     # diagonal line: hull is a segment, lattice points via gcd
     diag = [(i, i) for i in range(5)]
-    assert convex_area(organism_from_pixels(diag)) == 5
+    assert _features(diag).convex_area == 5
     horiz = [(0, x) for x in range(7)]
-    assert convex_area(organism_from_pixels(horiz)) == 7
+    assert _features(horiz).convex_area == 7
     sparse = [(0, 0), (2, 4)]  # collinear endpoints only
-    assert convex_area(organism_from_pixels(sparse)) == 3
+    assert _features(sparse).convex_area == 3
 
 
 def test_convex_area_matches_halfplane_oracle():
@@ -66,36 +86,38 @@ def test_convex_area_matches_halfplane_oracle():
         mask = rng.random((h, w)) < rng.uniform(0.05, 0.6)
         if mask.any():
             organisms.append(organism_from_pixels(np.argwhere(mask) - [h // 2, w // 2]))
-    for org in organisms:
-        assert convex_area(org) == oracle_convex_area(org.pixels)
-        assert convex_area(org) >= org.area
-        # the hull must not depend on the pixels being in row-major order
-        shuffled = dataclasses.replace(org, pixels=rng.permutation(org.pixels))
-        assert convex_area(shuffled) == convex_area(org)
+    counts = _batch_convex_areas(organisms)
+    for org, count in zip(organisms, counts):
+        assert count == oracle_convex_area(org.pixels)
+        assert count >= org.area
+    # the hull must not depend on the pixels being in row-major order
+    shuffled = [dataclasses.replace(org, pixels=rng.permutation(org.pixels))
+                for org in organisms]
+    assert _batch_convex_areas(shuffled) == counts
 
 
 def test_convex_area_of_pixels_far_apart():
     far = 2 ** 32
     triangle = organism_from_pixels([(0, 0), (0, far), (far, 0), (1, 1)])
-    assert convex_area(triangle) == (far + 1) * (far + 2) // 2
     segment_ = organism_from_pixels([(-far, -far), (far, far), (0, 0)])
-    assert convex_area(segment_) == 2 * far + 1
+    assert _batch_convex_areas([triangle]) == [(far + 1) * (far + 2) // 2]
+    assert _batch_convex_areas([segment_]) == [2 * far + 1]
     for org in (triangle, segment_):
-        assert convex_area(org) == reference_convex_area(org)
+        assert _batch_convex_areas([org]) == [reference_convex_area(org)]
 
 
 def test_eccentricity_single_pixel():
-    assert eccentricity(organism_from_pixels([(0, 0)])) == 0.0
+    assert _features([(0, 0)]).eccentricity == 0.0
 
 
 def test_eccentricity_disk_near_zero():
-    assert eccentricity(organism_from_pixels(disk_pixels(10))) <= 0.1
+    assert _features(disk_pixels(10, cy=10, cx=10)).eccentricity <= 0.1
 
 
 def test_eccentricity_ellipse():
-    org = organism_from_pixels(ellipse_pixels(20, 10))
+    fv = _features(ellipse_pixels(20, 10, cy=11, cx=21))
     # continuous ellipse with semi-axes 20 and 10: sqrt(1 - 1/4)
-    assert abs(eccentricity(org) - math.sqrt(3) / 2) <= 0.02
+    assert abs(fv.eccentricity - math.sqrt(3) / 2) <= 0.02
 
 
 def test_eccentricity_matches_moment_oracle():
@@ -107,54 +129,46 @@ def test_eccentricity_matches_moment_oracle():
         cov = np.cov(np.stack([xs, ys]), bias=True) + np.eye(2) / 12.0
         evals = np.linalg.eigvalsh(cov)
         expected = math.sqrt(max(0.0, 1.0 - evals[0] / evals[1])) if evals[1] > 0 else 0.0
-        assert abs(eccentricity(org) - expected) < 1e-9
+        assert abs(_features(org.pixels).eccentricity - expected) < 1e-9
 
 
 def test_eccentricity_translation_and_rotation_invariance():
     rng = np.random.default_rng(21)
     for _ in range(20):
         org = random_organism(rng)
-        e0 = eccentricity(org)
-        shifted = organism_from_pixels(org.pixels + np.array([7, 13]))
-        assert abs(eccentricity(shifted) - e0) < 1e-12
-        rotated = organism_from_pixels(
-            np.stack([org.pixels[:, 1], -org.pixels[:, 0] + 50], axis=1))
-        assert abs(eccentricity(rotated) - e0) <= 1e-9
+        e0 = _features(org.pixels).eccentricity
+        shifted = org.pixels + np.array([7, 13])
+        assert abs(_features(shifted).eccentricity - e0) < 1e-12
+        rotated = np.stack([org.pixels[:, 1], -org.pixels[:, 0] + 50], axis=1)
+        assert abs(_features(rotated).eccentricity - e0) <= 1e-9
 
 
 def test_equivalent_diameter_closed_form():
-    assert abs(equivalent_diameter(organism_from_pixels(square(5))) - 5.64190) < 1e-5
-    assert abs(equivalent_diameter(organism_from_pixels([(0, 0)])) - 1.12838) < 1e-5
+    assert abs(_features(square(5)).equivalent_diameter - 5.64190) < 1e-5
+    assert abs(_features([(0, 0)]).equivalent_diameter - 1.12838) < 1e-5
 
 
 def test_equivalent_diameter_rasterized_disk():
-    pixels = disk_pixels(10)
-    org = organism_from_pixels(pixels)
+    pixels = disk_pixels(10, cy=10, cx=10)
+    d = _features(pixels).equivalent_diameter
     n = len(pixels)  # derived by the rasterization oracle itself
-    assert equivalent_diameter(org) == math.sqrt(4.0 * n / math.pi)
+    assert d == math.sqrt(4.0 * n / math.pi)
     # pixel count tracks the ideal pi*r^2, so the diameter lands near 2r
-    assert abs(equivalent_diameter(org) - 20.0) < 0.15
+    assert abs(d - 20.0) < 0.15
 
 
 def test_equivalent_diameter_area_identity():
     rng = np.random.default_rng(22)
     for _ in range(20):
         org = random_organism(rng)
-        d = equivalent_diameter(org)
+        d = _features(org.pixels).equivalent_diameter
         assert abs(d * d * math.pi / 4.0 - org.area) < 1e-9
 
 
 def test_extent_fixtures():
-    assert extent(organism_from_pixels(square(5))) == 1.0
-    assert abs(extent(organism_from_pixels(L_SHAPE)) - 5.0 / 9.0) < 1e-15
-    assert extent(organism_from_pixels([(4, 9)])) == 1.0
-
-
-def _corrected_stack(bands):
-    wl = tuple(405.0 + 25 * i for i in range(len(bands)))
-    base = ImageStack(bands=tuple(np.zeros_like(b) for b in bands),
-                      wavelengths_nm=wl, role_tag="background")
-    return base.with_bands(tuple(bands), role_tag="corrected")
+    assert _features(square(5)).extent == 1.0
+    assert abs(_features(L_SHAPE).extent - 5.0 / 9.0) < 1e-15
+    assert _features([(4, 9)]).extent == 1.0
 
 
 def test_spectral_means_fixture():
@@ -162,17 +176,17 @@ def test_spectral_means_fixture():
     band[0, 0], band[1, 1], band[2, 2] = 10.0, 20.0, 30.0
     stack = _corrected_stack([band])
     org = organism_from_pixels([(0, 0), (1, 1), (2, 2)])
-    assert spectral_means(org, stack) == (20.0,)
+    assert feature_vectors([org], stack)[0].spectral == (20.0,)
 
 
 def test_spectral_means_ignore_bbox_padding():
     rng = np.random.default_rng(23)
     band = rng.random((8, 8))
     org = organism_from_pixels([(2, 2), (2, 4), (4, 3)])  # sparse in its bbox
-    before = spectral_means(org, _corrected_stack([band.copy()]))
+    before = feature_vectors([org], _corrected_stack([band.copy()]))[0].spectral
     noisy = band.copy()
     noisy[3, 3] += 100.0  # inside bbox, outside the pixel set
-    after = spectral_means(org, _corrected_stack([noisy]))
+    after = feature_vectors([org], _corrected_stack([noisy]))[0].spectral
     assert before == after
 
 
@@ -182,7 +196,7 @@ def test_spectral_means_match_summation_oracle():
         org = random_organism(rng)
         bands = [rng.random((20, 20)) * 100 for _ in range(3)]
         stack = _corrected_stack(bands)
-        got = spectral_means(org, stack)
+        got = feature_vectors([org], stack)[0].spectral
         for b, band in enumerate(bands):
             total = sum(band[y, x] for y, x in org.pixels)
             assert abs(got[b] - total / org.area) < 1e-9
@@ -281,7 +295,7 @@ def test_csv_round_trip_and_format(tmp_path):
     band = np.arange(36, dtype=np.float64).reshape(6, 6)
     stack = _corrected_stack([band + i for i in range(6)])
     org = organism_from_pixels([(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
-    fv = compute_features(org, stack, label=3)
+    fv = feature_vectors([org], stack, [3])[0]
     path = tmp_path / "features.csv"
     write_features_csv(path, [fv], stack.wavelengths_nm)
 
@@ -413,8 +427,6 @@ def _assert_batch_matches_reference(organisms, corrected, labels=None):
     labels = [None] * len(organisms) if labels is None else labels
     expected = [reference_features(org, corrected, lab) for org, lab in zip(organisms, labels)]
     assert _bits(feature_vectors(organisms, corrected, labels)) == _bits(expected)
-    assert _bits(compute_features(org, corrected, lab)
-                 for org, lab in zip(organisms, labels)) == _bits(expected)
 
 
 @pytest.fixture(scope="module")
@@ -516,5 +528,3 @@ def test_pixels_outside_the_stack_name_their_organism(pixel):
     message = rf"^organism 9: pixel \({pixel[0]}, {pixel[1]}\) lies outside the 4x5 stack$"
     with pytest.raises(ValueError, match=message):
         feature_vectors([inside, outside, later], stack)
-    with pytest.raises(ValueError, match=message):
-        spectral_means(outside, stack)

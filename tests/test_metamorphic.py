@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from algaeid import synthgen
-from algaeid.features import compute_features
+from algaeid.features import feature_vectors
 from algaeid.illumination import estimate_background, subtract_background
 from algaeid.segmentation import segment
 
@@ -97,8 +97,8 @@ def test_segmentation_commutes_with_flips(corrected_scenes, scene, window, name)
     assert len(pairs) == len(np.unique(pairs[:, 0])) == len(np.unique(pairs[:, 1]))
     id_t = dict(pairs.tolist())
 
-    fvs = {o.id: (compute_features(o, stack), o) for o in seg.organisms}
-    fvs_t = {o.id: (compute_features(o, moved), o) for o in seg_t.organisms}
+    fvs, fvs_t = ({o.id: (fv, o) for fv, o in zip(feature_vectors(s.organisms, st), s.organisms)}
+                  for s, st in ((seg, stack), (seg_t, moved)))
     assert sorted(id_t[i] for i in fvs) == sorted(fvs_t)
     for i, (fv, org) in fvs.items():
         fv_t, org_t = fvs_t[id_t[i]]
