@@ -132,8 +132,7 @@ def test_features_rejects_truth_files_that_disagree(pipeline, tmp_path, capsys,
     lambda labels: labels[:100, :90],
 ], ids=["larger", "smaller"])
 def test_features_rejects_truth_map_of_another_size(pipeline, tmp_path, capsys, resize):
-    # a map of another size belongs to another scene: a larger one was
-    # matched without a word and a smaller one failed on an out-of-range index
+    # a truth map of another size belongs to another scene
     raw = shutil.copytree(pipeline["raw"], tmp_path / "raw")
     path = raw / "scene_001" / "truth.pgm"
     labels = resize(stack_io.read_pgm(path))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from algaeid.features import (FeatureVector, ModelVariant, _convex_areas,
-                              apply_normalizer, assemble, feature_names,
-                              feature_vectors, fit_normalizer,
+                              apply_normalizer, assemble, compute_features,
+                              feature_names, feature_vectors, fit_normalizer,
                               read_features_csv, write_features_csv)
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
@@ -427,6 +427,8 @@ def _assert_batch_matches_reference(organisms, corrected, labels=None):
     labels = [None] * len(organisms) if labels is None else labels
     expected = [reference_features(org, corrected, lab) for org, lab in zip(organisms, labels)]
     assert _bits(feature_vectors(organisms, corrected, labels)) == _bits(expected)
+    assert _bits(compute_features(org, corrected, lab)
+                 for org, lab in zip(organisms, labels)) == _bits(expected)
 
 
 @pytest.fixture(scope="module")
