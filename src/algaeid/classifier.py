@@ -231,18 +231,6 @@ def backward(net, x, labels):
     return [grads_w[0][0][0]] + [g[0] for g in grads_w[1:]], [g[0] for g in grads_b]
 
 
-def train(x, y, cfg=None, num_classes=None):
-    """Mini-batch SGD for cfg.epochs; returns (network, final mean loss).
-
-    Initialization and per-epoch shuffling derive solely from cfg.seed, so
-    identical (data, cfg) produce bitwise-identical weights. This is the
-    one-run case of `train_runs`, which checks the shapes of x and y.
-    """
-    cfg = cfg or TrainConfig()
-    return train_runs(np.asarray(x)[None], np.asarray(y)[None], [cfg.seed], cfg=cfg,
-                      num_classes=num_classes)[0]
-
-
 def _split(flat, shapes):
     """Consecutive views of the 1-D buffer `flat`, one per shape."""
     views, start = [], 0

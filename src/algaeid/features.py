@@ -63,19 +63,19 @@ class FeatureVector:
         object.__setattr__(self, "spectral", tuple(float(s) for s in self.spectral))
 
 
-def _pixel_batch(organisms, corrected):
-    """The organisms' (row, col) pixels concatenated in their given order,
-    and each one's pixel count. A pixel outside the `corrected` stack
-    raises ValueError naming the first organism that has one."""
+def pixel_batch(organisms, height, width, raster):
+    """The (row, col) pixels of a non-empty list of organisms concatenated
+    in their given order, and each one's pixel count. A pixel outside a
+    `height` x `width` raster raises ValueError naming the first organism
+    that has one, the pixel and the `raster`."""
     sizes = np.array([org.area for org in organisms], dtype=np.int64)
     pixels = np.concatenate([org.pixels for org in organisms])
-    shape = (corrected.height, corrected.width)
     ys, xs = pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
-    if pixels.min() < 0 or ys.max() >= shape[0] or xs.max() >= shape[1]:
-        i = int(np.argmax(((pixels < 0) | (pixels >= shape)).any(axis=1)))
+    if pixels.min() < 0 or ys.max() >= height or xs.max() >= width:
+        i = int(np.argmax(((pixels < 0) | (pixels >= (height, width))).any(axis=1)))
         org = organisms[int(np.searchsorted(np.cumsum(sizes), i, side="right"))]
         raise ValueError(f"organism {org.id}: pixel {tuple(pixels[i].tolist())} lies "
-                         f"outside the {shape[0]}x{shape[1]} stack")
+                         f"outside the {height}x{width} {raster}")
     return pixels, sizes
 
 
@@ -179,19 +179,11 @@ def _eccentricities(pixels, sizes, coordinate_means):
     return out
 
 
-def equivalent_diameter(org):
-    """Diameter of the circle whose area equals the pixel count."""
-    return math.sqrt(4.0 * org.area / math.pi)
-
-
-def extent(org):
-    """Pixel count divided by bounding-box area (box inclusive)."""
-    return org.area / org.bbox_area
-
-
 def feature_vectors(organisms, corrected, labels=None):
     """The FeatureVector of each organism, in order, with the matching
-    entry of `labels` (None for all without it).
+    entry of `labels` (None for all without it). Equivalent diameter is
+    that of the circle whose area is the pixel count; extent is the pixel
+    count over the bounding-box area (box inclusive).
 
     The organisms are featurized as one batch: their pixels are
     concatenated, every mean and second moment comes from one segmented
@@ -205,7 +197,7 @@ def feature_vectors(organisms, corrected, labels=None):
         raise ValueError(f"{len(labels)} labels for {len(organisms)} organisms")
     if not organisms:
         return []
-    pixels, sizes = _pixel_batch(organisms, corrected)
+    pixels, sizes = pixel_batch(organisms, corrected.height, corrected.width, "stack")
     means = _pixel_means(pixels, sizes, corrected.bands)
     return [FeatureVector(
         organism_id=org.id,
@@ -213,8 +205,8 @@ def feature_vectors(organisms, corrected, labels=None):
         area=org.area,
         convex_area=hull,
         eccentricity=ecc,
-        equivalent_diameter=equivalent_diameter(org),
-        extent=extent(org),
+        equivalent_diameter=math.sqrt(4.0 * org.area / math.pi),
+        extent=org.area / org.bbox_area,
         spectral=spectral,
     ) for org, label, hull, ecc, spectral in zip(
         organisms, labels, _convex_areas(pixels, sizes),

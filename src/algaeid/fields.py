@@ -11,19 +11,23 @@ import numpy as np
 
 def as_number(name, value, kind=float):
     """`value` as `kind` (float or int). A bool, a string or another
-    non-number raises ValueError naming `name`, as do NaN, an infinity and,
-    where `kind` is int, a fractional value."""
-    if type(value) is int or (type(value) is float and math.isfinite(value)
-                              and (kind is float or value.is_integer())):
+    non-number raises ValueError naming `name`, as do NaN, an infinity, a
+    number too large for a float and, where `kind` is int, a fractional
+    value."""
+    try:
+        if type(value) is int or (type(value) is float and math.isfinite(value)
+                                  and (kind is float or value.is_integer())):
+            return kind(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if kind is int and not (isinstance(value, numbers.Integral)
+                                or float(value).is_integer()):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         return kind(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if kind is int and not (isinstance(value, numbers.Integral)
-                            or float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
+    except OverflowError:  # its digits could run to thousands: none are printed
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def as_numbers(name, value):
@@ -38,13 +42,17 @@ def as_array(name, value, kind=float):
     """`value`, an array or nested lists, as a numpy array of `kind`, float
     or bool. Each entry must be a number (an int or a float, not a bool)
     for float and a bool for bool; any other entry, such as a string, None
-    or a list that does not nest evenly, raises ValueError naming `name`."""
+    or a list that does not nest evenly, raises ValueError naming `name`, as
+    does a number too large for a float."""
     items = np.asarray(value, dtype=object)
     for v in items.flat:
         if isinstance(v, bool) != (kind is bool) or not isinstance(v, numbers.Real):
             raise ValueError(f"{name} must hold only "
                              f"{'booleans' if kind is bool else 'numbers'}, got {v!r}")
-    return items.astype(kind)
+    try:
+        return items.astype(kind)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number too large for a float") from None
 
 
 def non_negative(obj, name):

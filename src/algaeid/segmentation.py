@@ -260,7 +260,8 @@ def segment(corrected, num_bins=SegmentationConfig.num_bins,
 
 
 def labelmap_to_pgm(labels, path):
-    """Export component ids as a 16-bit PGM for visual debugging.
+    """Write component ids as a 16-bit PGM: the labels.pgm that `segment`
+    hands to `features`, which reads it back, or the stored truth.pgm.
 
     Ids above 65535 do not fit the format, and clipping them would merge
     components, so a map with more components raises ValueError.

@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from . import fields
+from .features import pixel_batch
 from .segmentation import LabelMap, connected_components, labelmap_to_pgm
 from .stack_io import (ImageStack, atomic_write_json, read_json_object, read_pgm,
                        string_list)
@@ -361,11 +362,14 @@ def match_organisms_to_truth(organisms, truth, planted):
     """Species index per extracted organism: that of the ground-truth id
     covering most of its pixels (ties go to the smaller id), or None when
     it overlaps no planted organism. A majority id with no record among
-    `planted` raises ValueError."""
+    `planted`, or a pixel outside the truth map, raises ValueError."""
+    organisms = list(organisms)
+    if not organisms:
+        return []
+    pixels, sizes = pixel_batch(organisms, *truth.labels.shape, "truth map")
     species_by_id = {p.id: p.species_index for p in planted}
     matched = []
-    for org in organisms:
-        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
+    for ids in np.split(truth.labels[pixels[:, 0], pixels[:, 1]], np.cumsum(sizes)[:-1]):
         ids = ids[ids > 0]
         top = int(np.argmax(np.bincount(ids))) if len(ids) else None
         if top is not None and top not in species_by_id:

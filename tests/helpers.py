@@ -357,7 +357,7 @@ def _reference_backward_batch(net, x, labels):
 def reference_train(x, y, cfg=None, num_classes=None):
     """One network trained on its own: He-uniform init and one permutation
     per epoch from default_rng(cfg.seed), then 2-D matmuls per mini-batch.
-    Returns (network, final mean loss) like `classifier.train`."""
+    Returns (network, final mean loss) like one run of `train_runs`."""
     cfg = cfg or TrainConfig()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from algaeid.classifier import TrainConfig, forward_batch, init_network, train
+from algaeid.classifier import TrainConfig, forward_batch, init_network, train_runs
 from algaeid.cli import main
 from algaeid.evaluation import (ConfusionMatrix, accuracy, paired_t_test,
                                 run_mccv, t_two_sided_p)
@@ -278,7 +278,8 @@ def test_criterion_9_round_trips(tmp_path):
         from algaeid.classifier import TrainedModel, load_model, save_model
         x = rng.normal(size=(80, 11))
         y = rng.integers(0, 6, size=80)
-        net, _ = train(x, y, cfg=TrainConfig(epochs=25, seed=3), num_classes=6)
+        cfg = TrainConfig(epochs=25, seed=3)
+        net, _ = train_runs([x], [y], [cfg.seed], cfg=cfg, num_classes=6)[0]
         model = TrainedModel(network=net, variant=ModelVariant.SPECTRAL_MORPHOLOGICAL,
                              normalizer=fit_normalizer(x))
         save_model(model, tmp_path / "model.json")

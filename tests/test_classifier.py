@@ -14,7 +14,7 @@ from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
                                 TrainedModel, backward, forward_batch,
                                 init_network, load_model, loss,
                                 predict_batch, relu, save_model, softmax,
-                                train, train_runs)
+                                train_runs)
 from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
                               fit_normalizer)
 
@@ -188,7 +188,7 @@ def test_train_separable_blobs():
     x = np.vstack([x0, x1])
     y = np.array([0] * n + [1] * n)
     cfg = TrainConfig(epochs=200, seed=5)
-    net, final_loss = train(x, y, cfg=cfg)
+    net, final_loss = train_runs([x], [y], [cfg.seed], cfg=cfg)[0]
     acc = (np.argmax(forward_batch(net, x), axis=1) == y).mean()
     assert acc >= 0.99
     assert final_loss < 0.3
@@ -200,8 +200,8 @@ def test_train_deterministic_bitwise():
     x = rng.normal(size=(60, 5))
     y = rng.integers(0, 3, size=60)
     cfg = TrainConfig(epochs=30, seed=9)
-    net1, loss1 = train(x, y, cfg=cfg)
-    net2, loss2 = train(x, y, cfg=cfg)
+    net1, loss1 = train_runs([x], [y], [cfg.seed], cfg=cfg)[0]
+    net2, loss2 = train_runs([x], [y], [cfg.seed], cfg=cfg)[0]
     assert loss1 == loss2
     for a, b in zip(net1.weights + net1.biases, net2.weights + net2.biases):
         assert np.array_equal(a, b)
@@ -341,7 +341,7 @@ def test_train_rejects_non_finite_inputs():
         x = rng.normal(size=(20, 5))
         x[7, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            train(x, y, cfg=TrainConfig(epochs=1))
+            train_runs([x], [y], [0], cfg=TrainConfig(epochs=1))
 
 
 def test_train_config_validation():
@@ -366,10 +366,10 @@ def test_train_input_validation():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20, 5))
     with pytest.raises(ValueError):
-        train(x, np.zeros(20, dtype=int), cfg=TrainConfig(epochs=1))  # one class
+        train_runs([x], [np.zeros(20, dtype=int)], [0], cfg=TrainConfig(epochs=1))  # one class
     with pytest.raises(ValueError):
-        train(x, rng.integers(0, 2, size=20),
-              cfg=TrainConfig(epochs=1, batch_size=21))  # batch > n
+        train_runs([x], [rng.integers(0, 2, size=20)], [0],
+                   cfg=TrainConfig(epochs=1, batch_size=21))  # batch > n
 
 
 def test_descent_direction_property():
@@ -430,7 +430,8 @@ def test_model_save_load_bitwise(tmp_path):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 6, size=40)
-    net, _ = train(x, y, cfg=TrainConfig(epochs=20, seed=11), num_classes=6)
+    cfg = TrainConfig(epochs=20, seed=11)
+    net, _ = train_runs([x], [y], [cfg.seed], cfg=cfg, num_classes=6)[0]
     model = TrainedModel(
         network=net, variant=ModelVariant.SPECTRAL,
         normalizer=unit_normalizer(6),

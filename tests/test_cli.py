@@ -508,6 +508,8 @@ def _set_normalizer(key, edit):
      "layer_sizes [6, 12, 8, 6, 7] != the weights' [6, 12, 8, 6, 6]"),
     (_set_entry("0.5", "weights", 0, 0, 0), "layer 0 weights must hold only numbers, got '0.5'"),
     (_set_entry(True, "weights", 1, 2, 3), "layer 1 weights must hold only numbers, got True"),
+    (_set_entry(10 ** 400, "weights", 2, 1, 0),
+     "layer 2 weights holds a number too large for a float"),
     (_set_entry(None, "biases", 3, 0), "layer 3 biases must hold only numbers, got None"),
     (_set_entry("1", "normalizer", "mean", 0), "normalizer mean must hold only numbers, got '1'"),
     (_set_entry(True, "normalizer", "std", 5), "normalizer std must hold only numbers, got True"),
@@ -519,8 +521,9 @@ def _set_normalizer(key, edit):
         "class-names-short", "feature-names-short", "normalizer-list", "normalizer-null",
         "normalizer-missing", "normalizer-zero-std",
         "normalizer-short-mean", "layer-sizes-string", "layer-sizes-not-the-weights",
-        "weights-string", "weights-bool", "biases-null", "normalizer-mean-string",
-        "normalizer-std-bool", "normalizer-constant-string", "normalizer-constant-number"])
+        "weights-string", "weights-bool", "weights-beyond-float", "biases-null",
+        "normalizer-mean-string", "normalizer-std-bool", "normalizer-constant-string",
+        "normalizer-constant-number"])
 def test_model_file_checked(pipeline, model_doc, tmp_path, capsys, edit, problem):
     model = tmp_path / "model.json"
     text = edit if isinstance(edit, str) else json.dumps(edit(model_doc))
@@ -560,6 +563,7 @@ def _set_wavelength(index, value):
     (_set_wavelength(5, float("inf")), "invalid manifest JSON: Infinity is not a number"),
     (_set_wavelength(0, True), "wavelengths_nm must be a number, got True"),
     (_set_wavelength(0, "405"), "wavelengths_nm must be a number, got '405'"),
+    (_set_wavelength(2, 10 ** 400), "wavelengths_nm is too large for a float"),
     (_set("wavelengths_nm", 405), "wavelengths_nm must be a list of numbers, got 405"),
     (_set("band_filenames", "band_00.pgm"),
      "band_filenames must be a list of strings, got 'band_00.pgm'"),
@@ -570,7 +574,8 @@ def _set_wavelength(index, value):
      "wavelengths_nm must be strictly increasing, got (405.0, 405.0, 450.0, 470.0, 500.0, 530.0)"),
     (_set("role_tag", "bogus"),
      "role_tag must be one of ('raw', 'background', 'corrected'), got 'bogus'"),
-], ids=["nan", "infinity", "true", "string", "not-a-list", "band-filenames-string",
+], ids=["nan", "infinity", "true", "string", "beyond-float", "not-a-list",
+        "band-filenames-string",
         "pitch-null", "wavelength-count", "wavelengths-not-increasing", "role-tag-unknown"])
 def test_manifest_fields_checked(pipeline, tmp_path, capsys, edit, problem):
     corrected = _edit_manifests(pipeline, tmp_path, edit)
@@ -675,6 +680,8 @@ def test_bad_config_rejected(tmp_path, capsys):
      "invalid correction config: opening_radii_px[0] must be an integer, got 4.5"),
     ({"correction": {"gaussian_sigma_px": True}},
      "invalid correction config: gaussian_sigma_px must be a number, got True"),
+    ({"correction": {"gaussian_sigma_px": 10 ** 400}},
+     "invalid correction config: gaussian_sigma_px is too large for a float"),
     ({"train": {"epochs": 2.7}}, "invalid train config: epochs must be an integer, got 2.7"),
     ({"train": {"batch_size": 8.5}},
      "invalid train config: batch_size must be an integer, got 8.5"),
@@ -706,7 +713,7 @@ def test_bad_config_rejected(tmp_path, capsys):
 ], ids=["unknown-key", "section-not-object", "config-not-object",
         "removed-clamp-knob", "value-out-of-range", "value-not-a-number",
         "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
-        "float-bool", "epochs-fractional", "batch-size-fractional", "seed-bool",
+        "float-bool", "float-beyond-range", "epochs-fractional", "batch-size-fractional", "seed-bool",
         "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
         "mccv-fraction-string", "mccv-seed-null", "synth-width-fractional",
         "synth-width-string", "synth-width-too-small", "synth-noise-bool",

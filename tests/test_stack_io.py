@@ -249,10 +249,12 @@ def test_stack_round_trip_edge_values(tmp_path, bands, role_tag):
 
 def test_import_loads_no_pool_machinery():
     # the worker pools import their modules when they run, so a process that
-    # neither trains several runs nor corrects a stack does not load them
-    src = str(pathlib.Path(algaeid.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, algaeid; "
+    # imports every module but neither trains several runs nor corrects a
+    # stack does not load them
+    package = pathlib.Path(algaeid.__file__).parent
+    modules = ", ".join(p.stem for p in sorted(package.glob("*.py")) if p.name != "__init__.py")
+    path = os.pathsep.join(p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p)
+    code = (f"import sys; from algaeid import {modules}; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True, timeout=60)
@@ -295,3 +297,35 @@ def test_only_stack_io_parses_json():
                     and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 callers.append(f"{source.name}:{node.lineno}")
     assert [c for c in callers if not c.startswith("stack_io.py:")] == []
+
+
+def test_every_public_name_has_a_reader():
+    # a public top-level def or class must be read by the program: by
+    # `module.name` or `from ...module import name` in another module of
+    # the package or in bench/, or by its bare name inside its own module.
+    # The tests are no reader, nor is __init__.py, which imports nothing:
+    # a re-export there would make every name look read.
+    # classifier.backward is kept for the gradient-check oracle.
+    package = pathlib.Path(algaeid.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    bench = sorted((package.parents[1] / "bench").glob("*.py"))
+    assert sources and bench
+    reads, public = {"classifier.backward"}, []
+    for source in sources + bench:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                reads.update(f"{node.module.rsplit('.', 1)[-1]}.{alias.name}"
+                             for alias in node.names)
+            elif isinstance(node, ast.Name) and source.parent == package:
+                reads.add(f"{source.stem}.{node.id}")
+        if source.parent == package:
+            public += [f"{source.stem}.{node.name}" for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")]
+    assert [name for name in public if name not in reads] == []
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in init.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []

@@ -155,6 +155,23 @@ def test_match_organisms_to_truth():
         match_organisms_to_truth([apart, tie], truth, planted[1:])
 
 
+@pytest.mark.parametrize("pixel", [(-1, 2), (2, -1), (4, 2), (2, 5)],
+                         ids=["negative-row", "negative-column", "row-past-edge",
+                              "column-past-edge"])
+def test_match_pixels_outside_the_truth_map_name_their_organism(pixel):
+    # a negative coordinate would otherwise wrap round to another organism's
+    # pixel, and one past the edge raise a bare IndexError
+    truth = LabelMap(np.array([[1, 1, 0, 2, 2]] * 4))
+    planted = (PlantedOrganism(1, 4, "b", 8, (1.0,)), PlantedOrganism(2, 5, "c", 8, (1.0,)))
+    inside = Organism(id=3, pixels=[(0, 0), (3, 4)])
+    outside = Organism(id=9, pixels=[(1, 1), pixel])
+    later = Organism(id=11, pixels=[(0, 0), (-1, -1)])
+    message = rf"^organism 9: pixel \({pixel[0]}, {pixel[1]}\) lies outside the 4x5 truth map$"
+    with pytest.raises(ValueError, match=message):
+        match_organisms_to_truth([inside, outside, later], truth, planted)
+    assert match_organisms_to_truth([], truth, planted) == []
+
+
 def test_ground_truth_json():
     spec = SceneSpec(width=96, height=96, n_organisms=3, seed=4)
     catalog = default_catalog()
