@@ -31,7 +31,6 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 32
     seed: int = 0
-    l2: float = 0.0
 
     def __post_init__(self):
         fields.coerce(self)
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
         fields.non_negative(self, "seed")
 
 
@@ -327,7 +324,6 @@ def _lockstep(x, y, seeds, cfg, k, names):
     param_views, grad_views = _split(params, shapes), _split(grads, shapes)
     weights, biases = [param_views[:first]] + param_views[first:last], param_views[last:]
     grads_w, grads_b = [grad_views[:first]] + grad_views[first:last], grad_views[last:]
-    n_weights = sum(p.size for p in stacked[:last])
     # sample i of a group's j-th run is column j*n+i of its x table (one row
     # per feature), and sample i of run r is row r*n+i of t_table (its
     # one-hot label)
@@ -349,8 +345,6 @@ def _lockstep(x, y, seeds, cfg, k, names):
             batch = slice(start, start + cfg.batch_size)
             _gradients(weights, biases, [xg[:, batch] for xg in x_epoch], t_epoch[:, batch],
                        grads_w, grads_b)
-            if cfg.l2:
-                grads[:n_weights] += cfg.l2 * params[:n_weights]
             grads *= lr
             params -= grads
 

@@ -165,9 +165,12 @@ def cmd_features(args, cfg, digest):
         labels_pgm = os.path.join(seg_dir, "labels.pgm")
         if not os.path.exists(labels_pgm):
             raise ValueError(f"label map not found: {labels_pgm}")
-        organisms = segmentation.extract_organisms(
-            segmentation.LabelMap(read_pgm(labels_pgm)), corrected,
-            min_area_px=cfg.segmentation.min_area_px)
+        labels = segmentation.LabelMap(read_pgm(labels_pgm))
+        try:
+            organisms = segmentation.extract_organisms(
+                labels, corrected, min_area_px=cfg.segmentation.min_area_px)
+        except ValueError as e:
+            raise ValueError(f"{labels_pgm}: {e}") from None
         matched = [None] * len(organisms)
         if truth_dir is not None:
             truth, planted, names = synthgen.read_ground_truth(truth_dir)

@@ -59,6 +59,9 @@ def confusion_from_predictions(y_true, y_pred, num_classes):
 # significance level of every paired t-test, the paper's
 ALPHA = 0.01
 
+# share of the samples each MCCV run trains on, the paper's 70/30 split
+TRAIN_FRACTION = 0.7
+
 
 @dataclass(frozen=True)
 class TTestResult:
@@ -74,12 +77,11 @@ class TTestResult:
 @dataclass(frozen=True)
 class MccvReport:
     """Per-run confusion matrices, and so accuracies, for one variant, with
-    the seed and split settings needed to reproduce them."""
+    the master seed needed to reproduce them."""
 
     variant: ModelVariant
     confusions: tuple
     master_seed: int
-    train_fraction: float
     class_names: tuple = ()
 
     @property
@@ -197,10 +199,9 @@ def paired_t_test(a, b):
 
 @dataclass(frozen=True)
 class MccvConfig:
-    """The `mccv` config section: `run_mccv`'s run settings. `runs` and
-    `train_fraction` are range-checked there."""
+    """The `mccv` config section: `run_mccv`'s run settings. `runs` is
+    range-checked there."""
     runs: int = 20
-    train_fraction: float = 0.7
     master_seed: int = 0
 
     def __post_init__(self):
@@ -208,19 +209,14 @@ class MccvConfig:
         fields.non_negative(self, "master_seed")
 
 
-def mccv_split(n, train_fraction, seed):
-    """Disjoint covering (train, test) index arrays: round(train_fraction*n)
+def mccv_split(n, seed):
+    """Disjoint covering (train, test) index arrays: round(TRAIN_FRACTION*n)
     samples drawn uniformly without replacement, deterministically per seed.
+    Both parts are non-empty for every n >= 2.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
     if n < 2:
         raise ValueError("need at least 2 samples to split")
-    n_train = int(round(train_fraction * n))
-    if n_train == 0 or n_train == n:
-        raise ValueError(
-            f"degenerate split: {n_train} train / {n - n_train} test from {n}"
-        )
+    n_train = int(round(TRAIN_FRACTION * n))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
@@ -234,7 +230,6 @@ def _run_seeds(master_seed, run_index):
 
 
 def run_mccv(fvs, variants, cfg=None, runs=MccvConfig.runs,
-             train_fraction=MccvConfig.train_fraction,
              master_seed=MccvConfig.master_seed, class_names=()):
     """MCCV over labeled feature vectors; one report per variant, in order.
 
@@ -263,7 +258,7 @@ def run_mccv(fvs, variants, cfg=None, runs=MccvConfig.runs,
         raise ValueError(f"num_classes={k} too small for labels up to {y.max()}")
 
     split_seeds, train_seeds = zip(*(_run_seeds(master_seed, r) for r in range(runs)))
-    splits = [mccv_split(len(fvs), train_fraction, seed) for seed in split_seeds]
+    splits = [mccv_split(len(fvs), seed) for seed in split_seeds]
     models = classifier.fit_models(
         [(variant, x, train, seed) for variant, x in zip(variants, xs)
          for (train, _), seed in zip(splits, train_seeds)],
@@ -273,7 +268,6 @@ def run_mccv(fvs, variants, cfg=None, runs=MccvConfig.runs,
         confusions=tuple(confusion_from_predictions(y[test], model.predict_features(x[test]), k)
                          for (model, _), (_, test) in zip(models[v * runs:], splits)),
         master_seed=int(master_seed),
-        train_fraction=train_fraction,
         class_names=tuple(class_names),
     ) for v, (variant, x) in enumerate(zip(variants, xs))]
 
@@ -290,7 +284,7 @@ def build_report(reports):
         best = rep.best_run_index
         doc["variants"][rep.variant.value] = {
             "runs": rep.runs,
-            "train_fraction": rep.train_fraction,
+            "train_fraction": TRAIN_FRACTION,
             "master_seed": rep.master_seed,
             "accuracies": list(rep.accuracies),
             "mean_accuracy": rep.mean,

@@ -344,6 +344,8 @@ def read_features_csv(path):
             raise bad(row_no, "label", f"non-integer label {label_s!r}") from None
         if label is not None and label < 0:
             raise bad(row_no, "label", f"negative label {label_s!r}")
+        if label is not None and label > np.iinfo(np.int64).max:
+            raise bad(row_no, "label", f"label {label_s!r} too large for int64")
         vals = []
         for name, text in zip(header[2:], row[2:]):
             try:

@@ -71,7 +71,6 @@ class Organism:
 @dataclass(frozen=True)
 class SegmentationConfig:
     """The `segmentation` config section: the keyword arguments of `segment`."""
-    num_bins: int = 256
     min_area_px: int = 8
     __post_init__ = fields.coerce
 
@@ -101,7 +100,11 @@ def otsu_index(counts):
     return int(np.argmin(objective))
 
 
-def otsu_threshold(band, num_bins=SegmentationConfig.num_bins):
+# histogram bins of the Otsu threshold that `segment` takes per band
+NUM_BINS = 256
+
+
+def otsu_threshold(band, num_bins=NUM_BINS):
     """Threshold minimizing within-class variance over a `num_bins`-bin
     histogram spanning the band's own [min, max]; returns the center of the
     last background bin. A constant band has no separable foreground and
@@ -246,13 +249,12 @@ class Segmentation:
     organisms: tuple
 
 
-def segment(corrected, num_bins=SegmentationConfig.num_bins,
-            min_area_px=SegmentationConfig.min_area_px):
+def segment(corrected, min_area_px=SegmentationConfig.min_area_px):
     """The whole Segmentation of a corrected stack: an Otsu threshold per
     band, the union of the band masks, 8-connected labelling, and the
     organisms of at least `min_area_px` pixels.
     """
-    thresholds = tuple(otsu_threshold(band, num_bins=num_bins) for band in corrected.bands)
+    thresholds = tuple(otsu_threshold(band) for band in corrected.bands)
     masks = [binarize(band, t) for band, t in zip(corrected.bands, thresholds)]
     labels = connected_components(fuse_masks(masks))
     organisms = extract_organisms(labels, corrected, min_area_px=min_area_px)

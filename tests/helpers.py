@@ -375,10 +375,7 @@ def reference_train(x, y, cfg=None, num_classes=None):
             idx = order[start:start + cfg.batch_size]
             grads_w, grads_b = _reference_backward_batch(net, x[idx], y[idx])
             for i in range(len(net.weights)):
-                step = grads_w[i]
-                if cfg.l2:
-                    step = step + cfg.l2 * net.weights[i]
-                net.weights[i] -= lr * step
+                net.weights[i] -= lr * grads_w[i]
                 net.biases[i] -= lr * grads_b[i]
     _, activations = _reference_forward_trace(net, x)
     probs = activations[-1]

@@ -87,8 +87,8 @@ def mccv_reports(corpus):
     variants = (ModelVariant.MORPHOLOGICAL, ModelVariant.SPECTRAL,
                 ModelVariant.SPECTRAL_MORPHOLOGICAL)
     return dict(zip(variants, run_mccv(
-        labeled, variants, cfg=TrainConfig(), runs=20, train_fraction=0.7,
-        master_seed=CORPUS_SEED, class_names=names)))
+        labeled, variants, cfg=TrainConfig(), runs=20, master_seed=CORPUS_SEED,
+        class_names=names)))
 
 
 def test_criterion_1_otsu_oracle():

@@ -216,39 +216,39 @@ def test_train_runs_bitwise_equal_to_per_run_reference():
     x = np.stack([apply_normalizer(fit_normalizer(r), r) for r in raw])
     y = rng.integers(0, 4, size=(3, 50))
     seeds = [3, 1234567, 2 ** 40 + 5]
-    cfg = TrainConfig(epochs=25, batch_size=16, l2=1e-3)
+    cfg = TrainConfig(epochs=25, batch_size=16)
     trained = train_runs(x, y, seeds, cfg=cfg, num_classes=5)
     assert len(trained) == 3
     for r, (net, final_loss) in enumerate(trained):
         ref_net, ref_loss = reference_train(
-            x[r], y[r], cfg=TrainConfig(epochs=25, batch_size=16, l2=1e-3,
-                                        seed=seeds[r]), num_classes=5)
+            x[r], y[r], cfg=TrainConfig(epochs=25, batch_size=16, seed=seeds[r]),
+            num_classes=5)
         assert final_loss == ref_loss
         assert net.layer_sizes == ref_net.layer_sizes
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("runs,n,d,k,batch_size,l2,epochs", [
-    (3, 24, 4, 3, 24, 1e-3, 20),
-    (3, 17, 4, 3, 1, 1e-3, 3),
-    (2, 33, 5, 4, 8, 0.0, 10),
-    (4, 448, 11, 6, 32, 0.0, 3),
-    (2, 21, 1, 2, 5, 0.0, 5),
+@pytest.mark.parametrize("runs,n,d,k,batch_size,epochs", [
+    (3, 24, 4, 3, 24, 20),
+    (3, 17, 4, 3, 1, 3),
+    (2, 33, 5, 4, 8, 10),
+    (4, 448, 11, 6, 32, 3),
+    (2, 21, 1, 2, 5, 5),
 ], ids=["one-batch-per-epoch", "single-row-batches", "single-row-last-batch", "mccv-shaped",
         "one-feature-two-classes"])
-def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, l2, epochs):
+def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, epochs):
     rng = np.random.default_rng(n)
     x = rng.normal(size=(runs, n, d))
     y = rng.integers(0, k, size=(runs, n))
     y[:, :2] = [0, 1]
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=runs)]
-    trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size,
-                                                      l2=l2), num_classes=k)
+    trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size),
+                         num_classes=k)
     for r, (net, final_loss) in enumerate(trained):
         ref_net, ref_loss = reference_train(
-            x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, l2=l2,
-                                        seed=seeds[r]), num_classes=k)
+            x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, seed=seeds[r]),
+            num_classes=k)
         assert final_loss == ref_loss
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
             assert np.array_equal(a, b)
@@ -264,7 +264,7 @@ def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
     y = rng.integers(0, 3, size=(runs, 30))
     y[:, :2] = [0, 1]
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=runs)]
-    cfg = TrainConfig(epochs=6, batch_size=8, l2=1e-3)
+    cfg = TrainConfig(epochs=6, batch_size=8)
     monkeypatch.setattr(stack_io, "usable_cpus", lambda: 1)
     serial = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
     monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
@@ -275,7 +275,7 @@ def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
     assert len(trained) == runs
     for r, ((net, final_loss), (one_net, one_loss)) in enumerate(zip(trained, serial)):
         ref_net, ref_loss = reference_train(
-            x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, l2=1e-3, seed=seeds[r]),
+            x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, seed=seeds[r]),
             num_classes=3)
         assert final_loss == one_loss == ref_loss
         for a, b, c in zip(net.weights + net.biases, one_net.weights + one_net.biases,
@@ -289,12 +289,12 @@ def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("widths,n,k,batch_size,l2,epochs", [
-    ([5, 5, 6, 6, 6, 11, 11], 17, 3, 1, 1e-3, 3),
-    ([5, 5, 6, 6, 6, 11, 11], 33, 4, 8, 0.0, 10),
-    ([5, 5, 5, 5, 10, 10], 24, 3, 24, 1e-3, 20),
+@pytest.mark.parametrize("widths,n,k,batch_size,epochs", [
+    ([5, 5, 6, 6, 6, 11, 11], 17, 3, 1, 3),
+    ([5, 5, 6, 6, 6, 11, 11], 33, 4, 8, 10),
+    ([5, 5, 5, 5, 10, 10], 24, 3, 24, 20),
 ], ids=["single-row-batches", "single-row-last-batch", "shared-width"])
-def test_train_runs_mixed_widths_bitwise(monkeypatch, pools, widths, n, k, batch_size, l2,
+def test_train_runs_mixed_widths_bitwise(monkeypatch, pools, widths, n, k, batch_size,
                                          epochs, cpus):
     # runs of several input widths, as the three variants' MCCV runs are,
     # train in one lockstep; 7 runs on 2 or 3 CPUs make chunks that straddle
@@ -306,15 +306,15 @@ def test_train_runs_mixed_widths_bitwise(monkeypatch, pools, widths, n, k, batch
     y[:, :2] = [0, 1]
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(widths))]
     monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
-    trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size,
-                                                      l2=l2), num_classes=k)
+    trained = train_runs(x, y, seeds, cfg=TrainConfig(epochs=epochs, batch_size=batch_size),
+                         num_classes=k)
     workers = min(len(widths), cpus)
     assert pools == ([] if workers == 1 else [workers])
     assert [net.input_dim for net, _ in trained] == widths
     for r, (net, final_loss) in enumerate(trained):
         ref_net, ref_loss = reference_train(
-            x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, l2=l2,
-                                        seed=seeds[r]), num_classes=k)
+            x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, seed=seeds[r]),
+            num_classes=k)
         assert final_loss == ref_loss
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
             assert np.array_equal(a, b)
@@ -353,13 +353,13 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="learning_rate must be finite, got nan"):
         TrainConfig(learning_rate=float("nan"))
-    with pytest.raises(ValueError, match="l2 must be finite, got inf"):
-        TrainConfig(l2=float("inf"))
+    with pytest.raises(ValueError, match="learning_rate must be finite, got inf"):
+        TrainConfig(learning_rate=float("inf"))
     # JSON numbers arrive as int or float; fields take their declared type
-    cfg = TrainConfig(learning_rate=1, epochs=3.0, batch_size=8.0, seed=2.0, l2=0)
+    cfg = TrainConfig(learning_rate=1, epochs=3.0, batch_size=8.0, seed=2.0)
     assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 8, 2)
     assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
-    assert type(cfg.learning_rate) is float and type(cfg.l2) is float
+    assert type(cfg.learning_rate) is float
 
 
 def test_train_input_validation():

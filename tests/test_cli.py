@@ -147,6 +147,25 @@ def test_features_rejects_truth_map_of_another_size(pipeline, tmp_path, capsys, 
         f"error: {raw / 'scene_001'}: truth map {h}x{w} does not match stack 120x120\n")
 
 
+@pytest.mark.parametrize("resize", [
+    lambda labels: np.pad(labels, ((0, 16), (0, 9))),
+    lambda labels: labels[:100, :90],
+], ids=["larger", "smaller"])
+def test_features_rejects_label_map_of_another_size(pipeline, tmp_path, capsys, resize):
+    # the error names the label map, so the failing scene is known
+    segmented = shutil.copytree(pipeline["segmented"], tmp_path / "segmented")
+    path = segmented / "scene_001" / "labels.pgm"
+    labels = resize(stack_io.read_pgm(path))
+    segmentation.labelmap_to_pgm(segmentation.LabelMap(labels), path)
+    out = tmp_path / "features.csv"
+    assert main(["features", str(pipeline["corrected"]), str(segmented),
+                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert not out.exists()
+    h, w = labels.shape
+    assert capsys.readouterr().err == (
+        f"error: {path}: label map {h}x{w} does not match stack 120x120\n")
+
+
 def test_scene_name_with_comma(pipeline, tmp_path):
     # a scene's name starts each of its organism ids, so the feature and
     # prediction files quote it
@@ -418,6 +437,25 @@ def test_label_without_class_name_rejected(pipeline, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "mccv"])
+def test_label_beyond_int64_rejected(pipeline, tmp_path, capsys, command):
+    # without a meta file naming classes, the labels alone set the class ids
+    lines = pipeline["csv"].read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(",")
+    row[1] = "100000000000000000000"
+    lines[3] = ",".join(row)
+    csv = tmp_path / "features.csv"
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"train": ["--variant", "morph"], "mccv": ["--variants", "morph"]}
+    assert main([command, str(csv), *args[command], "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: row 3 (line 4), column label: "
+        "label '100000000000000000000' too large for int64\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side,text,problem", [
     ("meta", '{"class_names": oops}',
      "invalid feature meta JSON: Expecting value: line 1 column 17 (char 16)"),
@@ -666,6 +704,9 @@ def test_bad_config_rejected(tmp_path, capsys):
     (5, "config must be a JSON object"),
     ({"correction": {"clamp_negative": False}},
      "unknown config keys ['correction.clamp_negative']"),
+    ({"train": {"l2": 0.0}}, "unknown config keys ['train.l2']"),
+    ({"mccv": {"train_fraction": 0.7}}, "unknown config keys ['mccv.train_fraction']"),
+    ({"segmentation": {"num_bins": 256}}, "unknown config keys ['segmentation.num_bins']"),
     ({"train": {"epochs": 0}}, "invalid train config: epochs must be >= 1"),
     ({"train": {"epochs": "abc"}},
      "invalid train config: epochs must be a number, got 'abc'"),
@@ -690,8 +731,6 @@ def test_bad_config_rejected(tmp_path, capsys):
      "invalid train config: learning_rate must be a number, got True"),
     ({"mccv": {"runs": "abc"}}, "invalid mccv config: runs must be a number, got 'abc'"),
     ({"mccv": {"runs": 2.5}}, "invalid mccv config: runs must be an integer, got 2.5"),
-    ({"mccv": {"train_fraction": "0.7"}},
-     "invalid mccv config: train_fraction must be a number, got '0.7'"),
     ({"mccv": {"master_seed": None}},
      "invalid mccv config: master_seed must be a number, got None"),
     ({"synth": {"width": 100.7}}, "invalid synth config: width must be an integer, got 100.7"),
@@ -703,22 +742,21 @@ def test_bad_config_rejected(tmp_path, capsys):
      "invalid synth config: organisms_per_scene must be an integer, got 2.5"),
     ({"segmentation": {"min_area_px": 3.9}},
      "invalid segmentation config: min_area_px must be an integer, got 3.9"),
-    ({"segmentation": {"num_bins": "abc"}},
-     "invalid segmentation config: num_bins must be a number, got 'abc'"),
     ({"synth": {"master_seed": -1}},
      "invalid synth config: master_seed must be non-negative, got -1"),
     ({"mccv": {"master_seed": -1}},
      "invalid mccv config: master_seed must be non-negative, got -1"),
     ({"train": {"seed": -1}}, "invalid train config: seed must be non-negative, got -1"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
-        "removed-clamp-knob", "value-out-of-range", "value-not-a-number",
+        "removed-clamp-knob", "removed-l2-knob", "removed-split-knob", "removed-bins-knob",
+        "value-out-of-range", "value-not-a-number",
         "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
         "float-bool", "float-beyond-range", "epochs-fractional", "batch-size-fractional", "seed-bool",
         "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
-        "mccv-fraction-string", "mccv-seed-null", "synth-width-fractional",
+        "mccv-seed-null", "synth-width-fractional",
         "synth-width-string", "synth-width-too-small", "synth-noise-bool",
         "synth-organisms-fractional", "segmentation-min-area-fractional",
-        "segmentation-bins-string", "synth-seed-negative", "mccv-seed-negative",
+        "synth-seed-negative", "mccv-seed-negative",
         "train-seed-negative"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
     cfg = tmp_path / "bad.json"
@@ -729,14 +767,14 @@ def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
 
 def test_default_config_pinned():
     assert config_hash(load_config()) == (
-        "db1050f2b780c52918c894df9b454080fa9efcbd9b3ae933727d5cc654da8285")
+        "bb95cebcae48f661bed93b4fef35cc49c401b82104d27e5977a86a7ed08f056d")
     assert {section: list(keys) for section, keys in DEFAULT_CONFIG.items()} == {
         "synth": ["scenes", "width", "height", "organisms_per_scene", "background_level",
                   "vignette_strength", "noise_sigma", "master_seed"],
         "correction": ["gaussian_sigma_px", "opening_radii_px"],
-        "segmentation": ["num_bins", "min_area_px"],
-        "train": ["learning_rate", "epochs", "batch_size", "seed", "l2"],
-        "mccv": ["runs", "train_fraction", "master_seed"],
+        "segmentation": ["min_area_px"],
+        "train": ["learning_rate", "epochs", "batch_size", "seed"],
+        "mccv": ["runs", "master_seed"],
     }
 
 

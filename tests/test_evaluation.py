@@ -159,32 +159,30 @@ def test_paired_t_validation():
 
 
 def test_mccv_split_sizes_disjoint_covering():
-    train, test = mccv_split(1000, 0.7, seed=1)
+    train, test = mccv_split(1000, seed=1)
     assert len(train) == 700 and len(test) == 300
     assert len(np.intersect1d(train, test)) == 0
     assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(1000))
 
-    train, test = mccv_split(10, 0.7, seed=2)
+    train, test = mccv_split(10, seed=2)
     assert len(train) == 7 and len(test) == 3
 
 
 def test_mccv_split_determinism_and_variation():
-    t1, s1 = mccv_split(200, 0.7, seed=42)
-    t2, s2 = mccv_split(200, 0.7, seed=42)
+    t1, s1 = mccv_split(200, seed=42)
+    t2, s2 = mccv_split(200, seed=42)
     assert np.array_equal(t1, t2) and np.array_equal(s1, s2)
-    t3, _ = mccv_split(200, 0.7, seed=43)
+    t3, _ = mccv_split(200, seed=43)
     assert not np.array_equal(t1, t3)
 
 
 def test_mccv_split_degenerate():
     with pytest.raises(ValueError):
-        mccv_split(1, 0.7, seed=0)
-    with pytest.raises(ValueError):
-        mccv_split(2, 0.05, seed=0)  # empty train
-    with pytest.raises(ValueError):
-        mccv_split(2, 0.99, seed=0)  # empty test
-    with pytest.raises(ValueError):
-        mccv_split(100, 1.0, seed=0)
+        mccv_split(1, seed=0)
+    # the 70/30 split leaves both parts non-empty from 2 samples up
+    for n in range(2, 40):
+        train, test = mccv_split(n, seed=n)
+        assert len(train) > 0 and len(test) > 0
 
 
 def _toy_feature_vectors(rng, n_per_class=40, separation=6.0):
@@ -208,8 +206,7 @@ def test_run_mccv_bookkeeping():
     rng = np.random.default_rng(31)
     fvs = _toy_feature_vectors(rng)
     cfg = TrainConfig(epochs=60, batch_size=16)
-    [rep] = run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=cfg, runs=5,
-                   train_fraction=0.7, master_seed=7)
+    [rep] = run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=cfg, runs=5, master_seed=7)
     assert len(rep.accuracies) == 5
     assert len(rep.confusions) == 5
     assert abs(rep.mean - float(np.mean(rep.accuracies))) < 1e-12
@@ -224,12 +221,11 @@ def test_run_mccv_row_sums_match_test_counts():
     rng = np.random.default_rng(32)
     fvs = _toy_feature_vectors(rng, n_per_class=30)
     cfg = TrainConfig(epochs=30, batch_size=16)
-    [rep] = run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=cfg, runs=3,
-                   train_fraction=0.7, master_seed=9)
+    [rep] = run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=cfg, runs=3, master_seed=9)
     y = np.array([fv.label for fv in fvs])
     for r in range(3):
         split_seed = np.random.SeedSequence([9, r, 0])
-        _, test_idx = mccv_split(len(fvs), 0.7, split_seed)
+        _, test_idx = mccv_split(len(fvs), split_seed)
         expected = np.bincount(y[test_idx], minlength=3)
         assert np.array_equal(rep.confusions[r].counts.sum(axis=1), expected)
         assert rep.confusions[r].total == len(test_idx)
@@ -256,7 +252,7 @@ def test_run_mccv_matches_per_run_reference():
     # variant's columns trained and scored on their own.
     rng = np.random.default_rng(35)
     fvs = _toy_feature_vectors(rng, n_per_class=26, separation=0.1)
-    cfg = TrainConfig(epochs=20, batch_size=16, l2=1e-4)
+    cfg = TrainConfig(epochs=20, batch_size=16)
     variants = list(ModelVariant)
     reports = run_mccv(fvs, variants, cfg=cfg, runs=4, master_seed=3)
     assert [rep.variant for rep in reports] == variants
@@ -266,11 +262,11 @@ def test_run_mccv_matches_per_run_reference():
         accuracies = []
         for r in range(4):
             split_seed, train_seed = _run_seeds(3, r)
-            train_idx, test_idx = mccv_split(len(fvs), 0.7, split_seed)
+            train_idx, test_idx = mccv_split(len(fvs), split_seed)
             nrm = fit_normalizer(x[train_idx])
             net, _ = reference_train(
                 apply_normalizer(nrm, x[train_idx]), y[train_idx],
-                cfg=TrainConfig(epochs=20, batch_size=16, l2=1e-4, seed=train_seed),
+                cfg=TrainConfig(epochs=20, batch_size=16, seed=train_seed),
                 num_classes=3)
             y_pred = reference_predict(net, apply_normalizer(nrm, x[test_idx]))
             cm = confusion_from_predictions(y[test_idx], y_pred, 3)
@@ -286,7 +282,7 @@ def test_run_mccv_single_class_training_split():
     rng = np.random.default_rng(36)
     fvs = [fv for fv in _toy_feature_vectors(rng, n_per_class=10) if fv.label == 0]
     fvs.append(_toy_feature_vectors(rng, n_per_class=1)[1])
-    splits = [mccv_split(11, 0.7, _run_seeds(0, r)[0]) for r in range(5)]
+    splits = [mccv_split(11, _run_seeds(0, r)[0]) for r in range(5)]
     assert any(10 not in train_idx for train_idx, _ in splits)
     with pytest.raises(ValueError, match="training data must contain at least 2 classes"):
         run_mccv(fvs, [ModelVariant.SPECTRAL], cfg=TrainConfig(epochs=1, batch_size=2),
@@ -320,7 +316,7 @@ def _fake_report(variant, accs, k=3):
         counts[0, 1] = 100 - counts[0, 0]
         cms.append(ConfusionMatrix(counts))
     rep = MccvReport(variant=variant, confusions=tuple(cms), master_seed=0,
-                     train_fraction=0.7, class_names=("a", "b", "c"))
+                     class_names=("a", "b", "c"))
     assert rep.accuracies == list(accs) and rep.runs == len(accs)
     return rep
 

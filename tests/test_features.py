@@ -396,14 +396,16 @@ def test_csv_bad_header_wavelength_names_column(tmp_path, column, problem):
     (lambda row: row[:4] + ["abc"] + row[5:], "eccentricity", "non-numeric value 'abc'"),
     (lambda row: row[:1] + ["x"] + row[2:], "label", "non-integer label 'x'"),
     (lambda row: row[:1] + ["-1"] + row[2:], "label", "negative label '-1'"),
+    (lambda row: row[:1] + [str(2 ** 63)] + row[2:], "label",
+     f"label '{2 ** 63}' too large for int64"),
     (lambda row: row[:4] + ["1.5"] + row[5:], "eccentricity",
      "eccentricity must lie in [0, 1]"),
     (lambda row: row[:6] + ["0"] + row[7:], "extent", "extent must lie in (0, 1]"),
     (lambda row: row[:3] + ["20"] + row[4:], "convex_area",
      "convex_area must be >= area"),
 ], ids=["short-row", "long-row", "fractional-area", "fractional-convex-area",
-        "non-numeric", "non-integer-label", "negative-label", "eccentricity-range",
-        "extent-range", "convex-area-below-area"])
+        "non-numeric", "non-integer-label", "negative-label", "label-beyond-int64",
+        "eccentricity-range", "extent-range", "convex-area-below-area"])
 def test_csv_malformed_row_rejected(tmp_path, edit, column, problem):
     path = tmp_path / "f.csv"
     write_features_csv(path, [_sample_fv(), _sample_fv()],

@@ -241,13 +241,13 @@ def test_training_forks_after_band_threads(monkeypatch, pools):
     y = rng.integers(0, 3, size=(3, 30))
     y[:, :2] = [0, 1]
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=3)]
-    cfg = TrainConfig(epochs=6, batch_size=8, l2=1e-3)
+    cfg = TrainConfig(epochs=6, batch_size=8)
     trained = train_runs(x, y, seeds, cfg=cfg, num_classes=3)
     assert pools == [2]
     assert multiprocessing.active_children() == []
     for r, (net, final_loss) in enumerate(trained):
         ref_net, ref_loss = reference_train(
-            x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, l2=1e-3, seed=seeds[r]),
+            x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, seed=seeds[r]),
             num_classes=3)
         assert final_loss == ref_loss
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):

@@ -384,10 +384,10 @@ def test_segment_equals_explicit_chain():
     bands[1][35, 3:6] += 80.0
     corrected = _stack_like((40, 48)).with_bands(bands, role_tag="corrected")
 
-    seg = segment(corrected, num_bins=64, min_area_px=8)
+    seg = segment(corrected, min_area_px=8)
     labels, orgs = seg.labels, seg.organisms
 
-    want_thresholds = tuple(otsu_threshold(b, num_bins=64) for b in corrected.bands)
+    want_thresholds = tuple(otsu_threshold(b) for b in corrected.bands)
     want_labels = connected_components(fuse_masks(
         [binarize(b, t) for b, t in zip(corrected.bands, want_thresholds)]))
     want_orgs = extract_organisms(want_labels, corrected, min_area_px=8)
