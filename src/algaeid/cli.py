@@ -28,8 +28,6 @@ from .stack_io import (MANIFEST_NAME, atomic_write_bytes, atomic_write_csv,
 class Config:
     """The effective configuration: one typed section per config file section."""
     synth: synthgen.SynthConfig = synthgen.SynthConfig()
-    correction: illumination.CorrectionConfig = illumination.CorrectionConfig()
-    segmentation: segmentation.SegmentationConfig = segmentation.SegmentationConfig()
     train: classifier.TrainConfig = classifier.TrainConfig()
     mccv: evaluation.MccvConfig = evaluation.MccvConfig()
 
@@ -116,7 +114,7 @@ def cmd_synth(args, cfg, digest):
 def cmd_correct(args, cfg, digest):
     for _, src, dst in _scene_dirs(args.input, args.out):
         raw = _load_role(src, "raw")
-        background = illumination.estimate_background(raw, cfg.correction)
+        background = illumination.estimate_background(raw)
         corrected = illumination.subtract_background(raw, background)
         save_stack(corrected, dst, extra_fields={"config_sha256": digest})
     print(f"corrected stacks written to {args.out}")
@@ -125,8 +123,7 @@ def cmd_correct(args, cfg, digest):
 
 def cmd_segment(args, cfg, digest):
     for _, src, dst in _scene_dirs(args.input, args.out):
-        seg = segmentation.segment(_load_role(src, "corrected"),
-                                   **dataclasses.asdict(cfg.segmentation))
+        seg = segmentation.segment(_load_role(src, "corrected"))
         os.makedirs(dst, exist_ok=True)
         segmentation.labelmap_to_pgm(seg.labels, os.path.join(dst, "labels.pgm"))
         atomic_write_json(os.path.join(dst, "organisms.json"),
@@ -167,8 +164,7 @@ def cmd_features(args, cfg, digest):
             raise ValueError(f"label map not found: {labels_pgm}")
         labels = segmentation.LabelMap(read_pgm(labels_pgm))
         try:
-            organisms = segmentation.extract_organisms(
-                labels, corrected, min_area_px=cfg.segmentation.min_area_px)
+            organisms = segmentation.extract_organisms(labels, corrected)
         except ValueError as e:
             raise ValueError(f"{labels_pgm}: {e}") from None
         matched = [None] * len(organisms)
@@ -210,7 +206,8 @@ def _parse_variant(name):
 def _labeled_rows(csv_path):
     """Labelled feature vectors of a feature CSV, its wavelengths, and the
     class names of its meta file (empty without one), which must name every
-    label."""
+    label. Without class names every label is below the number of labelled
+    rows, which bounds the class count."""
     if not os.path.exists(csv_path):
         raise ValueError(f"feature file not found: {csv_path}")
     fvs, wavelengths = features.read_features_csv(csv_path)
@@ -225,6 +222,9 @@ def _labeled_rows(csv_path):
     if class_names and top >= len(class_names):
         raise ValueError(f"{csv_path}: label {top} has no class name in {meta}, "
                          f"which names {len(class_names)} classes")
+    if not class_names and top >= len(labeled):
+        raise ValueError(f"{csv_path}: label {top} is not below its {len(labeled)} "
+                         f"labeled rows, and {meta} names no classes")
     return labeled, wavelengths, class_names
 
 
@@ -267,7 +267,7 @@ def cmd_classify(args, cfg, digest):
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")
         names = _stack_feature_names(model.variant, args.input, corrected.wavelengths_nm)
-        seg = segmentation.segment(corrected, **dataclasses.asdict(cfg.segmentation))
+        seg = segmentation.segment(corrected)
         fvs = features.feature_vectors(seg.organisms, corrected)
     else:
         if not os.path.exists(args.input):

@@ -20,6 +20,7 @@ from . import fields, stack_io
 
 @dataclass(frozen=True)
 class CorrectionConfig:
+    """The pixel scales of `estimate_background`; the CLI uses the defaults."""
     gaussian_sigma_px: float = 5.0
     opening_radii_px: tuple = (4, 8, 16, 32)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fields
 from .stack_io import PGM_MAXVAL, write_pgm16
 
 
@@ -68,13 +67,6 @@ class Organism:
         return (x_max - x_min + 1) * (y_max - y_min + 1)
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    """The `segmentation` config section: the keyword arguments of `segment`."""
-    min_area_px: int = 8
-    __post_init__ = fields.coerce
-
-
 def otsu_index(counts):
     """Split index k minimizing within-class variance of a histogram:
     bins 0..k are background, bins k+1.. are foreground. Candidate splits
@@ -102,6 +94,8 @@ def otsu_index(counts):
 
 # histogram bins of the Otsu threshold that `segment` takes per band
 NUM_BINS = 256
+# smallest component, in pixels, that `segment` keeps as an organism
+MIN_AREA_PX = 8
 
 
 def otsu_threshold(band, num_bins=NUM_BINS):
@@ -208,7 +202,7 @@ def connected_components(mask):
     return LabelMap(out)
 
 
-def extract_organisms(labels, corrected, min_area_px=SegmentationConfig.min_area_px):
+def extract_organisms(labels, corrected, min_area_px=MIN_AREA_PX):
     """One Organism per component with at least `min_area_px` pixels,
     ordered by component id. Components with a pixel in the first or last
     row or column of the map are kept and flagged as touching the border.
@@ -249,15 +243,15 @@ class Segmentation:
     organisms: tuple
 
 
-def segment(corrected, min_area_px=SegmentationConfig.min_area_px):
+def segment(corrected):
     """The whole Segmentation of a corrected stack: an Otsu threshold per
     band, the union of the band masks, 8-connected labelling, and the
-    organisms of at least `min_area_px` pixels.
+    organisms of at least MIN_AREA_PX pixels.
     """
     thresholds = tuple(otsu_threshold(band) for band in corrected.bands)
     masks = [binarize(band, t) for band, t in zip(corrected.bands, thresholds)]
     labels = connected_components(fuse_masks(masks))
-    organisms = extract_organisms(labels, corrected, min_area_px=min_area_px)
+    organisms = extract_organisms(labels, corrected)
     return Segmentation(thresholds, labels, tuple(organisms))
 
 

@@ -84,14 +84,12 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """The `synth` config section: a corpus of scenes like `scene_spec()`."""
+    """The `synth` config section: `scenes` scenes like `scene_spec()`,
+    with SceneSpec's default illumination and noise."""
     scenes: int = 8
     width: int = SceneSpec.width
     height: int = SceneSpec.height
     organisms_per_scene: int = SceneSpec.n_organisms
-    background_level: float = SceneSpec.background_level
-    vignette_strength: float = SceneSpec.vignette_strength
-    noise_sigma: float = SceneSpec.noise_sigma
     master_seed: int = 0
 
     def __post_init__(self):
@@ -100,8 +98,7 @@ class SynthConfig:
         self.scene_spec()  # SceneSpec checks the ranges
 
     def scene_spec(self):
-        return SceneSpec(self.width, self.height, self.organisms_per_scene,
-                         self.background_level, self.vignette_strength, self.noise_sigma)
+        return SceneSpec(self.width, self.height, self.organisms_per_scene)
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,29 @@ def test_features_rerun_byte_identical(pipeline):
     assert out2.read_bytes() == pipeline["csv"].read_bytes()
 
 
+def test_features_rows_are_the_organisms_segment_kept(pipeline):
+    # segment and features apply one area filter: per scene, the feature
+    # rows are exactly the organisms that organisms.json lists, in order
+    fvs, _ = read_features_csv(pipeline["csv"])
+    rows = [(fv.organism_id, fv.area) for fv in fvs]
+    kept = []
+    for scene in sorted(os.listdir(pipeline["segmented"])):
+        doc = json.loads((pipeline["segmented"] / scene / "organisms.json").read_text())
+        kept += [(f"{scene}:{rec['id']}", rec["area"]) for rec in doc["organisms"]]
+    assert rows == kept
+
+
+def test_features_rejects_an_area_filter_of_its_own(pipeline, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"segmentation": {"min_area_px": 200}}), encoding="utf-8")
+    out = tmp_path / "features.csv"
+    assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
+                 "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: unknown config sections ['segmentation']\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("argv,flag,section,key,report", [
     (["synth"], "--seed", "synth", "master_seed", "scene_000/truth.json"),
     (["synth"], "--scenes", "synth", "scenes", "scene_000/truth.json"),
@@ -434,6 +457,26 @@ def test_label_without_class_name_rejected(pipeline, tmp_path, capsys, command):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {csv}: label 7 has no class name in {meta}, which names 6 classes\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "mccv"])
+def test_label_beyond_row_count_rejected(pipeline, tmp_path, capsys, command):
+    # without a meta file naming classes, a label at or above the number of
+    # labelled rows would set the class count
+    lines = pipeline["csv"].read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(",")
+    row[1] = "40"  # among 14 rows
+    lines[3] = ",".join(row)
+    csv = tmp_path / "features.csv"
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"train": ["--variant", "morph"], "mccv": ["--variants", "morph"]}
+    assert main([command, str(csv), *args[command], "--config", str(pipeline["config"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: label 40 is not below its 14 labeled rows, "
+        f"and {csv}.meta.json names no classes\n")
     assert not out.exists()
 
 
@@ -691,38 +734,37 @@ def test_bad_config_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"segmentation": {"fusion": "intersection"}}))
     code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "fusion" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config sections ['segmentation']\n"
 
     cfg.write_text(json.dumps({"unknown_section": {}}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
 @pytest.mark.parametrize("doc,message", [
-    ({"correction": {"gausian_sigma_px": 2.0}},
-     "unknown config keys ['correction.gausian_sigma_px']"),
+    ({"train": {"learning_rat": 0.1}}, "unknown config keys ['train.learning_rat']"),
     ({"train": 5}, "config section train must be a JSON object"),
     (5, "config must be a JSON object"),
-    ({"correction": {"clamp_negative": False}},
-     "unknown config keys ['correction.clamp_negative']"),
+    # a file that sets a removed knob, to any value, is rejected naming its
+    # section or key
+    ({"correction": {"clamp_negative": False}}, "unknown config sections ['correction']"),
     ({"train": {"l2": 0.0}}, "unknown config keys ['train.l2']"),
     ({"mccv": {"train_fraction": 0.7}}, "unknown config keys ['mccv.train_fraction']"),
-    ({"segmentation": {"num_bins": 256}}, "unknown config keys ['segmentation.num_bins']"),
+    ({"segmentation": {"num_bins": 256}}, "unknown config sections ['segmentation']"),
+    ({"segmentation": {"min_area_px": 3.9}}, "unknown config sections ['segmentation']"),
+    ({"correction": {"opening_radii_px": "48"}}, "unknown config sections ['correction']"),
+    ({"correction": {"gaussian_sigma_px": True}}, "unknown config sections ['correction']"),
+    ({"synth": {"background_level": 0.0}}, "unknown config keys ['synth.background_level']"),
+    ({"synth": {"vignette_strength": 0.0}},
+     "unknown config keys ['synth.vignette_strength']"),
+    ({"synth": {"noise_sigma": True}}, "unknown config keys ['synth.noise_sigma']"),
     ({"train": {"epochs": 0}}, "invalid train config: epochs must be >= 1"),
     ({"train": {"epochs": "abc"}},
      "invalid train config: epochs must be a number, got 'abc'"),
-    ({"synth": {"background_level": float("inf")}},
+    ({"train": {"learning_rate": float("inf")}},
      "invalid config JSON: Infinity is not a number"),
-    ({"synth": {"noise_sigma": float("nan")}}, "invalid config JSON: NaN is not a number"),
-    ({"correction": {"opening_radii_px": "48"}},
-     "invalid correction config: opening_radii_px must be a list of integers, got '48'"),
-    ({"correction": {"opening_radii_px": 8}},
-     "invalid correction config: opening_radii_px must be a list of integers, got 8"),
-    ({"correction": {"opening_radii_px": [4.5, 8]}},
-     "invalid correction config: opening_radii_px[0] must be an integer, got 4.5"),
-    ({"correction": {"gaussian_sigma_px": True}},
-     "invalid correction config: gaussian_sigma_px must be a number, got True"),
-    ({"correction": {"gaussian_sigma_px": 10 ** 400}},
-     "invalid correction config: gaussian_sigma_px is too large for a float"),
+    ({"mccv": {"runs": float("nan")}}, "invalid config JSON: NaN is not a number"),
+    ({"train": {"learning_rate": 10 ** 400}},
+     "invalid train config: learning_rate is too large for a float"),
     ({"train": {"epochs": 2.7}}, "invalid train config: epochs must be an integer, got 2.7"),
     ({"train": {"batch_size": 8.5}},
      "invalid train config: batch_size must be an integer, got 8.5"),
@@ -736,12 +778,8 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"synth": {"width": 100.7}}, "invalid synth config: width must be an integer, got 100.7"),
     ({"synth": {"width": "abc"}}, "invalid synth config: width must be a number, got 'abc'"),
     ({"synth": {"width": 4}}, "invalid synth config: scene must be at least 8x8"),
-    ({"synth": {"noise_sigma": True}},
-     "invalid synth config: noise_sigma must be a number, got True"),
     ({"synth": {"organisms_per_scene": 2.5}},
      "invalid synth config: organisms_per_scene must be an integer, got 2.5"),
-    ({"segmentation": {"min_area_px": 3.9}},
-     "invalid segmentation config: min_area_px must be an integer, got 3.9"),
     ({"synth": {"master_seed": -1}},
      "invalid synth config: master_seed must be non-negative, got -1"),
     ({"mccv": {"master_seed": -1}},
@@ -749,13 +787,14 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"train": {"seed": -1}}, "invalid train config: seed must be non-negative, got -1"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
         "removed-clamp-knob", "removed-l2-knob", "removed-split-knob", "removed-bins-knob",
+        "segmentation-min-area-fractional", "radii-string", "float-bool",
+        "removed-background-knob", "removed-vignette-knob", "synth-noise-bool",
         "value-out-of-range", "value-not-a-number",
-        "infinity", "nan", "radii-string", "radii-number", "radii-fractional",
-        "float-bool", "float-beyond-range", "epochs-fractional", "batch-size-fractional", "seed-bool",
-        "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
+        "infinity", "nan", "float-beyond-range", "epochs-fractional", "batch-size-fractional",
+        "seed-bool", "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
         "mccv-seed-null", "synth-width-fractional",
-        "synth-width-string", "synth-width-too-small", "synth-noise-bool",
-        "synth-organisms-fractional", "segmentation-min-area-fractional",
+        "synth-width-string", "synth-width-too-small",
+        "synth-organisms-fractional",
         "synth-seed-negative", "mccv-seed-negative",
         "train-seed-negative"])
 def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
@@ -767,12 +806,9 @@ def test_config_keys_and_sections_checked(tmp_path, capsys, doc, message):
 
 def test_default_config_pinned():
     assert config_hash(load_config()) == (
-        "bb95cebcae48f661bed93b4fef35cc49c401b82104d27e5977a86a7ed08f056d")
+        "a20b39663cf8d7a744fe978d622b0e07feec8b2fdca7355b1d9e20811a9f2dcb")
     assert {section: list(keys) for section, keys in DEFAULT_CONFIG.items()} == {
-        "synth": ["scenes", "width", "height", "organisms_per_scene", "background_level",
-                  "vignette_strength", "noise_sigma", "master_seed"],
-        "correction": ["gaussian_sigma_px", "opening_radii_px"],
-        "segmentation": ["min_area_px"],
+        "synth": ["scenes", "width", "height", "organisms_per_scene", "master_seed"],
         "train": ["learning_rate", "epochs", "batch_size", "seed"],
         "mccv": ["runs", "master_seed"],
     }

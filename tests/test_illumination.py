@@ -30,6 +30,17 @@ def test_config_validation():
         CorrectionConfig(gaussian_sigma_px=float("inf"))
     with pytest.raises(ValueError, match="gaussian_sigma_px must be finite, got nan"):
         CorrectionConfig(gaussian_sigma_px=float("nan"))
+    for kwargs, message in [
+        ({"opening_radii_px": "48"}, "opening_radii_px must be a list of integers, got '48'"),
+        ({"opening_radii_px": 8}, "opening_radii_px must be a list of integers, got 8"),
+        ({"opening_radii_px": [4.5, 8]}, "opening_radii_px[0] must be an integer, got 4.5"),
+        ({"gaussian_sigma_px": True}, "gaussian_sigma_px must be a number, got True"),
+        ({"gaussian_sigma_px": 10 ** 400}, "gaussian_sigma_px is too large for a float"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            CorrectionConfig(**kwargs)
+        assert str(err.value) == message
+    assert CorrectionConfig(opening_radii_px=[2, 4]).opening_radii_px == (2, 4)
     CorrectionConfig()  # defaults valid
 
 

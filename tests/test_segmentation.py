@@ -376,7 +376,7 @@ def test_extract_pixels_match_argwhere():
 
 def test_segment_equals_explicit_chain():
     # one blob per band, so the union is needed, plus a 3-px speck that
-    # min_area_px drops
+    # MIN_AREA_PX drops
     rng = np.random.default_rng(21)
     bands = [rng.normal(10.0, 1.0, size=(40, 48)).clip(0) for _ in range(2)]
     bands[0][4:12, 5:14] += 90.0
@@ -384,7 +384,7 @@ def test_segment_equals_explicit_chain():
     bands[1][35, 3:6] += 80.0
     corrected = _stack_like((40, 48)).with_bands(bands, role_tag="corrected")
 
-    seg = segment(corrected, min_area_px=8)
+    seg = segment(corrected)
     labels, orgs = seg.labels, seg.organisms
 
     want_thresholds = tuple(otsu_threshold(b) for b in corrected.bands)

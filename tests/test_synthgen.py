@@ -68,6 +68,8 @@ def test_scene_spec_validation():
         SceneSpec(vignette_strength=1.0)
     with pytest.raises(ValueError):
         SceneSpec(width=4)
+    with pytest.raises(ValueError, match="^noise_sigma must be a number, got True$"):
+        SceneSpec(noise_sigma=True)
 
 
 def test_scene_deterministic_bitwise():
