@@ -752,6 +752,8 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"segmentation": {"num_bins": 256}}, "unknown config sections ['segmentation']"),
     ({"segmentation": {"min_area_px": 3.9}}, "unknown config sections ['segmentation']"),
     ({"correction": {"opening_radii_px": "48"}}, "unknown config sections ['correction']"),
+    ({"correction": {"opening_radii_px": 8}}, "unknown config sections ['correction']"),
+    ({"correction": {"opening_radii_px": [4.5, 8]}}, "unknown config sections ['correction']"),
     ({"correction": {"gaussian_sigma_px": True}}, "unknown config sections ['correction']"),
     ({"synth": {"background_level": 0.0}}, "unknown config keys ['synth.background_level']"),
     ({"synth": {"vignette_strength": 0.0}},
@@ -787,7 +789,8 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"train": {"seed": -1}}, "invalid train config: seed must be non-negative, got -1"),
 ], ids=["unknown-key", "section-not-object", "config-not-object",
         "removed-clamp-knob", "removed-l2-knob", "removed-split-knob", "removed-bins-knob",
-        "segmentation-min-area-fractional", "radii-string", "float-bool",
+        "segmentation-min-area-fractional", "radii-string", "radii-number",
+        "radii-fractional", "float-bool",
         "removed-background-knob", "removed-vignette-knob", "synth-noise-bool",
         "value-out-of-range", "value-not-a-number",
         "infinity", "nan", "float-beyond-range", "epochs-fractional", "batch-size-fractional",
