@@ -100,14 +100,17 @@ def _scene_dirs(root, *trees):
 
 def cmd_synth(args, cfg, digest):
     catalog = synthgen.default_catalog()
-    scenes = synthgen.generate_corpus(catalog, cfg.synth.scenes, cfg.synth.scene_spec(),
-                                      master_seed=cfg.synth.master_seed)
+    specs = synthgen.corpus_specs(cfg.synth.scenes, cfg.synth.scene_spec(),
+                                  master_seed=cfg.synth.master_seed)
     provenance = {"config_sha256": digest}
-    for i, scene in enumerate(scenes):
+    # render, write and free one scene at a time, so memory holds only one
+    for i, spec in enumerate(specs):
+        scene = synthgen.generate_scene(spec, catalog)
         scene_dir = os.path.join(args.out, f"scene_{i:03d}")
         save_stack(scene.stack, scene_dir, extra_fields=provenance)
         synthgen.save_ground_truth(scene, catalog, scene_dir, extra_fields=provenance)
-    print(f"wrote {len(scenes)} scene(s) to {args.out}")
+        del scene
+    print(f"wrote {len(specs)} scene(s) to {args.out}")
     return 0
 
 

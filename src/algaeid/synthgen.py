@@ -159,7 +159,8 @@ def _trim(mask):
 def _frame(r, angle):
     """Coordinates u (along `angle`) and v (across it) of the pixels of a
     (2r+1)-square grid centred on 0."""
-    yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
+    xx = np.arange(-r, r + 1)
+    yy = xx[:, None]
     ca, sa = math.cos(angle), math.sin(angle)
     return xx * ca + yy * sa, -xx * sa + yy * ca
 
@@ -198,8 +199,9 @@ def _colony_mask(length, ecc, rng):
     n_cells = int(rng.integers(3, 6))
     cell_r = max(length / 4.0, 2.0)
     env_b = (length / 2.0) * math.sqrt(max(0.0, 1.0 - ecc * ecc))
-    yy, xx = np.mgrid[-size:size + 1, -size:size + 1]
-    _paste(canvas, _trim(xx ** 2 + yy ** 2 <= cell_r ** 2), size, size)
+    squares = np.arange(-size, size + 1) ** 2
+    r2 = squares[:, None] + squares
+    _paste(canvas, _trim(r2 <= cell_r ** 2), size, size)
     for _ in range(n_cells - 1):
         # anchor each new cell on the existing blob so the colony stays connected
         ys, xs = np.nonzero(canvas)
@@ -208,11 +210,10 @@ def _colony_mask(length, ecc, rng):
         step = cell_r * rng.uniform(0.4, 0.9)
         cy = int(round(ys[k] + step * math.sin(ang)))
         cx = int(round(xs[k] + step * math.cos(ang)))
-        cy = int(np.clip(cy, size - length / 2, size + length / 2))
-        cx = int(np.clip(cx, size - max(env_b, cell_r), size + max(env_b, cell_r)))
+        cy = int(min(max(cy, size - length / 2), size + length / 2))
+        cx = int(min(max(cx, size - max(env_b, cell_r)), size + max(env_b, cell_r)))
         rr = cell_r * rng.uniform(0.7, 1.0)
-        cell = _trim(xx ** 2 + yy ** 2 <= rr ** 2)
-        _paste(canvas, cell, cy, cx)
+        _paste(canvas, _trim(r2 <= rr ** 2), cy, cx)
     return _trim(canvas)
 
 
@@ -246,13 +247,15 @@ def _render_mask(species, rng):
 
 
 def _dilate1(mask):
-    """8-neighbourhood dilation, returned on a 1-px-larger canvas."""
-    p = np.pad(mask, 2)
-    out = np.zeros_like(p)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out |= np.roll(np.roll(p, dy, axis=0), dx, axis=1)
-    return out[1:-1, 1:-1]
+    """8-neighbourhood dilation of an (h, w) mask onto an (h+2, w+2) canvas
+    whose pixel (y, x) lies over mask pixel (y-1, x-1): the mask ORed in at
+    each of the 9 offsets."""
+    h, w = mask.shape
+    out = np.zeros((h + 2, w + 2), dtype=bool)
+    for dy in range(3):
+        for dx in range(3):
+            out[dy:dy + h, dx:dx + w] |= mask
+    return out
 
 
 def generate_scene(spec, catalog):
@@ -299,8 +302,7 @@ def generate_scene(spec, catalog):
                     continue
                 factor = 1.0 + species.jitter * rng.uniform(-1.0, 1.0)
                 signature = tuple(s * factor for s in species.signature)
-                for b in range(m):
-                    contributions[b, y0:y0 + mh, x0:x0 + mw] += signature[b] * mask
+                contributions[:, y0:y0 + mh, x0:x0 + mw] += np.multiply.outer(signature, mask)
                 truth[y0:y0 + mh, x0:x0 + mw][mask] = organism_id
                 # grown is (mh+2, mw+2); placement margins keep it in bounds
                 occupied_dilated[y0 - 1:y0 + mh + 1, x0 - 1:x0 + mw + 1] |= grown
@@ -322,18 +324,18 @@ def generate_scene(spec, catalog):
             )
 
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.mgrid[0:h, 0:w]
-    d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+    d2 = (np.arange(h)[:, None] - cy) ** 2 + (np.arange(w) - cx) ** 2
     vignette = 1.0 - spec.vignette_strength * d2 / d2.max()
 
     wavelengths = (DEFAULT_WAVELENGTHS_NM if m == len(DEFAULT_WAVELENGTHS_NM)
                    else tuple(400.0 + 25.0 * i for i in range(m)))
     bands = []
     for b in range(m):
-        band = (spec.background_level + contributions[b]) * vignette
+        band = spec.background_level + contributions[b]
+        band *= vignette
         if spec.noise_sigma > 0:
-            band = band + rng.normal(0.0, spec.noise_sigma, size=(h, w))
-        bands.append(np.clip(band, 0.0, None))
+            band += rng.normal(0.0, spec.noise_sigma, size=(h, w))
+        bands.append(np.clip(band, 0.0, None, out=band))
     stack = ImageStack(bands=tuple(bands), wavelengths_nm=wavelengths, role_tag="raw")
     return SceneResult(
         stack=stack,
@@ -342,17 +344,21 @@ def generate_scene(spec, catalog):
     )
 
 
-def generate_corpus(catalog, n_scenes, scene_template=None, master_seed=0):
-    """Independent scenes with per-scene seeds derived from the master seed."""
+def corpus_specs(n_scenes, scene_template=None, master_seed=0):
+    """Specs of `n_scenes` independent scenes like the template, with
+    per-scene seeds derived from the master seed."""
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     template = scene_template or SceneSpec()
-    scenes = []
-    for i in range(n_scenes):
-        seed = int(np.random.SeedSequence(
-            [int(master_seed), i]).generate_state(1)[0])
-        scenes.append(generate_scene(replace(template, seed=seed), catalog))
-    return scenes
+    return [replace(template, seed=int(np.random.SeedSequence(
+                [int(master_seed), i]).generate_state(1)[0]))
+            for i in range(n_scenes)]
+
+
+def generate_corpus(catalog, n_scenes, scene_template=None, master_seed=0):
+    """The scenes of `corpus_specs(n_scenes, scene_template, master_seed)`."""
+    return [generate_scene(spec, catalog)
+            for spec in corpus_specs(n_scenes, scene_template, master_seed)]
 
 
 def match_organisms_to_truth(organisms, truth, planted):

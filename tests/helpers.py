@@ -12,6 +12,16 @@ def organism_from_pixels(pixels, org_id=1):
     return Organism(id=org_id, pixels=px)
 
 
+def numpy_build():
+    """numpy's version and BLAS build, which float results can depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
 def disk_pixels(radius, cy=0, cx=0):
     """Pixels of the inclusive rasterized disk dx^2+dy^2 <= r^2."""
     r = int(radius)
@@ -58,6 +68,19 @@ def naive_dilate(img, radius):
     out = np.full(img.shape, -np.inf)
     for dy, dx in disk_offsets(radius):
         out = np.maximum(out, padded[r + dy:r + dy + h, r + dx:r + dx + w])
+    return out
+
+
+def oracle_dilate1(mask):
+    """Per-pixel 8-neighbour dilation onto a canvas one pixel wider on each
+    side: canvas pixel (y, x) sits over mask pixel (y - 1, x - 1)."""
+    h, w = mask.shape
+    out = np.zeros((h + 2, w + 2), dtype=bool)
+    for y in range(h + 2):
+        for x in range(w + 2):
+            out[y, x] = any(mask[my, mx]
+                            for my in range(max(y - 2, 0), min(y + 1, h))
+                            for mx in range(max(x - 2, 0), min(x + 1, w)))
     return out
 
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ def test_synth_outputs(pipeline):
     truth = json.loads((raw / "scene_000" / "truth.json").read_text())
     assert len(truth["organisms"]) == 7
     assert "config_sha256" in truth
+
+
+def test_synth_writes_each_scene_before_rendering_the_next(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"scenes": 3, "width": 48, "height": 48,
+                                            "organisms_per_scene": 2}}), encoding="utf-8")
+    out = tmp_path / "raw"
+    on_disk, alive, rendered, render = [], [], [], synthgen.generate_scene
+
+    def spy(spec, catalog):
+        on_disk.append(sorted(p.parent.name for p in out.glob("scene_*/truth.json")))
+        alive.append(sum(ref() is not None for ref in rendered))
+        scene = render(spec, catalog)
+        rendered.append(weakref.ref(scene))
+        return scene
+
+    monkeypatch.setattr(synthgen, "generate_scene", spy)
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    assert on_disk == [[], ["scene_000"], ["scene_000", "scene_001"]]
+    assert alive == [0, 0, 0]  # no earlier scene is held while the next renders
+    assert sorted(os.listdir(out)) == ["scene_000", "scene_001", "scene_002"]
 
 
 def test_correct_outputs(pipeline):

@@ -16,9 +16,9 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from algaeid.cli import main
+
+from helpers import numpy_build
 
 GOLDEN = Path(__file__).with_name("golden.json")
 CONFIG = {
@@ -27,16 +27,6 @@ CONFIG = {
     "train": {"epochs": 60, "batch_size": 8},
     "mccv": {"runs": 4, "master_seed": 77},
 }
-
-
-def numpy_build():
-    """numpy's version and BLAS build, which float results can depend on."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
-        blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas}
 
 
 def _digest(path, base):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import pathlib
 
@@ -10,10 +11,12 @@ from algaeid.illumination import CorrectionConfig, estimate_background, subtract
 from algaeid.segmentation import (LabelMap, Organism, binarize,
                                   connected_components, extract_organisms,
                                   fuse_masks, otsu_threshold)
-from algaeid.synthgen import (PlantedOrganism, SceneSpec, SpeciesSpec,
+from algaeid.synthgen import (PlantedOrganism, SceneSpec, SpeciesSpec, _dilate1,
                               default_catalog, generate_corpus, generate_scene,
                               ground_truth_json, match_organisms_to_truth,
                               read_ground_truth, save_ground_truth)
+
+from helpers import numpy_build, oracle_dilate1
 
 CATALOG_ABUNDANCE_WEIGHTS = (751, 382, 500, 548, 299, 131)
 
@@ -81,6 +84,71 @@ def test_scene_deterministic_bitwise():
         assert np.array_equal(b1, b2)
     assert np.array_equal(s1.truth.labels, s2.truth.labels)
     assert s1.organisms == s2.organisms
+
+
+# SHA-256 of each part of two scenes, pinned when the renderer last changed
+# its output on purpose; tests/golden.json hashes rounded PGMs, so only
+# these see a one-ulp change in a band
+PINNED_BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+SCENE_DIGESTS = {
+    "vignette-and-noise": (SceneSpec(seed=7), {
+        "bands": "4b4ea9f151b906f1e51c81fd2ab364c580dfdd95213638c29616b7132fb16ee1",
+        "truth": "e0f12bba7456197c257e52900cb86c741c35b4788eae663edaf05454e34b29f3",
+        "organisms": "2e60c040be2c590ee1ce79b908f4e15bdc2765ccd492b3fba1be747910543416",
+    }),
+    "crowded-no-illumination": (SceneSpec(n_organisms=60, background_level=0.0,
+                                          vignette_strength=0.0, seed=9), {
+        "bands": "14e5df1d2fc016bbdc02ea49dfc1989caa72f1e426a1fcc8cbcffab8f04cc1ce",
+        "truth": "648c54473dd99090e0d9361d015e11667f83272530e4342bb6911b7c5e260dd7",
+        "organisms": "b918b8edb0aaaa05f30354b983ada6141c4c28ea88714324f2842ecc6c42ba48",
+    }),
+}
+
+
+def scene_digests(scene):
+    """SHA-256 of the band float bytes, the truth labels and the records."""
+    parts = {"bands": b"".join(band.tobytes() for band in scene.stack.bands),
+             "truth": scene.truth.labels.tobytes(),
+             "organisms": repr(scene.organisms).encode()}
+    return {name: hashlib.sha256(data).hexdigest() for name, data in parts.items()}
+
+
+@pytest.mark.parametrize("case", list(SCENE_DIGESTS))
+def test_scene_float_bits_pinned(case):
+    spec, pinned = SCENE_DIGESTS[case]
+    got = scene_digests(generate_scene(spec, default_catalog()))
+    moved = [name for name in pinned if got[name] != pinned[name]]
+    assert not moved, (f"{case}: the {moved} digests moved; they were pinned with "
+                       f"{PINNED_BUILD}, this run uses {numpy_build()}")
+
+
+def test_dilate1_matches_per_pixel_oracle():
+    rng = np.random.default_rng(21)
+    masks = [np.ones((1, 1), bool), np.ones((1, 7), bool), np.ones((7, 1), bool),
+             np.ones((5, 6), bool), np.eye(4, dtype=bool)]
+    masks += [rng.random(shape) < density
+              for shape in [(1, 9), (9, 1), (3, 3), (6, 11), (13, 8)] * 4
+              for density in (0.1, 0.5)]
+    for mask in masks:
+        grown = _dilate1(mask)
+        assert grown.shape == (mask.shape[0] + 2, mask.shape[1] + 2)
+        assert grown.dtype == bool
+        assert np.array_equal(grown, oracle_dilate1(mask)), mask.astype(int)
+
+
+def test_organisms_keep_a_background_pixel_between_them():
+    # no truth pixel has an 8-neighbour that belongs to another organism
+    labels = generate_scene(SceneSpec(width=128, height=128, n_organisms=40, seed=4),
+                            default_catalog()).truth.labels
+    assert labels.max() == 40
+    h, w = labels.shape
+    padded = np.pad(labels, 1)
+    touching = 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            near = padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+            touching += int(np.sum((labels > 0) & (near > 0) & (near != labels)))
+    assert touching == 0
 
 
 def test_truth_component_count_and_masks():
