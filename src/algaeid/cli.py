@@ -182,9 +182,10 @@ def cmd_features(args, cfg, digest):
                 matched = synthgen.match_organisms_to_truth(organisms, truth, planted)
             except ValueError as e:
                 raise ValueError(f"{truth_dir}: {e}") from None
-        prefix = f"{name}:" if name else ""
-        all_fvs += [dataclasses.replace(fv, organism_id=f"{prefix}{fv.organism_id}")
-                    for fv in features.feature_vectors(organisms, corrected, matched)]
+        fvs = features.feature_vectors(organisms, corrected, matched)
+        if name:
+            fvs = [dataclasses.replace(fv, organism_id=f"{name}:{fv.organism_id}") for fv in fvs]
+        all_fvs += fvs
     if not all_fvs:
         raise ValueError(f"{args.corrected}: no organisms found to featurize")
     features.write_features_csv(args.out, all_fvs, wavelengths)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import fields
+from . import fields, segmentation
 from .stack_io import atomic_write_csv
 
 MORPHOLOGICAL_FEATURE_NAMES = (
@@ -79,26 +79,37 @@ def pixel_batch(organisms, height, width, raster):
     return pixels, sizes
 
 
-def _segment_means(values, sizes):
-    """Mean of each run of `sizes` consecutive columns, per row of `values`:
-    shape (rows, len(sizes)). Bit for bit the `.mean()` of each run: numpy's
-    reduce sums a run pairwise from the identity 0, while reduceat starts
-    from the run's first value, so a 0 is put in front of each run."""
-    starts = np.cumsum(sizes) - sizes
-    padded = np.insert(values, starts, 0.0, axis=1)
-    return np.add.reduceat(padded, starts + np.arange(len(sizes)), axis=1) / sizes
+def _padded_runs(pixels, sizes):
+    """The pixels of a batch as (rows, cols), with a spare column (a copy of
+    a neighbouring pixel) in front of each organism's run, and the indices
+    of the spare columns, where `_segment_means` puts its leading 0s."""
+    heads = np.cumsum(sizes + 1) - (sizes + 1)
+    source = np.arange(len(pixels) + len(sizes)) - np.repeat(np.arange(1, len(sizes) + 1),
+                                                              sizes + 1)
+    return pixels[source].T, heads
 
 
-def _pixel_means(pixels, sizes, bands):
+def _segment_means(padded, heads, sizes):
+    """Mean of each run of `sizes` columns, per row of `padded`, whose run i
+    follows its spare column heads[i]: shape (rows, len(sizes)). Bit for bit
+    the `.mean()` of each run: numpy's reduce sums a run pairwise from the
+    identity 0, while reduceat starts from the run's first value, so the
+    spare columns are set to 0 first."""
+    padded[:, heads] = 0.0
+    return np.add.reduceat(padded, heads, axis=1) / sizes
+
+
+def _pixel_means(runs, heads, sizes, bands):
     """Per organism of a batch: its mean row, its mean column and its mean
-    intensity in each of `bands`, as rows of a (2 + bands, n) array. The
-    pixels must lie inside the bands."""
-    values = np.empty((2 + len(bands), len(pixels)))
-    values[:2] = pixels.T
-    flat = pixels[:, 0] * bands[0].shape[1] + pixels[:, 1]
+    intensity in each of `bands`, as rows of a (2 + bands, n) array, from
+    its pixels laid out by `_padded_runs`, which must lie inside the bands.
+    Band values are cast to float64 before they are summed."""
+    values = np.empty((2 + len(bands), runs.shape[1]))
+    values[:2] = runs
+    flat = runs[0] * bands[0].shape[1] + runs[1]
     for row, band in zip(values[2:], bands):
-        band.ravel().take(flat, out=row)
-    return _segment_means(values, sizes)
+        row[:] = band.ravel()[flat]
+    return _segment_means(values, heads, sizes)
 
 
 def _convex_areas(pixels, sizes):
@@ -158,7 +169,7 @@ def _lattice_hull_count(lefts, rights):
     return (abs(twice_area) - boundary) // 2 + 1 + boundary
 
 
-def _eccentricities(pixels, sizes, coordinate_means):
+def _eccentricities(runs, heads, sizes, coordinate_means):
     """Elongation in [0, 1] of each organism of a batch from its moment
     ellipse: sqrt(1 - b^2/a^2) with a >= b the semi-axes (eigenvalues of
     the coordinate covariance). A single pixel yields 0.
@@ -166,8 +177,8 @@ def _eccentricities(pixels, sizes, coordinate_means):
     The second central moments carry a +1/12 per-pixel variance term,
     which accounts for each pixel covering a unit square rather than a
     point (keeps thin shapes well-conditioned)."""
-    d = pixels.T - np.repeat(coordinate_means, sizes, axis=1)  # rows dy, dx
-    moments = _segment_means(np.concatenate((d * d, d[:1] * d[1:])), sizes)
+    d = runs - np.repeat(coordinate_means, sizes + 1, axis=1)  # rows dy, dx
+    moments = _segment_means(np.concatenate((d * d, d[:1] * d[1:])), heads, sizes)
     moments[:2] += 1.0 / 12.0
     out = []
     for mu_yy, mu_xx, mu_xy in moments.T.tolist():
@@ -198,7 +209,8 @@ def feature_vectors(organisms, corrected, labels=None):
     if not organisms:
         return []
     pixels, sizes = pixel_batch(organisms, corrected.height, corrected.width, "stack")
-    means = _pixel_means(pixels, sizes, corrected.bands)
+    runs, heads = _padded_runs(pixels, sizes)
+    means = _pixel_means(runs, heads, sizes, corrected.bands)
     return [FeatureVector(
         organism_id=org.id,
         label=label,
@@ -206,11 +218,12 @@ def feature_vectors(organisms, corrected, labels=None):
         convex_area=hull,
         eccentricity=ecc,
         equivalent_diameter=math.sqrt(4.0 * org.area / math.pi),
-        extent=org.area / org.bbox_area,
+        extent=org.area / ((x_max - x_min + 1) * (y_max - y_min + 1)),
         spectral=spectral,
-    ) for org, label, hull, ecc, spectral in zip(
+    ) for org, label, hull, ecc, spectral, (x_min, y_min, x_max, y_max) in zip(
         organisms, labels, _convex_areas(pixels, sizes),
-        _eccentricities(pixels, sizes, means[:2]), means[2:].T.tolist())]
+        _eccentricities(runs, heads, sizes, means[:2]), means[2:].T.tolist(),
+        segmentation.bboxes(organisms))]
 
 
 def compute_features(org, corrected, label=None):

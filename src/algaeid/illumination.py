@@ -190,7 +190,7 @@ def subtract_background(raw, background, clamp=True):
         )
     bands = []
     for rb, bb in zip(raw.bands, background.bands):
-        diff = rb - bb
+        diff = np.subtract(rb, bb, dtype=np.float64)  # uint16 bands would wrap
         if clamp:
             diff = np.maximum(diff, 0.0)
         bands.append(diff)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stack_io import PGM_MAXVAL, write_pgm16
+from .stack_io import PGM_MAXVAL, RASTER_DTYPES, write_pgm16
 
 
 class DegenerateBandError(ValueError):
@@ -39,13 +39,13 @@ class Organism:
     """One isolated micro-organism.
 
     `pixels` is an (N, 2) array of (row, col) coordinates; `bbox` is
-    derived from them as (x_min, y_min, x_max, y_max), inclusive.
+    derived from them on access as (x_min, y_min, x_max, y_max), inclusive.
+    `bboxes` takes the boxes of many organisms at once.
     """
 
     id: int
     pixels: np.ndarray
     touches_border: bool = False
-    bbox: tuple = field(init=False)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.int64)
@@ -53,18 +53,32 @@ class Organism:
             raise ValueError("pixel set must be a non-empty (N, 2) array")
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
-        ys, xs = px.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
-        object.__setattr__(self, "bbox", (int(xs.min()), int(ys.min()),
-                                          int(xs.max()), int(ys.max())))
 
     @property
     def area(self):
         return int(self.pixels.shape[0])
 
     @property
+    def bbox(self):
+        ys, xs = self.pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
+        return (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+
+    @property
     def bbox_area(self):
         x_min, y_min, x_max, y_max = self.bbox
         return (x_max - x_min + 1) * (y_max - y_min + 1)
+
+
+def bboxes(organisms):
+    """The `bbox` of each organism, in order, from one segmented minimum and
+    maximum over their concatenated pixels."""
+    if not organisms:
+        return []
+    sizes = [org.area for org in organisms]
+    ys, xs = np.concatenate([org.pixels for org in organisms]).T
+    starts = np.cumsum(sizes) - sizes
+    return list(zip(*(op.reduceat(c, starts).tolist() for op, c in
+                      ((np.minimum, xs), (np.minimum, ys), (np.maximum, xs), (np.maximum, ys)))))
 
 
 def otsu_index(counts):
@@ -104,27 +118,26 @@ def otsu_threshold(band, num_bins=NUM_BINS):
     last background bin. A constant band has no separable foreground and
     raises DegenerateBandError.
 
-    A band of whole numbers in [0, PGM_MAXVAL], as every band read from a
-    16-bit PGM is, is histogrammed by value: each distinct value is binned
-    once, weighted by how often it occurs, which gives the same counts.
+    A uint8 or uint16 band, as every band read from a PGM is, is
+    histogrammed by value: each distinct value is binned once, weighted by
+    how often it occurs, which gives the same counts as binning every pixel.
+    A band of any other dtype is binned pixel by pixel as float64.
     """
-    band = np.asarray(band, dtype=np.float64)
+    band = np.asarray(band)
     if num_bins < 2:
         raise ValueError("num_bins must be >= 2")
-    lo = float(band.min())
-    hi = float(band.max())
+    if band.dtype in RASTER_DTYPES:
+        tally = np.bincount(band.ravel())
+        present = np.flatnonzero(tally)
+        values, weights = present.astype(np.float64), tally[present]
+    else:
+        values, weights = band.astype(np.float64, copy=False), None
+    lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         raise DegenerateBandError(
             f"degenerate: no separable foreground (band is constant at {lo})"
         )
-    values = band.astype(np.int64) if 0.0 <= lo and hi <= PGM_MAXVAL else None
-    if values is not None and np.array_equal(values, band):
-        tally = np.bincount(values.ravel())
-        present = np.flatnonzero(tally)
-        counts, _ = np.histogram(present.astype(np.float64), bins=num_bins, range=(lo, hi),
-                                 weights=tally[present])
-    else:
-        counts, _ = np.histogram(band, bins=num_bins, range=(lo, hi))
+    counts, _ = np.histogram(values, bins=num_bins, range=(lo, hi), weights=weights)
     k = otsu_index(counts)
     return lo + (k + 0.5) * (hi - lo) / num_bins
 
@@ -277,6 +290,7 @@ def segmentation_json(seg):
     return {
         "component_count": seg.labels.count,
         "thresholds": list(seg.thresholds),
-        "organisms": [{"id": org.id, "bbox": list(org.bbox), "area": org.area,
-                       "touches_border": org.touches_border} for org in seg.organisms],
+        "organisms": [{"id": org.id, "bbox": list(box), "area": org.area,
+                       "touches_border": org.touches_border}
+                      for org, box in zip(seg.organisms, bboxes(seg.organisms))],
     }

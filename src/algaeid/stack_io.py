@@ -2,8 +2,10 @@
 
 A stack is an ordered list of co-registered 2-D intensity rasters, one per
 excitation wavelength. On disk a stack is a JSON manifest plus one binary
-16-bit big-endian PGM (P5, maxval 65535) per band; in memory every band is
-a float64 array so processing never quantizes.
+16-bit big-endian PGM (P5, maxval 65535) per band. A band read from a PGM
+stays the uint8 or uint16 raster it was stored as; every other band, and
+every band a processing step computes, is a float64 array, so processing
+never quantizes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ ROLE_TAGS = ("raw", "background", "corrected")
 MANIFEST_NAME = "stack.json"
 
 PGM_MAXVAL = 65535
+
+# the dtypes of a PGM raster, which a stack keeps as they are
+RASTER_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 
 
 class StackIOError(ValueError):
@@ -51,6 +56,10 @@ class UnsupportedBitDepthError(StackIOError):
 class ImageStack:
     """An m-band fluorescence cube with per-band excitation wavelengths.
 
+    A uint8 or uint16 band, as read from a PGM, is kept as it is, and any
+    other band is converted to float64. Arithmetic on a band converts it
+    to float64 first, since unsigned differences wrap.
+
     Immutable after construction: band arrays are flagged read-only, so a
     stack can be shared across threads. Every processing step returns a new
     stack instead of mutating.
@@ -62,7 +71,8 @@ class ImageStack:
     role_tag: str = "raw"
 
     def __post_init__(self):
-        bands = tuple(np.asarray(b, dtype=np.float64) for b in self.bands)
+        bands = tuple(b if b.dtype in RASTER_DTYPES else b.astype(np.float64, copy=False)
+                      for b in map(np.asarray, self.bands))
         if len(bands) < 1:
             raise StackIOError("stack must contain at least one band (m >= 1)")
         for b in bands:
@@ -276,12 +286,13 @@ def save_stack(stack, directory, extra_fields=None):
 def load_stack(manifest_path):
     """Load a stack from its manifest (or from a directory containing one).
 
-    Bands come back in manifest order with wavelengths taken from the
-    manifest. Raises a distinct error for a missing band file, a dimension
-    mismatch between bands, non-increasing wavelengths, or an unsupported
-    bit depth. A manifest whose wavelengths or pixel pitch are not finite
-    numbers, or whose band_filenames are not a list of strings, raises a
-    StackIOError naming it.
+    Bands come back in manifest order, as the uint8 or uint16 rasters of
+    their PGMs, with wavelengths taken from the manifest. Raises a distinct
+    error for a missing band file, a dimension mismatch between bands,
+    non-increasing wavelengths, or an unsupported bit depth. A manifest
+    whose wavelengths or pixel pitch are not finite numbers, or whose
+    band_filenames are not a list of strings, raises a StackIOError naming
+    it.
     """
     manifest_path = os.fspath(manifest_path)
     if os.path.isdir(manifest_path):
@@ -305,7 +316,7 @@ def load_stack(manifest_path):
         band_path = os.path.join(base, name)
         if not os.path.exists(band_path):
             raise MissingBandFileError(f"band file not found: {band_path}")
-        bands.append(read_pgm(band_path).astype(np.float64))
+        bands.append(read_pgm(band_path))
     try:
         return ImageStack(
             bands=tuple(bands),

@@ -339,6 +339,24 @@ def test_classify_stack_dir(pipeline):
     assert len(out.read_text().splitlines()) == 8  # header + 7 organisms
 
 
+def test_classify_stack_dir_matches_its_feature_csv(pipeline, tmp_path):
+    # `classify` on a loaded uint16 stack segments and featurizes it as
+    # `segment` and `features` do, so both inputs give the same bytes
+    scene = pipeline["corrected"] / "scene_000"
+    model, seg, csv = tmp_path / "model.json", tmp_path / "seg", tmp_path / "f.csv"
+    cfg = ["--config", str(pipeline["config"])]
+    assert main(["train", str(pipeline["csv"]), "--variant", "both11", *cfg,
+                 "--out", str(model)]) == 0
+    assert main(["segment", str(scene), *cfg, "--out", str(seg)]) == 0
+    assert main(["features", str(scene), str(seg), *cfg, "--out", str(csv)]) == 0
+    outs = [tmp_path / "from_stack.csv", tmp_path / "from_csv.csv"]
+    for source, out in zip((scene, csv), outs):
+        assert main(["classify", str(model), str(source), *cfg, "--out", str(out)]) == 0
+    assert load_stack(scene).bands[0].dtype == np.uint16
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 8
+
+
 def test_mccv_report(pipeline):
     root = pipeline["root"]
     out = root / "eval"

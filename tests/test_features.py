@@ -507,6 +507,19 @@ def test_feature_vectors_match_reference_on_lines():
     assert [fv.convex_area for fv in got] == [org.area for org in organisms]
 
 
+def test_feature_vectors_of_raster_stack_are_those_of_its_float64_copy(synth_segmentations):
+    # a uint16 stack, as loaded from PGMs, is gathered and cast before any
+    # sum, so every value equals, bit for bit, that of its float64 copy
+    corrected, organisms = synth_segmentations[-1]
+    rasters = [np.rint(np.clip(b, 0, 65535)).astype(np.uint16) for b in corrected.bands]
+    as_float = corrected.with_bands([r.astype(np.float64) for r in rasters], "corrected")
+    as_raster = corrected.with_bands(rasters, "corrected")
+    assert as_raster.bands[0].dtype == np.uint16
+    labels = [org.id % 6 for org in organisms]
+    assert repr(feature_vectors(organisms, as_raster, labels)) == \
+        repr(feature_vectors(organisms, as_float, labels))
+
+
 def test_feature_vectors_of_no_organisms():
     stack = _noise_stack(np.random.default_rng(36), (4, 4))
     assert feature_vectors([], stack) == []

@@ -335,6 +335,31 @@ def test_subtract_arithmetic_and_clamp():
     assert unclamped.bands[0][0, 1] == -20.0
 
 
+def test_subtract_raster_stacks_does_not_wrap():
+    # two uint16 stacks, as loaded from PGMs, subtract in float64: 3 - 5 is
+    # -2, which the clamp makes 0, never the 65534 of a uint16 difference
+    raw = _raw_stack([np.array([[3, 5, 65535]], dtype=np.uint16)])
+    bg = raw.with_bands([np.array([[5, 3, 0]], dtype=np.uint16)], role_tag="background")
+    clamped = subtract_background(raw, bg, clamp=True).bands[0]
+    unclamped = subtract_background(raw, bg, clamp=False).bands[0]
+    assert clamped.dtype == unclamped.dtype == np.float64
+    assert clamped.tolist() == [[0.0, 2.0, 65535.0]]
+    assert unclamped.tolist() == [[-2.0, 2.0, 65535.0]]
+
+
+def test_background_of_raster_stack_is_that_of_its_float64_copy():
+    rng = np.random.default_rng(13)
+    band = rng.integers(0, 65536, size=(40, 30), dtype=np.uint16)
+    raw = _raw_stack([band])
+    again = _raw_stack([band.astype(np.float64)])
+    cfg = CorrectionConfig(opening_radii_px=(2, 5))
+    backgrounds = [estimate_background(stack, cfg) for stack in (raw, again)]
+    assert np.array_equal(backgrounds[0].bands[0], backgrounds[1].bands[0])
+    corrected = [subtract_background(stack, background).bands[0]
+                 for stack, background in zip((raw, again), backgrounds)]
+    assert np.array_equal(*corrected)
+
+
 def test_subtract_clamped_non_negative():
     rng = np.random.default_rng(12)
     raw = _raw_stack([rng.random((9, 9)) * 10])

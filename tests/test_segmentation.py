@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from algaeid.segmentation import (DegenerateBandError, LabelMap, Organism,
-                                  Segmentation, binarize, connected_components,
+                                  Segmentation, bboxes, binarize, connected_components,
                                   extract_organisms, fuse_masks,
                                   labelmap_to_pgm, otsu_index, otsu_threshold,
                                   segment, segmentation_json)
@@ -78,7 +79,7 @@ def _integer_bands(rng):
 def test_otsu_integer_band_histogrammed_by_value(histogram_calls, num_bins):
     rng = np.random.default_rng(num_bins)
     for values in _integer_bands(rng):
-        band = values.astype(np.float64)
+        band = values.astype(np.uint16)
         if band.min() == band.max():
             continue
         expected = _whole_band_threshold(band, num_bins)
@@ -86,6 +87,41 @@ def test_otsu_integer_band_histogrammed_by_value(histogram_calls, num_bins):
         assert otsu_threshold(band, num_bins=num_bins) == expected
         # one weighted histogram of the distinct values
         assert histogram_calls == [(True, len(np.unique(values)))]
+
+
+@pytest.mark.parametrize("num_bins", [256, 7])
+def test_otsu_whole_number_float_band_histograms_every_pixel(histogram_calls, num_bins):
+    # only a uint8 or uint16 raster is tallied by value; the same numbers as
+    # float64 are binned pixel by pixel, to the same threshold
+    rng = np.random.default_rng(100 + num_bins)
+    for values in _integer_bands(rng):
+        if values.min() == values.max():
+            continue
+        band = values.astype(np.float64)
+        expected = otsu_threshold(values.astype(np.uint16), num_bins=num_bins)
+        histogram_calls.clear()
+        assert otsu_threshold(band, num_bins=num_bins) == expected
+        assert histogram_calls == [(False, band.size)]
+
+
+def test_otsu_eight_bit_band_histogrammed_by_value(histogram_calls):
+    values = np.random.default_rng(14).integers(3, 250, size=(40, 30))
+    expected = _whole_band_threshold(values)
+    histogram_calls.clear()
+    assert otsu_threshold(values.astype(np.uint8)) == expected
+    assert histogram_calls == [(True, len(np.unique(values)))]
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64, ">u2"])
+def test_otsu_other_integer_dtypes_take_the_float_path(histogram_calls, dtype):
+    # a tally of a 32-bit band could need gigabytes, so it is binned as float64
+    values = np.random.default_rng(15).integers(0, 65536, size=(20, 30))
+    values[0, 0] = 65535
+    band = values.astype(dtype)
+    expected = _whole_band_threshold(values)
+    histogram_calls.clear()
+    assert otsu_threshold(band) == expected
+    assert histogram_calls == [(False, band.size)]
 
 
 @pytest.mark.parametrize("band", [
@@ -117,9 +153,29 @@ def test_otsu_constant_integer_band_degenerate(level):
         segment(ImageStack(bands=bands, wavelengths_nm=(470.0, 530.0), role_tag="corrected"))
 
 
+@pytest.mark.parametrize("level,dtype", [(0, np.uint16), (7, np.uint16), (65535, np.uint16),
+                                         (0, np.uint8), (255, np.uint8)])
+def test_otsu_constant_raster_band_degenerate(level, dtype):
+    # the message is the one a float64 band of the same level gets
+    message = f"degenerate: no separable foreground (band is constant at {float(level)})"
+    for band in (np.full((8, 8), level, dtype=dtype), np.full((8, 8), float(level))):
+        with pytest.raises(DegenerateBandError) as err:
+            otsu_threshold(band)
+        assert str(err.value) == message
+
+
 def test_otsu_validates_bins():
     with pytest.raises(ValueError):
         otsu_threshold(np.array([[0.0, 1.0]]), num_bins=1)
+
+
+def test_binarize_raster_band_compares_as_float64():
+    values = np.arange(65536).reshape(256, 256)
+    thresholds = [k + d for k in (0, 1, 255, 256, 4095, 65534) for d in (-0.5, 0.5)]
+    for t in thresholds + [65534.5, 65535.0, -1.0]:
+        expected = binarize(values.astype(np.float64), t)
+        assert np.array_equal(binarize(values.astype(np.uint16), t), expected), t
+        assert expected.sum() == np.sum(values > t)
 
 
 def test_binarize_strict_inequality():
@@ -403,6 +459,30 @@ def test_segment_equals_explicit_chain():
 def test_organism_invariants():
     with pytest.raises(ValueError):
         Organism(id=1, pixels=np.zeros((0, 2)))
+
+
+def test_bboxes_match_each_organism_bbox():
+    rng = np.random.default_rng(26)
+    lab = connected_components(rng.random((40, 50)) < 0.4)
+    orgs = extract_organisms(lab, _stack_like((40, 50)), min_area_px=1)
+    shuffled = [dataclasses.replace(org, pixels=rng.permutation(org.pixels)) for org in orgs]
+    small = [Organism(id=1, pixels=[(3, 4)]),
+             Organism(id=2, pixels=[(5, x) for x in range(9, 2, -1)]),
+             Organism(id=3, pixels=[(y, 0) for y in range(6)]),
+             Organism(id=4, pixels=[(0, 0)])]
+    assert len(orgs) > 20
+    for batch in (orgs, shuffled, small, small[::-1], small[:1]):
+        boxes = bboxes(batch)
+        assert boxes == [org.bbox for org in batch]
+        assert all(type(v) is int for box in boxes for v in box)
+    assert bboxes(small) == [(4, 3, 4, 3), (3, 5, 9, 5), (0, 0, 0, 5), (0, 0, 0, 0)]
+    assert bboxes([]) == []
+
+
+def test_organisms_json_of_no_organisms():
+    lab = LabelMap(np.zeros((3, 3), dtype=np.int32))
+    assert segmentation_json(Segmentation((1.5,), lab, ())) == {
+        "component_count": 0, "thresholds": [1.5], "organisms": []}
 
 
 def test_organisms_json_bbox_is_python_ints():

@@ -244,7 +244,32 @@ def test_stack_round_trip_edge_values(tmp_path, bands, role_tag):
         (stack.wavelengths_nm, stack.pixel_pitch_um, stack.role_tag)
     assert len(again.bands) == len(stack.bands)
     for a, b in zip(again.bands, stack.bands):
-        assert a.dtype == np.float64 and np.array_equal(a, b)
+        assert a.dtype == np.uint16 and np.array_equal(a, b)
+
+
+def test_load_stack_keeps_pgm_rasters(tmp_path):
+    # a band comes back as the raster its PGM holds: uint16 for a 16-bit
+    # file, uint8 for an 8-bit one
+    rng = np.random.default_rng(3)
+    stack = random_stack(rng, m=2, size=5)
+    save_stack(stack, tmp_path / "s")
+    (tmp_path / "s" / "band_01.pgm").write_bytes(b"P5\n5 5\n255\n" + bytes(range(25)))
+    again = load_stack(tmp_path / "s")
+    assert [b.dtype for b in again.bands] == [np.uint16, np.uint8]
+    assert np.array_equal(again.bands[0], stack.bands[0])
+    assert again.bands[1].tolist() == np.arange(25).reshape(5, 5).tolist()
+    assert not any(b.flags.writeable for b in again.bands)
+
+
+@pytest.mark.parametrize("dtype,kept", [
+    (np.uint8, True), (np.uint16, True), (">u2", False), (np.uint32, False),
+    (np.int16, False), (np.float32, False), (np.float64, True),
+])
+def test_stack_keeps_only_raster_and_float64_bands(dtype, kept):
+    band = np.arange(6).reshape(2, 3).astype(dtype)
+    stored = ImageStack(bands=(band,), wavelengths_nm=(405.0,)).bands[0]
+    assert stored.dtype == (band.dtype if kept else np.float64)
+    assert (stored is band) == kept and stored.tolist() == band.tolist()
 
 
 def test_import_loads_no_pool_machinery():
