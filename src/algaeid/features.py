@@ -60,33 +60,33 @@ class FeatureVector:
             raise ValueError("eccentricity must lie in [0, 1]")
         if not 0.0 < self.extent <= 1.0:
             raise ValueError("extent must lie in (0, 1]")
-        object.__setattr__(self, "spectral", tuple(float(s) for s in self.spectral))
+        object.__setattr__(self, "spectral", tuple(map(float, self.spectral)))
 
 
 def pixel_batch(organisms, height, width, raster):
-    """The (row, col) pixels of a non-empty list of organisms concatenated
-    in their given order, and each one's pixel count. A pixel outside a
-    `height` x `width` raster raises ValueError naming the first organism
-    that has one, the pixel and the `raster`."""
-    sizes = np.array([org.area for org in organisms], dtype=np.int64)
-    pixels = np.concatenate([org.pixels for org in organisms])
-    ys, xs = pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
-    if pixels.min() < 0 or ys.max() >= height or xs.max() >= width:
+    """The `segmentation.pixel_table` of a non-empty list of organisms and
+    its `segmentation.bboxes`. A pixel outside a `height` x `width` raster
+    raises ValueError naming the first organism that has one, the pixel and
+    the `raster`."""
+    pixels, sizes = segmentation.pixel_table(organisms)
+    boxes = segmentation.bboxes(pixels, sizes)
+    x_max, y_max = boxes[:, 2:].max(axis=0).tolist()
+    if boxes.min() < 0 or x_max >= width or y_max >= height:
         i = int(np.argmax(((pixels < 0) | (pixels >= (height, width))).any(axis=1)))
         org = organisms[int(np.searchsorted(np.cumsum(sizes), i, side="right"))]
         raise ValueError(f"organism {org.id}: pixel {tuple(pixels[i].tolist())} lies "
                          f"outside the {height}x{width} {raster}")
-    return pixels, sizes
+    return pixels, sizes, boxes
 
 
 def _padded_runs(pixels, sizes):
     """The pixels of a batch as (rows, cols), with a spare column (a copy of
     a neighbouring pixel) in front of each organism's run, and the indices
     of the spare columns, where `_segment_means` puts its leading 0s."""
-    heads = np.cumsum(sizes + 1) - (sizes + 1)
-    source = np.arange(len(pixels) + len(sizes)) - np.repeat(np.arange(1, len(sizes) + 1),
-                                                              sizes + 1)
-    return pixels[source].T, heads
+    padded = sizes + 1
+    heads = padded.cumsum() - padded
+    source = np.arange(len(pixels) + len(sizes)) - np.repeat(np.arange(1, len(sizes) + 1), padded)
+    return pixels.T[:, source], heads
 
 
 def _segment_means(padded, heads, sizes):
@@ -108,65 +108,94 @@ def _pixel_means(runs, heads, sizes, bands):
     values[:2] = runs
     flat = runs[0] * bands[0].shape[1] + runs[1]
     for row, band in zip(values[2:], bands):
-        row[:] = band.ravel()[flat]
+        row[:] = band.take(flat)
     return _segment_means(values, heads, sizes)
 
 
-def _convex_areas(pixels, sizes):
-    """Convex area of each organism of a batch: the number of pixel centers
+# the extent below which a hull on coordinates relative to its organism's
+# top-left corner keeps every product and sum of `_convex_areas` in int64
+_HULL_EXTENT_LIMIT = 2 ** 30
+
+
+def _convex_areas(pixels, sizes, boxes):
+    """Convex area of each organism of a batch, given its pixels, each one's
+    pixel count and its `segmentation.bboxes`: the number of pixel centers
     inside or on the convex hull of its pixel centers.
 
-    Only the first and last pixel of each row can be hull vertices: every
-    other pixel lies between them. One stable sort by (organism, row, col)
-    finds those pixels of every organism.
+    Only the first and last pixel of each row can be hull vertices. One
+    stable sort by (organism, row), almost free on row-major pixels, and a
+    segmented minimum and maximum give them for every organism. The hull's
+    left side runs down the rows' first pixels, its right side down their
+    last ones, mirrored (x -> -x) so that both sides bulge the same way.
+    Every interior point of a side that does not make a strict left turn
+    is deleted, on all sides at once, until none is left: a vertex of that
+    side of the hull always turns strictly left, and the side's end points
+    are hull vertices, so each side becomes its monotone chain (Andrew,
+    IPL 9(5), 1979). Pick's theorem gives the count as (2A + B)/2 + 1, with
+    2A twice the hull's area, the trapezoid sum down both sides, and B the
+    lattice points on its boundary: gcd(|dx|, |dy|) per side edge plus the
+    widths of the top and bottom rows.
+
+    Coordinates are taken relative to each organism's top-left corner, so
+    below 2**30 every product and sum fits int64. An organism whose row or
+    column extent reaches 2**30 raises ValueError naming its place in the
+    batch.
     """
-    y0, y1 = pixels[:, 0].min(), pixels[:, 0].max()
-    height = y1 - y0 + 1
-    # organism k's rows are lines k * height .. (k + 1) * height - 1
-    line = np.repeat(np.arange(len(sizes)) * height - y0, sizes) + pixels[:, 0]
-    order = np.lexsort((pixels[:, 1], line))
+    n = len(sizes)
+    # a span past the int64 range wraps negative, which is huge as uint64
+    span = (boxes[:, 2:] - boxes[:, :2]).view(np.uint64)
+    if span.max() >= _HULL_EXTENT_LIMIT:
+        k = int(np.argmax(span.max(axis=1) >= _HULL_EXTENT_LIMIT))
+        raise ValueError(f"organism {k} of the batch: bounding box {boxes[k].tolist()} "
+                         f"reaches the convex-area extent limit of 2**30 pixels")
+    # organism k's row y becomes the line k * 2**31 + y - y_min
+    offsets = np.arange(0, (n + 1) << 31, 1 << 31)
+    line = (offsets[:-1] - boxes[:, 1]).repeat(sizes) + pixels[:, 0]
+    order = line.argsort(kind="stable")
     line = line[order]
-    new_line = line[1:] != line[:-1]
-    first = np.concatenate(([True], new_line))
-    # (row, col) as Python ints, by organism and then row
-    lefts = pixels[order[first]].tolist()
-    rights = pixels[order[np.concatenate((new_line, [True]))]].tolist()
-    stops = np.searchsorted(line[first], np.arange(1, len(sizes) + 1) * height).tolist()
-    return [_lattice_hull_count(lefts[start:stop], rights[start:stop])
-            for start, stop in zip([0] + stops, stops)]
-
-
-def _lattice_hull_count(lefts, rights):
-    """Lattice points inside or on the convex hull of a pixel set, given the
-    first (`lefts`) and last (`rights`) pixel of each of its rows, (row, col)
-    pairs in ascending row order.
-
-    Two monotone chains build the hull: the left one over the rows' first
-    pixels and then the last row's last pixel, the right one back over the
-    rows' last pixels and then the first row's first pixel. A pixel that is
-    both first and last of its row is listed in both; a chain drops the
-    repeat as a turn of zero. The hull's vertices are lattice points, so
-    with 2A the absolute shoelace sum and B the sum of gcd(|dx|, |dy|) over
-    its edges, A = I + B/2 - 1 gives the count I + B = (2A - B)/2 + 1 + B.
-    A one-point hull (no area, no boundary steps) gives 1 and a segment of
-    g steps g + 1.
-    """
-    hull = []
-    for sweep in (lefts + rights[-1:], rights[::-1] + lefts[:1]):
-        chain = []
-        for y, x in sweep:
-            while len(chain) >= 2:
-                (y0, x0), (y1, x1) = chain[-2], chain[-1]
-                if (y1 - y0) * (x - x0) - (x1 - x0) * (y - y0) > 0:
-                    break
-                chain.pop()
-            chain.append((y, x))
-        hull += chain[:-1]
-    twice_area = boundary = 0
-    for (y0, x0), (y1, x1) in zip(hull, hull[1:] + hull[:1]):
-        twice_area += x0 * y1 - x1 * y0
-        boundary += math.gcd(abs(x1 - x0), abs(y1 - y0))
-    return (abs(twice_area) - boundary) // 2 + 1 + boundary
+    head = np.empty(len(line), dtype=bool)
+    head[0] = True
+    np.not_equal(line[1:], line[:-1], out=head[1:])
+    heads = head.nonzero()[0]
+    key = line[heads]
+    bounds = key.searchsorted(offsets)
+    first, last = bounds[:-1], bounds[1:] - 1  # each organism's top and bottom line
+    cols = pixels[order, 1]
+    x_min = boxes[:, 0][key >> 31]
+    # rows (y, x, fixed): the left sides, then the mirrored right sides,
+    # whose end points are fixed
+    m = len(heads)
+    sides = np.zeros((3, 2 * m), dtype=np.int64)
+    y, x, fixed = sides[0], sides[1], sides[2]
+    np.bitwise_and(key, 2 ** 31 - 1, out=y[:m])
+    y[m:] = y[:m]
+    np.subtract(np.minimum.reduceat(cols, heads), x_min, out=x[:m])
+    np.subtract(x_min, np.maximum.reduceat(cols, heads), out=x[m:])
+    fixed[first] = 1
+    fixed[last] = 1
+    fixed[m:] = fixed[:m]
+    minus_width = x[:m] + x[m:]
+    rims = -(minus_width[first] + minus_width[last])  # top and bottom row widths
+    keep = np.empty(2 * m, dtype=bool)
+    while True:
+        step = sides[:2, 1:] - sides[:2, :-1]  # (dy, dx) to the next point
+        turn = step[:, :-1] * step[::-1, 1:]  # dy0 * dx1 and dx0 * dy1
+        kept = keep[:sides.shape[1]]
+        np.greater(turn[0], turn[1], out=kept[1:-1])
+        np.logical_or(kept, sides[2], out=kept)  # end points stay
+        if kept.all():
+            break
+        sides = sides[:, kept]
+    # per edge, gcd(|dx|, |dy|) less its trapezoid term (x0 + x1) * dy,
+    # which sums to -2A; no edge joins one side to the next
+    dy, dx, y, x = step[0], step[1], sides[0], sides[1]
+    terms = np.zeros(sides.shape[1], dtype=np.int64)
+    np.multiply(x[:-1] + x[1:], dy, out=terms[:-1])
+    np.subtract(np.gcd(dx, dy), terms[:-1], out=terms[:-1])
+    side_starts = (y == 0).nonzero()[0]  # each side starts on its organism's top row
+    terms[side_starts[1:] - 1] = 0
+    sums = np.add.reduceat(terms, side_starts)
+    return ((sums[:n] + sums[n:] + rims) // 2 + 1).tolist()
 
 
 def _eccentricities(runs, heads, sizes, coordinate_means):
@@ -177,8 +206,11 @@ def _eccentricities(runs, heads, sizes, coordinate_means):
     The second central moments carry a +1/12 per-pixel variance term,
     which accounts for each pixel covering a unit square rather than a
     point (keeps thin shapes well-conditioned)."""
-    d = runs - np.repeat(coordinate_means, sizes + 1, axis=1)  # rows dy, dx
-    moments = _segment_means(np.concatenate((d * d, d[:1] * d[1:])), heads, sizes)
+    products = np.empty((3, runs.shape[1]))  # rows dy * dy, dx * dx, dy * dx
+    d = np.subtract(runs, np.repeat(coordinate_means, sizes + 1, axis=1), out=products[:2])
+    np.multiply(d[0], d[1], out=products[2])
+    d *= d
+    moments = _segment_means(products, heads, sizes)
     moments[:2] += 1.0 / 12.0
     out = []
     for mu_yy, mu_xx, mu_xy in moments.T.tolist():
@@ -196,11 +228,11 @@ def feature_vectors(organisms, corrected, labels=None):
     that of the circle whose area is the pixel count; extent is the pixel
     count over the bounding-box area (box inclusive).
 
-    The organisms are featurized as one batch: their pixels are
-    concatenated, every mean and second moment comes from one segmented
-    sum, and one sort finds every organism's row extremes for its hull.
-    Each value is bit for bit what the organism gets on its own. A pixel
-    outside the stack raises ValueError naming its organism.
+    The organisms are featurized as one batch over their `pixel_batch`:
+    every pixel count, bounding box, mean and second moment comes from one
+    segmented reduction over it, and every hull from one `_convex_areas`
+    call. Each value is bit for bit what the organism gets on its own. A
+    pixel outside the stack raises ValueError naming its organism.
     """
     organisms = list(organisms)
     labels = [None] * len(organisms) if labels is None else list(labels)
@@ -208,22 +240,21 @@ def feature_vectors(organisms, corrected, labels=None):
         raise ValueError(f"{len(labels)} labels for {len(organisms)} organisms")
     if not organisms:
         return []
-    pixels, sizes = pixel_batch(organisms, corrected.height, corrected.width, "stack")
+    pixels, sizes, boxes = pixel_batch(organisms, corrected.height, corrected.width, "stack")
     runs, heads = _padded_runs(pixels, sizes)
     means = _pixel_means(runs, heads, sizes, corrected.bands)
     return [FeatureVector(
         organism_id=org.id,
         label=label,
-        area=org.area,
+        area=area,
         convex_area=hull,
         eccentricity=ecc,
-        equivalent_diameter=math.sqrt(4.0 * org.area / math.pi),
-        extent=org.area / ((x_max - x_min + 1) * (y_max - y_min + 1)),
+        equivalent_diameter=math.sqrt(4.0 * area / math.pi),
+        extent=area / ((x_max - x_min + 1) * (y_max - y_min + 1)),
         spectral=spectral,
-    ) for org, label, hull, ecc, spectral, (x_min, y_min, x_max, y_max) in zip(
-        organisms, labels, _convex_areas(pixels, sizes),
-        _eccentricities(runs, heads, sizes, means[:2]), means[2:].T.tolist(),
-        segmentation.bboxes(organisms))]
+    ) for org, label, area, hull, ecc, spectral, (x_min, y_min, x_max, y_max) in zip(
+        organisms, labels, sizes.tolist(), _convex_areas(pixels, sizes, boxes),
+        _eccentricities(runs, heads, sizes, means[:2]), means[2:].T.tolist(), boxes.tolist())]
 
 
 def compute_features(org, corrected, label=None):
@@ -342,6 +373,7 @@ def read_features_csv(path):
             f"{path}: row {row_no} (line {row_no + 1}), column {column}: {problem}")
 
     fvs = []
+    label_max = np.iinfo(np.int64).max
     for row_no, row in enumerate(rows[1:], start=1):
         if not row:
             continue
@@ -357,17 +389,20 @@ def read_features_csv(path):
             raise bad(row_no, "label", f"non-integer label {label_s!r}") from None
         if label is not None and label < 0:
             raise bad(row_no, "label", f"negative label {label_s!r}")
-        if label is not None and label > np.iinfo(np.int64).max:
+        if label is not None and label > label_max:
             raise bad(row_no, "label", f"label {label_s!r} too large for int64")
-        vals = []
-        for name, text in zip(header[2:], row[2:]):
-            try:
-                v = float(text)
-            except ValueError:
-                raise bad(row_no, name, f"non-numeric value {text!r}") from None
-            if not math.isfinite(v):
-                raise bad(row_no, name, f"non-finite value {text!r}")
-            vals.append(v)
+        try:
+            vals = list(map(float, row[2:]))
+        except ValueError:
+            vals = None
+        if vals is None or not all(map(math.isfinite, vals)):
+            for name, text in zip(header[2:], row[2:]):  # name the first bad column
+                try:
+                    v = float(text)
+                except ValueError:
+                    raise bad(row_no, name, f"non-numeric value {text!r}") from None
+                if not math.isfinite(v):
+                    raise bad(row_no, name, f"non-finite value {text!r}")
         for name, v, text in zip(("area", "convex_area"), vals, row[2:]):
             if not v.is_integer():
                 raise bad(row_no, name, f"non-integer pixel count {text!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 
@@ -35,7 +36,7 @@ def as_numbers(name, value):
     anything else raises ValueError naming `name`."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(as_number(name, v) for v in value)
+    return tuple([as_number(name, v) for v in value])
 
 
 def as_array(name, value, kind=float):
@@ -62,10 +63,15 @@ def non_negative(obj, name):
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
+@functools.cache
+def _numeric_fields(cls):
+    """(name, int or float) of each field of the dataclass `cls` annotated so."""
+    kinds = {"int": int, "float": float}
+    return tuple((f.name, kinds[f.type]) for f in dataclasses.fields(cls) if f.type in kinds)
+
+
 def coerce(obj):
     """Set each field of the (frozen) dataclass `obj` annotated `int` or `float`
     to `as_number` of its value; `obj`'s module must postpone annotations."""
-    for f in dataclasses.fields(obj):
-        kind = {"int": int, "float": float}.get(f.type)
-        if kind is not None:
-            object.__setattr__(obj, f.name, as_number(f.name, getattr(obj, f.name), kind))
+    for name, kind in _numeric_fields(type(obj)):
+        object.__setattr__(obj, name, as_number(name, getattr(obj, name), kind))

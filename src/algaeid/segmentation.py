@@ -8,6 +8,7 @@ in some bands is not split; fused foreground pixels are grouped into
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class Organism:
 
     `pixels` is an (N, 2) array of (row, col) coordinates; `bbox` is
     derived from them on access as (x_min, y_min, x_max, y_max), inclusive.
-    `bboxes` takes the boxes of many organisms at once.
+    `bboxes` takes the boxes of a batch of organisms at once.
     """
 
     id: int
@@ -51,7 +52,8 @@ class Organism:
         px = np.asarray(self.pixels, dtype=np.int64)
         if px.ndim != 2 or px.shape[1] != 2 or px.shape[0] == 0:
             raise ValueError("pixel set must be a non-empty (N, 2) array")
-        px.flags.writeable = False
+        if px.flags.writeable:  # reading the flag is cheaper than setting it
+            px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -69,16 +71,22 @@ class Organism:
         return (x_max - x_min + 1) * (y_max - y_min + 1)
 
 
-def bboxes(organisms):
-    """The `bbox` of each organism, in order, from one segmented minimum and
-    maximum over their concatenated pixels."""
-    if not organisms:
-        return []
-    sizes = [org.area for org in organisms]
-    ys, xs = np.concatenate([org.pixels for org in organisms]).T
-    starts = np.cumsum(sizes) - sizes
-    return list(zip(*(op.reduceat(c, starts).tolist() for op, c in
-                      ((np.minimum, xs), (np.minimum, ys), (np.maximum, xs), (np.maximum, ys)))))
+def pixel_table(organisms):
+    """The (row, col) pixels of a non-empty list of organisms concatenated
+    in their given order, and each one's pixel count as an int64 array:
+    the batch that `bboxes` and the feature and truth steps read."""
+    return (np.concatenate([org.pixels for org in organisms]),
+            np.array([len(org.pixels) for org in organisms], dtype=np.int64))
+
+
+def bboxes(pixels, sizes):
+    """The `bbox` of each organism of a batch, given its `pixel_table`, as
+    the rows (x_min, y_min, x_max, y_max) of an (n, 4) int64 array, from one
+    segmented minimum and maximum."""
+    starts = sizes.cumsum() - sizes
+    # (row, col) minima and maxima, each turned to (x, y)
+    return np.concatenate((np.minimum.reduceat(pixels, starts)[:, ::-1],
+                           np.maximum.reduceat(pixels, starts)[:, ::-1]), axis=1)
 
 
 def otsu_index(counts):
@@ -143,8 +151,17 @@ def otsu_threshold(band, num_bins=NUM_BINS):
 
 
 def binarize(band, threshold):
-    """Bool foreground mask: intensity strictly exceeds the threshold."""
-    return np.asarray(band) > threshold
+    """Bool foreground mask: intensity strictly exceeds the threshold.
+
+    A uint8 or uint16 band is compared in integers against a finite
+    threshold's floor, which an integer exceeds exactly when it exceeds the
+    threshold, clamped to [-1, the dtype's maximum], where every pixel keeps
+    its answer; no pixel is converted to float64.
+    """
+    band = np.asarray(band)
+    if band.dtype in RASTER_DTYPES and math.isfinite(threshold):
+        threshold = min(max(math.floor(threshold), -1), np.iinfo(band.dtype).max)
+    return band > threshold
 
 
 def fuse_masks(masks):
@@ -287,10 +304,12 @@ def segmentation_json(seg):
     """JSON-ready organisms.json document of a Segmentation: the component
     count, the thresholds, and per organism its id, bbox, area and border
     flag."""
+    organisms = seg.organisms
+    boxes = bboxes(*pixel_table(organisms)).tolist() if organisms else []
     return {
         "component_count": seg.labels.count,
         "thresholds": list(seg.thresholds),
-        "organisms": [{"id": org.id, "bbox": list(box), "area": org.area,
+        "organisms": [{"id": org.id, "bbox": box, "area": org.area,
                        "touches_border": org.touches_border}
-                      for org, box in zip(seg.organisms, bboxes(seg.organisms))],
+                      for org, box in zip(organisms, boxes)],
     }

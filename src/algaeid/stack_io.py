@@ -248,11 +248,9 @@ def read_pgm(path):
             f"{path}: maxval {maxval} unsupported (must be 1..65535)"
         )
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    expected = width * height * dtype.itemsize
-    raster = data[offset:offset + expected]
-    if len(raster) != expected:
+    if len(data) - offset < width * height * dtype.itemsize:
         raise StackIOError(f"{path}: PGM raster truncated")
-    a = np.frombuffer(raster, dtype=dtype).reshape(height, width)
+    a = np.frombuffer(data, dtype, count=width * height, offset=offset).reshape(height, width)
     return a.astype(np.uint16) if maxval > 255 else a.astype(np.uint8)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -365,16 +365,34 @@ def match_organisms_to_truth(organisms, truth, planted):
     """Species index per extracted organism: that of the ground-truth id
     covering most of its pixels (ties go to the smaller id), or None when
     it overlaps no planted organism. A majority id with no record among
-    `planted`, or a pixel outside the truth map, raises ValueError."""
+    `planted` raises ValueError for the first organism in order that has
+    one, as does a pixel outside the truth map.
+
+    The truth id under every pixel of the organisms' `pixel_batch` is read
+    once; one sort groups the (organism, id) pairs, and each organism's
+    majority is the largest of its pairs' counts, ranked with the smaller
+    id first."""
     organisms = list(organisms)
     if not organisms:
         return []
-    pixels, sizes = pixel_batch(organisms, *truth.labels.shape, "truth map")
+    pixels, sizes, _ = pixel_batch(organisms, *truth.labels.shape, "truth map")
+    ids = truth.labels[pixels[:, 0], pixels[:, 1]].astype(np.int64)
+    owner = np.repeat(np.arange(len(organisms)), sizes)
+    span = truth.count + 1  # above every id
+    pairs = np.sort((owner * span + ids)[ids > 0], kind="stable")
+    new = np.empty(len(pairs), dtype=bool)
+    new[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    counts = np.diff(np.append(heads, len(pairs)))
+    owners, top_ids = np.divmod(pairs[heads], span)
+    # a larger count ranks higher, and of equal counts the smaller id
+    rank = np.full(len(organisms), -1)
+    np.maximum.at(rank, owners, counts * span + (span - 1 - top_ids))
     species_by_id = {p.id: p.species_index for p in planted}
     matched = []
-    for ids in np.split(truth.labels[pixels[:, 0], pixels[:, 1]], np.cumsum(sizes)[:-1]):
-        ids = ids[ids > 0]
-        top = int(np.argmax(np.bincount(ids))) if len(ids) else None
+    for r in rank.tolist():
+        top = None if r < 0 else span - 1 - r % span
         if top is not None and top not in species_by_id:
             raise ValueError(f"truth.pgm id {top} has no record in truth.json")
         matched.append(species_by_id.get(top))
@@ -385,7 +403,9 @@ def ground_truth_json(scene, catalog):
     """JSON-ready ground truth: the class names and one record per planted
     organism."""
     return {"class_names": [sp.name for sp in catalog],
-            "organisms": [dict(zip(_TRUTH_RECORD_KEYS, astuple(p))) for p in scene.organisms]}
+            "organisms": [dict(zip(_TRUTH_RECORD_KEYS, (
+                p.id, p.species_index, p.species_name, p.pixel_count, p.signature)))
+                for p in scene.organisms]}
 
 
 def save_ground_truth(scene, catalog, directory, extra_fields=None):

@@ -10,7 +10,7 @@ from algaeid.features import (FeatureVector, ModelVariant, _convex_areas,
                               read_features_csv, write_features_csv)
 from algaeid.illumination import (CorrectionConfig, estimate_background,
                                   subtract_background)
-from algaeid.segmentation import Organism, segment
+from algaeid.segmentation import Organism, bboxes, pixel_table, segment
 from algaeid.stack_io import ImageStack
 from algaeid.synthgen import SceneSpec, default_catalog, generate_corpus, generate_scene
 
@@ -42,9 +42,9 @@ def _features(pixels):
 
 def _batch_convex_areas(organisms):
     """`_convex_areas` of the organisms as one batch, for pixel sets that no
-    stack holds: negative coordinates, or coordinates 2**32 apart."""
-    return _convex_areas(np.concatenate([org.pixels for org in organisms]),
-                         np.array([org.area for org in organisms]))
+    stack holds: negative coordinates, or coordinates 2**30 apart."""
+    pixels, sizes = pixel_table(organisms)
+    return _convex_areas(pixels, sizes, bboxes(pixels, sizes))
 
 
 def test_area_fixtures():
@@ -74,22 +74,34 @@ def test_convex_area_matches_halfplane_oracle():
     rng = np.random.default_rng(19)
     organisms = [random_organism(rng) for _ in range(100)]
     # shapes random_organism never yields: strips one or two pixels wide,
-    # single pixels and scattered pixel sets that are not connected
+    # diagonals, L shapes, single pixels, two pixels far apart and scattered
+    # pixel sets that are not connected
     for n in range(1, 9):
         organisms += [organism_from_pixels([(4, x) for x in range(n)]),
                       organism_from_pixels([(y, 3) for y in range(n)]),
                       organism_from_pixels([(y, x) for y in (5, 6) for x in range(n)]),
-                      organism_from_pixels([(y, x) for y in range(n) for x in (2, 3)])]
+                      organism_from_pixels([(y, x) for y in range(n) for x in (2, 3)]),
+                      organism_from_pixels([(i, i) for i in range(n)]),
+                      organism_from_pixels([(i, -2 * i) for i in range(n)]),
+                      organism_from_pixels([(y, 0) for y in range(n)] + [(n - 1, x)
+                                                                        for x in range(1, n)]),
+                      organism_from_pixels([(0, x) for x in range(n)] + [(y, n - 1)
+                                                                        for y in range(1, n)])]
     organisms += [organism_from_pixels([rng.integers(-20, 20, size=2)]) for _ in range(5)]
+    organisms += [organism_from_pixels([(0, 0), rng.integers(-600, 600, size=2)])
+                  for _ in range(5)]
     while len(organisms) < 400:
         h, w = rng.integers(1, 13, size=2)
         mask = rng.random((h, w)) < rng.uniform(0.05, 0.6)
         if mask.any():
             organisms.append(organism_from_pixels(np.argwhere(mask) - [h // 2, w // 2]))
+    organisms = [organisms[i] for i in rng.permutation(len(organisms))]
     counts = _batch_convex_areas(organisms)
     for org, count in zip(organisms, counts):
         assert count == oracle_convex_area(org.pixels)
         assert count >= org.area
+        # no side leaks across an organism boundary of the batch
+        assert _batch_convex_areas([org]) == [count]
     # the hull must not depend on the pixels being in row-major order
     shuffled = [dataclasses.replace(org, pixels=rng.permutation(org.pixels))
                 for org in organisms]
@@ -97,13 +109,29 @@ def test_convex_area_matches_halfplane_oracle():
 
 
 def test_convex_area_of_pixels_far_apart():
-    far = 2 ** 32
-    triangle = organism_from_pixels([(0, 0), (0, far), (far, 0), (1, 1)])
-    segment_ = organism_from_pixels([(-far, -far), (far, far), (0, 0)])
-    assert _batch_convex_areas([triangle]) == [(far + 1) * (far + 2) // 2]
-    assert _batch_convex_areas([segment_]) == [2 * far + 1]
-    for org in (triangle, segment_):
-        assert _batch_convex_areas([org]) == [reference_convex_area(org)]
+    # an extent of 2**30 - 1 is counted exactly, wherever the organism lies
+    far = 2 ** 30 - 1
+    rng = np.random.default_rng(23)
+    scattered = [(0, 0), (far, far)] + [tuple(p) for p in rng.integers(0, far, size=(40, 2))]
+    shapes = [[(0, 0), (0, far), (far, 0), (1, 1)],
+              [(0, 0), (far, far), (far // 2, far // 2)],
+              [(0, far), (far, 0)],
+              scattered]
+    organisms = [organism_from_pixels(np.array(pixels) + offset) for pixels in shapes
+                 for offset in ((0, 0), (-2 ** 62, 2 ** 62 - 2 ** 30))]
+    counts = _batch_convex_areas(organisms + [organism_from_pixels([(3, 4)])])
+    assert counts[:6] == [(far + 1) * (far + 2) // 2] * 2 + [far + 1] * 4
+    assert counts[-1] == 1
+    for org, count in zip(organisms, counts):
+        assert count == reference_convex_area(org)
+    # from an extent of 2**30 a product could overflow int64: the count is
+    # refused, never silently wrong
+    for span in (2 ** 30, 2 ** 32, 2 ** 63):
+        tall = organism_from_pixels([(-2 ** 62, 0), (span - 2 ** 62, 1)])
+        wide = organism_from_pixels([(0, 2 ** 62 - span), (1, 2 ** 62)])
+        for org in (tall, wide):
+            with pytest.raises(ValueError, match="organism 1 of the batch: .* 2\\*\\*30"):
+                _batch_convex_areas([organism_from_pixels([(0, 0)]), org])
 
 
 def test_eccentricity_single_pixel():
@@ -543,5 +571,7 @@ def test_pixels_outside_the_stack_name_their_organism(pixel):
     outside = organism_from_pixels([(1, 1), pixel], org_id=9)
     later = organism_from_pixels([(0, 0), (-1, -1)], org_id=11)
     message = rf"^organism 9: pixel \({pixel[0]}, {pixel[1]}\) lies outside the 4x5 stack$"
-    with pytest.raises(ValueError, match=message):
-        feature_vectors([inside, outside, later], stack)
+    # with or without another organism out of range after it
+    for batch in ([inside, outside, later], [inside, outside]):
+        with pytest.raises(ValueError, match=message):
+            feature_vectors(batch, stack)

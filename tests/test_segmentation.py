@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from algaeid.segmentation import (DegenerateBandError, LabelMap, Organism,
                                   Segmentation, bboxes, binarize, connected_components,
                                   extract_organisms, fuse_masks,
                                   labelmap_to_pgm, otsu_index, otsu_threshold,
-                                  segment, segmentation_json)
+                                  pixel_table, segment, segmentation_json)
 from algaeid.stack_io import ImageStack, read_pgm
 
 from helpers import flood_fill_components, oracle_otsu_index, random_histogram
@@ -172,10 +173,18 @@ def test_otsu_validates_bins():
 def test_binarize_raster_band_compares_as_float64():
     values = np.arange(65536).reshape(256, 256)
     thresholds = [k + d for k in (0, 1, 255, 256, 4095, 65534) for d in (-0.5, 0.5)]
-    for t in thresholds + [65534.5, 65535.0, -1.0]:
+    # below 0, at and above each dtype's maximum, and the non-finite ones,
+    # which are compared as they are
+    edges = [-1.0, -0.5, -1e-300, -3e9, -1e300, 254.5, 255.0, 255.5, 256.0, 65534.5,
+             65535.0, 65535.5, 65536.0, 3e9, 1e300, np.float64(7.5), 12,
+             math.nan, math.inf, -math.inf]
+    for t in thresholds + edges:
         expected = binarize(values.astype(np.float64), t)
         assert np.array_equal(binarize(values.astype(np.uint16), t), expected), t
         assert expected.sum() == np.sum(values > t)
+        small = values[:1]
+        assert np.array_equal(binarize((small % 256).astype(np.uint8), t),
+                              binarize((small % 256).astype(np.float64), t)), t
 
 
 def test_binarize_strict_inequality():
@@ -472,11 +481,11 @@ def test_bboxes_match_each_organism_bbox():
              Organism(id=4, pixels=[(0, 0)])]
     assert len(orgs) > 20
     for batch in (orgs, shuffled, small, small[::-1], small[:1]):
-        boxes = bboxes(batch)
-        assert boxes == [org.bbox for org in batch]
-        assert all(type(v) is int for box in boxes for v in box)
-    assert bboxes(small) == [(4, 3, 4, 3), (3, 5, 9, 5), (0, 0, 0, 5), (0, 0, 0, 0)]
-    assert bboxes([]) == []
+        boxes = bboxes(*pixel_table(batch))
+        assert boxes.dtype == np.int64
+        assert list(map(tuple, boxes.tolist())) == [org.bbox for org in batch]
+    assert bboxes(*pixel_table(small)).tolist() == [
+        [4, 3, 4, 3], [3, 5, 9, 5], [0, 0, 0, 5], [0, 0, 0, 0]]
 
 
 def test_organisms_json_of_no_organisms():

@@ -225,6 +225,48 @@ def test_match_organisms_to_truth():
         match_organisms_to_truth([apart, tie], truth, planted[1:])
 
 
+def test_match_counts_each_organism_of_a_batch_on_its_own():
+    rng = np.random.default_rng(31)
+    truth = LabelMap(rng.integers(0, 9, size=(30, 40)) * (rng.random((30, 40)) < 0.7))
+    planted = tuple(PlantedOrganism(i, i % 6, "s", 1, (1.0,)) for i in range(1, 9))
+    organisms = [Organism(id=k, pixels=rng.integers(0, (30, 40), size=(rng.integers(1, 30), 2)))
+                 for k in range(200)]
+    # ties: ids 3 and 5 on four pixels each, and ids 7 and 2 on three each
+    # beside nine background pixels
+    organisms.append(Organism(id=200, pixels=np.argwhere(truth.labels == 3)[:4].tolist()
+                              + np.argwhere(truth.labels == 5)[:4].tolist()))
+    organisms.append(Organism(id=201, pixels=np.argwhere(truth.labels == 7)[:3].tolist()
+                              + np.argwhere(truth.labels == 2)[:3].tolist()
+                              + np.argwhere(truth.labels == 0)[:9].tolist()))
+    # no overlap, and two organisms on the same id
+    organisms.append(Organism(id=202, pixels=np.argwhere(truth.labels == 0)[:20]))
+    organisms += [Organism(id=203 + k, pixels=np.argwhere(truth.labels == 4)[k::2])
+                  for k in range(2)]
+    organisms = [organisms[i] for i in rng.permutation(len(organisms))]
+    species = {p.id: p.species_index for p in planted}
+
+    def majority(org):
+        ids = truth.labels[org.pixels[:, 0], org.pixels[:, 1]]
+        ids = ids[ids > 0]
+        return int(np.argmax(np.bincount(ids))) if len(ids) else None
+
+    majorities = [majority(org) for org in organisms]
+    matched = match_organisms_to_truth(organisms, truth, planted)
+    assert matched == [species.get(top) for top in majorities]
+    by_id = dict(zip((org.id for org in organisms), matched))
+    assert (by_id[200], by_id[201], by_id[202], by_id[203], by_id[204]) == (3, 2, None, 4, 4)
+    # the first organism, in order, whose majority has no record is named
+    for missing in ((2, 3), (3, 7), (8,)):
+        first = next(top for top in majorities if top in missing)
+        with pytest.raises(ValueError, match=rf"^truth\.pgm id {first} has no record"):
+            match_organisms_to_truth(organisms, truth,
+                                     [p for p in planted if p.id not in missing])
+    # a pixel outside the map is named before any record is looked up
+    outside = Organism(id=999, pixels=[(0, 0), (30, 0)])
+    with pytest.raises(ValueError, match=r"^organism 999: pixel \(30, 0\) lies outside"):
+        match_organisms_to_truth(organisms + [outside], truth, planted[:1])
+
+
 @pytest.mark.parametrize("pixel", [(-1, 2), (2, -1), (4, 2), (2, 5)],
                          ids=["negative-row", "negative-column", "row-past-edge",
                               "column-past-edge"])
@@ -237,8 +279,10 @@ def test_match_pixels_outside_the_truth_map_name_their_organism(pixel):
     outside = Organism(id=9, pixels=[(1, 1), pixel])
     later = Organism(id=11, pixels=[(0, 0), (-1, -1)])
     message = rf"^organism 9: pixel \({pixel[0]}, {pixel[1]}\) lies outside the 4x5 truth map$"
-    with pytest.raises(ValueError, match=message):
-        match_organisms_to_truth([inside, outside, later], truth, planted)
+    # with or without another organism out of range after it
+    for batch in ([inside, outside, later], [inside, outside]):
+        with pytest.raises(ValueError, match=message):
+            match_organisms_to_truth(batch, truth, planted)
     assert match_organisms_to_truth([], truth, planted) == []
 
 
