@@ -4,7 +4,9 @@ subtract it, so intensities become comparable across the field of view.
 The background model is a Gaussian low-pass followed by a sequence of
 grayscale openings with disk structuring elements of growing radius; each
 opening suppresses image structure up to its disk size while leaving the
-slowly varying illumination pattern intact.
+slowly varying illumination pattern intact. The openings run on each
+low-pass's integer ranks, a chunk of bands at a time, and map back to the
+same float64 bits (see `estimate_background`).
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def gaussian_lowpass(band, sigma):
 
 def _disk_extreme(band, radius, op):
     """Erosion (op=np.minimum) or dilation (op=np.maximum) by a discrete
-    disk, border handled by edge replication.
+    disk over the last two axes (a leading axis stacks bands), border
+    handled by edge replication.
 
     The disk is a union of horizontal chords, one per row offset. A running
     sparse table holds the extreme of every horizontal window of `span`
@@ -78,32 +81,40 @@ def _disk_extreme(band, radius, op):
     table columns. Chord widths are visited in increasing order: the table
     only ever doubles, only its current level is kept, and each chord is
     folded into the output at every row offset with its half-width.
+    uint16 and uint32 (rank) input keeps its dtype, any other becomes
+    float64; the output starts from op's identity in that dtype.
     """
+    if np.asarray(band).dtype not in (np.uint16, np.uint32):
+        band = np.asarray(band, dtype=np.float64)
     r = int(radius)
-    h, w = band.shape
+    h, w = band.shape[-2:]
     # half-width of the disk {dx^2 + dy^2 <= r^2} at row offset dy = i - r
     halves = np.array([math.isqrt(r * r - dy * dy) for dy in range(-r, r + 1)])
-    table = np.pad(band, r, mode="edge")
+    table = np.pad(band, [(0, 0)] * (band.ndim - 2) + [(r, r), (r, r)], mode="edge")
     span = 1
-    out = np.full((h, w), np.inf if op is np.minimum else -np.inf)
+    if band.dtype.kind == "f":
+        fill = np.inf if op is np.minimum else -np.inf
+    else:
+        fill = np.iinfo(band.dtype).max if op is np.minimum else np.iinfo(band.dtype).min
+    out = np.full(band.shape, fill, dtype=band.dtype)
     for half in np.unique(halves).tolist():
         while 2 * span <= 2 * half + 1:
-            table = op(table[:, :-span], table[:, span:])
+            table = op(table[..., :-span], table[..., span:])
             span *= 2
         # output column x takes padded columns r + x - half .. r + x + half
         lo, hi = r - half, r + half - span + 1
-        chord = op(table[:, lo:lo + w], table[:, hi:hi + w])
+        chord = op(table[..., lo:lo + w], table[..., hi:hi + w])
         for i in np.flatnonzero(halves == half).tolist():
-            op(out, chord[i:i + h], out=out)
+            op(out, chord[..., i:i + h, :], out=out)
     return out
 
 
 def erode_disk(band, radius):
-    return _disk_extreme(np.asarray(band, dtype=np.float64), radius, np.minimum)
+    return _disk_extreme(band, radius, np.minimum)
 
 
 def dilate_disk(band, radius):
-    return _disk_extreme(np.asarray(band, dtype=np.float64), radius, np.maximum)
+    return _disk_extreme(band, radius, np.maximum)
 
 
 def morphological_opening(band, radius):
@@ -132,11 +143,23 @@ def disk_is_open(big, r):
     return bool(np.array_equal(dilate_disk(erode_disk(disk, r), r), disk))
 
 
-def _band_background(band, sigma, radii):
-    b = gaussian_lowpass(band, sigma)
+def _chunk_background(bands, first, sigma, radii):
+    """The backgrounds of consecutive bands, the first of index `first`:
+    the dense rank images of their low-passes are opened as one stack, and
+    each band maps its opened ranks back to its own values."""
+    h, w = bands[0].shape
+    ranks = np.empty((len(bands), h, w), dtype=np.uint16 if h * w <= 2 ** 16 else np.uint32)
+    values = []
+    for i, band in enumerate(bands):
+        b = gaussian_lowpass(band, sigma)
+        if not np.isfinite(b).all():
+            raise ValueError(f"band {first + i}: low-pass background is not finite")
+        levels, inverse = np.unique(b, return_inverse=True)
+        values.append(levels)
+        ranks[i] = inverse.reshape(h, w)
     for radius in radii:
-        b = morphological_opening(b, radius)
-    return b
+        ranks = morphological_opening(ranks, radius)
+    return [levels[r] for levels, r in zip(values, ranks)]
 
 
 def estimate_background(stack, cfg=None):
@@ -144,29 +167,42 @@ def estimate_background(stack, cfg=None):
     cfg.opening_radii_px applied in increasing order, each feeding the next.
 
     An opening that the next one absorbs (`disk_is_open`) is skipped, which
-    changes no bit; with the default radii that is the one at r=4. The bands
-    are independent, so each is estimated on its own thread of a pool of
-    min(bands, usable CPUs), whose threads are joined before this returns
-    (one worker runs in this thread and starts none). numpy's loops release
-    the interpreter lock, so the bands overlap. The results join in band
-    order, and no output depends on the worker count. Of several failing
-    bands, the first in band order raises.
+    changes no bit; with the default radii that is the one at r=4.
+
+    The openings run on ranks: flat erosion and dilation commute with any
+    order-preserving map of the grey levels (Serra 1982), so opening a
+    low-pass's dense rank image (uint16 up to 2^16 pixels, else uint32) and
+    mapping it back gives the float64 opening bit for bit. Min and max are
+    exact, and equal values are equal bits: a low-pass sum starts from
+    +0.0, so it never holds -0.0, and a band whose low-pass is not finite
+    raises ValueError naming its index.
+
+    The bands are split into min(bands, usable CPUs) contiguous chunks, one
+    per thread, each opened as one (bands, h, w) rank stack; the threads
+    are joined before this returns (one worker runs in this thread and
+    starts none). numpy's loops release the interpreter lock, so the
+    chunks overlap. The results join in band order, and no output depends
+    on the worker count. Of several failing bands, the first in band order
+    raises.
     """
     cfg = cfg or CorrectionConfig()
     if stack.role_tag != "raw":
         raise ValueError(f"background is estimated from a raw stack, got {stack.role_tag!r}")
     radii = cfg.opening_radii_px
     radii = [r for r, big in zip(radii, radii[1:]) if not disk_is_open(big, r)] + [radii[-1]]
-    background = functools.partial(_band_background, sigma=cfg.gaussian_sigma_px, radii=radii)
-    workers = min(stack.num_bands, stack_io.usable_cpus())
+    background = functools.partial(_chunk_background, sigma=cfg.gaussian_sigma_px, radii=radii)
+    n = stack.num_bands
+    workers = min(n, stack_io.usable_cpus())
+    firsts = [n * i // workers for i in range(workers)]
+    chunks = [stack.bands[a:b] for a, b in zip(firsts, firsts[1:] + [n])]
     if workers == 1:
-        bands = [background(band) for band in stack.bands]
+        parts = map(background, chunks, firsts)
     else:
         # imported here: processes that never correct a stack do not pay for it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            bands = list(pool.map(background, stack.bands))
-    return stack.with_bands(bands, role_tag="background")
+            parts = list(pool.map(background, chunks, firsts))
+    return stack.with_bands([band for part in parts for band in part], role_tag="background")
 
 
 def subtract_background(raw, background, clamp=True):

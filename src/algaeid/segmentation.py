@@ -39,9 +39,8 @@ class LabelMap:
 class Organism:
     """One isolated micro-organism.
 
-    `pixels` is an (N, 2) array of (row, col) coordinates; `bbox` is
-    derived from them on access as (x_min, y_min, x_max, y_max), inclusive.
-    `bboxes` takes the boxes of a batch of organisms at once.
+    `pixels` is an (N, 2) array of (row, col) coordinates; `bboxes` takes
+    the boxes of a batch of organisms at once.
     """
 
     id: int
@@ -60,16 +59,6 @@ class Organism:
     def area(self):
         return int(self.pixels.shape[0])
 
-    @property
-    def bbox(self):
-        ys, xs = self.pixels.T  # per column: numpy reduces an (N, 2) array over axis 0 slowly
-        return (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
-
-    @property
-    def bbox_area(self):
-        x_min, y_min, x_max, y_max = self.bbox
-        return (x_max - x_min + 1) * (y_max - y_min + 1)
-
 
 def pixel_table(organisms):
     """The (row, col) pixels of a non-empty list of organisms concatenated
@@ -80,9 +69,9 @@ def pixel_table(organisms):
 
 
 def bboxes(pixels, sizes):
-    """The `bbox` of each organism of a batch, given its `pixel_table`, as
-    the rows (x_min, y_min, x_max, y_max) of an (n, 4) int64 array, from one
-    segmented minimum and maximum."""
+    """The bounding box of each organism of a batch, given its
+    `pixel_table`, as the inclusive rows (x_min, y_min, x_max, y_max) of an
+    (n, 4) int64 array, from one segmented minimum and maximum."""
     starts = sizes.cumsum() - sizes
     # (row, col) minima and maxima, each turned to (x, y)
     return np.concatenate((np.minimum.reduceat(pixels, starts)[:, ::-1],

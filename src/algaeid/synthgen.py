@@ -27,6 +27,9 @@ SHAPE_FAMILIES = (
 
 DEFAULT_WAVELENGTHS_NM = (405.0, 420.0, 450.0, 470.0, 500.0, 530.0)
 
+# 4096 x 4096: one float64 band is 128 MiB, and a scene renders several
+MAX_SCENE_PIXELS = 2 ** 24
+
 TRUTH_PGM = "truth.pgm"
 TRUTH_JSON = "truth.json"
 # the truth.json key of each PlantedOrganism field, in field order
@@ -71,6 +74,9 @@ class SceneSpec:
         fields.coerce(self)
         if self.width < 8 or self.height < 8:
             raise ValueError("scene must be at least 8x8")
+        if self.width * self.height > MAX_SCENE_PIXELS:
+            raise ValueError(f"scene must have at most {MAX_SCENE_PIXELS} pixels (2^24), "
+                             f"got {self.width}x{self.height}")
         if self.n_organisms < 0:
             raise ValueError("organism count must be non-negative")
         if self.noise_sigma < 0:

@@ -314,16 +314,23 @@ def reference_spectral_means(org, corrected):
     return tuple(float(band[ys, xs].mean()) for band in corrected.bands)
 
 
+def pixel_bbox(org):
+    """(x_min, y_min, x_max, y_max) of an organism's pixels, inclusive."""
+    ys, xs = org.pixels[:, 0], org.pixels[:, 1]
+    return (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+
+
 def reference_features(org, corrected, label=None):
     """The FeatureVector of one organism, each value computed on its own."""
     import math
     from algaeid.features import FeatureVector
+    x_min, y_min, x_max, y_max = pixel_bbox(org)
     return FeatureVector(
         organism_id=org.id, label=label, area=org.area,
         convex_area=reference_convex_area(org),
         eccentricity=reference_eccentricity(org),
         equivalent_diameter=math.sqrt(4.0 * org.area / math.pi),
-        extent=org.area / org.bbox_area,
+        extent=org.area / ((x_max - x_min + 1) * (y_max - y_min + 1)),
         spectral=reference_spectral_means(org, corrected))
 
 

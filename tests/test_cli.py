@@ -820,6 +820,8 @@ def test_bad_config_rejected(tmp_path, capsys):
     ({"synth": {"width": 100.7}}, "invalid synth config: width must be an integer, got 100.7"),
     ({"synth": {"width": "abc"}}, "invalid synth config: width must be a number, got 'abc'"),
     ({"synth": {"width": 4}}, "invalid synth config: scene must be at least 8x8"),
+    ({"synth": {"height": 2 ** 31}}, "invalid synth config: scene must have at most "
+     "16777216 pixels (2^24), got 192x2147483648"),
     ({"synth": {"organisms_per_scene": 2.5}},
      "invalid synth config: organisms_per_scene must be an integer, got 2.5"),
     ({"synth": {"master_seed": -1}},
@@ -836,7 +838,7 @@ def test_bad_config_rejected(tmp_path, capsys):
         "infinity", "nan", "float-beyond-range", "epochs-fractional", "batch-size-fractional",
         "seed-bool", "learning-rate-bool", "mccv-runs-string", "mccv-runs-fractional",
         "mccv-seed-null", "synth-width-fractional",
-        "synth-width-string", "synth-width-too-small",
+        "synth-width-string", "synth-width-too-small", "synth-height-too-large",
         "synth-organisms-fractional",
         "synth-seed-negative", "mccv-seed-negative",
         "train-seed-negative"])

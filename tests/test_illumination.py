@@ -202,9 +202,30 @@ def thread_pools(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("bands,cpus", [(6, 1), (6, 2), (6, 3), (2, 3)])
-def test_background_independent_of_worker_count(monkeypatch, thread_pools, bands, cpus):
-    # min(bands, CPUs) threads, joined before the call returns
+@pytest.fixture
+def openings(monkeypatch):
+    """(rank stack shape, dtype, radius) of every opening that
+    `estimate_background` runs, in no particular order."""
+    calls, opening = [], illumination.morphological_opening
+
+    def recording(band, radius):
+        calls.append((band.shape, band.dtype, radius))
+        return opening(band, radius)
+
+    monkeypatch.setattr(illumination, "morphological_opening", recording)
+    return calls
+
+
+# (bands, CPUs): the band count of each thread's chunk
+CHUNKS = {(6, 1): [6], (6, 2): [3, 3], (6, 3): [2, 2, 2], (2, 3): [1, 1],
+          (5, 2): [2, 3], (5, 3): [1, 2, 2]}
+
+
+@pytest.mark.parametrize("bands,cpus", list(CHUNKS))
+def test_background_independent_of_worker_count(monkeypatch, thread_pools, openings,
+                                                bands, cpus):
+    # min(bands, CPUs) threads, joined before the call returns, each opening
+    # one contiguous chunk of bands as a uint16 rank stack
     rng = np.random.default_rng(10 * bands + cpus)
     ramp = np.linspace(60.0, 140.0, 71)
     stack = _raw_stack([ramp + rng.random((53, 71)) * 400 * (rng.random((53, 71)) < 0.1)
@@ -216,9 +237,75 @@ def test_background_independent_of_worker_count(monkeypatch, thread_pools, bands
     assert threading.active_count() == threads
     workers = min(bands, cpus)
     assert thread_pools == ([] if workers == 1 else [workers])
+    assert sorted(openings) == sorted(((n, 53, 71), np.uint16, r)
+                                      for n in CHUNKS[bands, cpus] for r in (8, 16, 32))
     assert bg.role_tag == "background" and bg.num_bands == bands
     for got, want in zip(bg.bands, _serial_background(stack, cfg)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def _blocks(rng, shape, levels, block):
+    """A band of `block`-sided flat squares at a few levels."""
+    coarse = rng.integers(0, levels, size=(-(-shape[0] // block), -(-shape[1] // block)))
+    return np.kron(coarse * 50.0 + 20.0, np.ones((block, block)))[:shape[0], :shape[1]]
+
+
+@pytest.mark.parametrize("shape,rank_dtype", [((60, 50), np.uint16), ((300, 260), np.uint32)])
+def test_background_ranks_tie_and_widen_bit_identical(openings, shape, rank_dtype):
+    # a few flat levels give a low-pass with many equal values, whose ranks
+    # tie; above 2^16 pixels the ranks are uint32
+    rng = np.random.default_rng(shape[0])
+    stack = _raw_stack([_blocks(rng, shape, 3, 20), rng.random(shape) * 100])
+    cfg = CorrectionConfig(gaussian_sigma_px=2.0)
+    lowpass = gaussian_lowpass(stack.bands[0], cfg.gaussian_sigma_px)
+    assert len(np.unique(lowpass)) < lowpass.size // 4
+    bg = estimate_background(stack, cfg)
+    assert {dtype for _, dtype, _ in openings} == {np.dtype(rank_dtype)}
+    for got, want in zip(bg.bands, _serial_background(stack, cfg)):
         assert np.array_equal(got, want)
+
+
+def test_background_of_uint16_raster_stack_bit_identical():
+    rng = np.random.default_rng(17)
+    stack = _raw_stack([rng.integers(0, 65536, size=(45, 38), dtype=np.uint16),
+                        (_blocks(rng, (45, 38), 4, 9) * 100).astype(np.uint16)])
+    cfg = CorrectionConfig(opening_radii_px=(2, 4, 6))
+    for got, want in zip(estimate_background(stack, cfg).bands, _serial_background(stack, cfg)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+def test_erode_dilate_of_ranks_map_back_to_float(dtype):
+    rng = np.random.default_rng(19)
+    img = np.floor(rng.random((23, 31)) * 12) * 0.75  # few levels, so ranks tie
+    levels, inverse = np.unique(img, return_inverse=True)
+    ranks = inverse.reshape(img.shape).astype(dtype)
+    for radius in (1, 3, 7):
+        for fn in (erode_disk, dilate_disk):
+            out = fn(ranks, radius)
+            assert out.dtype == dtype
+            assert np.array_equal(levels[out], fn(img, radius))
+        # the leading axis stacks bands
+        stacked = erode_disk(np.stack([ranks, ranks[::-1]]), radius)
+        assert np.array_equal(stacked, [erode_disk(ranks, radius),
+                                        erode_disk(ranks[::-1], radius)])
+    # the fill is op's identity: the dtype's extremes pass unchanged
+    for value in (0, np.iinfo(dtype).max):
+        flat = np.full((4, 6), value, dtype=dtype)
+        assert np.array_equal(erode_disk(flat, 2), flat)
+        assert np.array_equal(dilate_disk(flat, 2), flat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_background_rejects_non_finite_band(monkeypatch, bad, cpus):
+    # NaN or inf would spread through the openings; the band is named
+    rng = np.random.default_rng(23)
+    bands = [rng.random((20, 24)) * 100 for _ in range(5)]
+    bands[3][7, 9] = bad
+    monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError, match="^band 3: low-pass background is not finite$"):
+        estimate_background(_raw_stack(bands), CorrectionConfig())
 
 
 def test_background_raises_first_failing_band(monkeypatch):

@@ -12,7 +12,7 @@ from algaeid.segmentation import (DegenerateBandError, LabelMap, Organism,
                                   pixel_table, segment, segmentation_json)
 from algaeid.stack_io import ImageStack, read_pgm
 
-from helpers import flood_fill_components, oracle_otsu_index, random_histogram
+from helpers import flood_fill_components, oracle_otsu_index, pixel_bbox, random_histogram
 
 
 def test_otsu_index_matches_bruteforce():
@@ -331,8 +331,7 @@ def test_extract_basic_and_filter():
     orgs = extract_organisms(LabelMap(lab), stack, min_area_px=10)
     assert len(orgs) == 1
     assert orgs[0].area == 25
-    assert orgs[0].bbox == (1, 1, 5, 5)
-    assert orgs[0].bbox_area == 25
+    assert bboxes(*pixel_table(orgs)).tolist() == [[1, 1, 5, 5]]
     assert not orgs[0].touches_border
 
     small = np.zeros((10, 10), dtype=np.int32)
@@ -362,9 +361,10 @@ def test_extract_bbox_tight_and_pixel_ids():
     mask = rng.random((20, 20)) < 0.4
     lab = connected_components(mask)
     stack = _stack_like((20, 20))
-    for org in extract_organisms(lab, stack, min_area_px=1):
+    orgs = extract_organisms(lab, stack, min_area_px=1)
+    for org, box in zip(orgs, bboxes(*pixel_table(orgs)).tolist()):
         ys, xs = org.pixels[:, 0], org.pixels[:, 1]
-        assert org.bbox == (xs.min(), ys.min(), xs.max(), ys.max())
+        assert box == [xs.min(), ys.min(), xs.max(), ys.max()]
         assert np.all(lab.labels[ys, xs] == org.id)
 
 
@@ -382,8 +382,8 @@ def test_touches_border_is_bbox_rule():
             lab[y:y + rng.integers(1, 6), x:x + rng.integers(1, 6)] = comp_id
         orgs = extract_organisms(LabelMap(lab), _stack_like((h, w)), min_area_px=1)
         assert [o.id for o in orgs] == sorted(set(np.unique(lab).tolist()) - {0})
-        for org in orgs:
-            x_min, y_min, x_max, y_max = org.bbox
+        boxes = bboxes(*pixel_table(orgs)).tolist()
+        for org, (x_min, y_min, x_max, y_max) in zip(orgs, boxes):
             rule = y_min == 0 or x_min == 0 or y_max == h - 1 or x_max == w - 1
             assert org.touches_border is rule
             seen.add(rule)
@@ -483,7 +483,7 @@ def test_bboxes_match_each_organism_bbox():
     for batch in (orgs, shuffled, small, small[::-1], small[:1]):
         boxes = bboxes(*pixel_table(batch))
         assert boxes.dtype == np.int64
-        assert list(map(tuple, boxes.tolist())) == [org.bbox for org in batch]
+        assert list(map(tuple, boxes.tolist())) == [pixel_bbox(org) for org in batch]
     assert bboxes(*pixel_table(small)).tolist() == [
         [4, 3, 4, 3], [3, 5, 9, 5], [0, 0, 0, 5], [0, 0, 0, 0]]
 

@@ -11,8 +11,8 @@ from algaeid.illumination import CorrectionConfig, estimate_background, subtract
 from algaeid.segmentation import (LabelMap, Organism, binarize,
                                   connected_components, extract_organisms,
                                   fuse_masks, otsu_threshold)
-from algaeid.synthgen import (PlantedOrganism, SceneSpec, SpeciesSpec, _dilate1,
-                              default_catalog, generate_corpus, generate_scene,
+from algaeid.synthgen import (MAX_SCENE_PIXELS, PlantedOrganism, SceneSpec, SpeciesSpec,
+                              _dilate1, default_catalog, generate_corpus, generate_scene,
                               ground_truth_json, match_organisms_to_truth,
                               read_ground_truth, save_ground_truth)
 
@@ -71,6 +71,11 @@ def test_scene_spec_validation():
         SceneSpec(vignette_strength=1.0)
     with pytest.raises(ValueError):
         SceneSpec(width=4)
+    with pytest.raises(ValueError, match=r"^scene must have at most 16777216 pixels \(2\^24\), "
+                                         r"got 4097x4096$"):
+        SceneSpec(width=4097, height=4096)
+    spec = SceneSpec(width=4096, height=4096)  # at the limit; nothing is rendered
+    assert spec.width * spec.height == MAX_SCENE_PIXELS
     with pytest.raises(ValueError, match="^noise_sigma must be a number, got True$"):
         SceneSpec(noise_sigma=True)
 
