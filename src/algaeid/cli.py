@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -306,8 +307,9 @@ def build_parser():
     common.add_argument("--config")
 
     def command(name, func, help):
+        # the function's name: `main` looks it up in the module on each call
         p = sub.add_parser(name, parents=[common], help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     p = command("synth", cmd_synth, "generate synthetic scenes with ground truth")
@@ -343,8 +345,13 @@ def build_parser():
     return parser
 
 
+# built on the first call and shared by every later one: parse_args leaves
+# the parser as it was and returns a new namespace each time
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {}
     for dest, value in vars(args).items():
         if "." in dest:
@@ -352,7 +359,7 @@ def main(argv=None):
             overrides.setdefault(section, {})[key] = value
     try:
         cfg = load_config(args.config, **overrides)
-        return args.func(args, cfg, config_hash(cfg))
+        return globals()[args.func](args, cfg, config_hash(cfg))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -131,10 +131,13 @@ def _convex_areas(pixels, sizes, boxes):
     is deleted, on all sides at once, until none is left: a vertex of that
     side of the hull always turns strictly left, and the side's end points
     are hull vertices, so each side becomes its monotone chain (Andrew,
-    IPL 9(5), 1979). Pick's theorem gives the count as (2A + B)/2 + 1, with
-    2A twice the hull's area, the trapezoid sum down both sides, and B the
-    lattice points on its boundary: gcd(|dx|, |dy|) per side edge plus the
-    widths of the top and bottom rows.
+    IPL 9(5), 1979). A side that lost no point in a pass is that chain
+    already and sits out the passes left, so each side's own cascade, not
+    the longest in the batch, bounds the passes over it. Pick's theorem
+    gives the count as (2A + B)/2 + 1, with 2A twice the hull's area, the
+    trapezoid sum down both sides, and B the lattice points on its
+    boundary: gcd(|dx|, |dy|) per side edge plus the widths of the top and
+    bottom rows.
 
     Coordinates are taken relative to each organism's top-left corner, so
     below 2**30 every product and sum fits int64. An organism whose row or
@@ -161,12 +164,13 @@ def _convex_areas(pixels, sizes, boxes):
     bounds = key.searchsorted(offsets)
     first, last = bounds[:-1], bounds[1:] - 1  # each organism's top and bottom line
     cols = pixels[order, 1]
-    x_min = boxes[:, 0][key >> 31]
-    # rows (y, x, fixed): the left sides, then the mirrored right sides,
-    # whose end points are fixed
+    owner = key >> 31
+    x_min = boxes[:, 0][owner]
+    # rows (y, x, fixed, side): the left sides, then the mirrored right
+    # sides, whose end points are fixed; organism k's sides are k and n + k
     m = len(heads)
-    sides = np.zeros((3, 2 * m), dtype=np.int64)
-    y, x, fixed = sides[0], sides[1], sides[2]
+    sides = np.zeros((4, 2 * m), dtype=np.int64)
+    y, x, fixed, side = sides
     np.bitwise_and(key, 2 ** 31 - 1, out=y[:m])
     y[m:] = y[:m]
     np.subtract(np.minimum.reduceat(cols, heads), x_min, out=x[:m])
@@ -174,22 +178,35 @@ def _convex_areas(pixels, sizes, boxes):
     fixed[first] = 1
     fixed[last] = 1
     fixed[m:] = fixed[:m]
+    side[:m] = owner
+    np.add(owner, n, out=side[m:])
     minus_width = x[:m] + x[m:]
     rims = -(minus_width[first] + minus_width[last])  # top and bottom row widths
+    # a pass runs over the points (`live`, by index) of the sides that lost
+    # a point in the last one
+    alive = np.ones(2 * m, dtype=bool)
+    live = np.arange(2 * m)
     keep = np.empty(2 * m, dtype=bool)
+    points = sides
     while True:
-        step = sides[:2, 1:] - sides[:2, :-1]  # (dy, dx) to the next point
+        step = points[:2, 1:] - points[:2, :-1]  # (dy, dx) to the next point
         turn = step[:, :-1] * step[::-1, 1:]  # dy0 * dx1 and dx0 * dy1
-        kept = keep[:sides.shape[1]]
+        kept = keep[:points.shape[1]]
         np.greater(turn[0], turn[1], out=kept[1:-1])
-        np.logical_or(kept, sides[2], out=kept)  # end points stay
+        np.logical_or(kept, points[2], out=kept)  # end points stay
         if kept.all():
             break
-        sides = sides[:, kept]
-    # per edge, gcd(|dx|, |dy|) less its trapezoid term (x0 + x1) * dy,
-    # which sums to -2A; no edge joins one side to the next
-    dy, dx, y, x = step[0], step[1], sides[0], sides[1]
-    terms = np.zeros(sides.shape[1], dtype=np.int64)
+        alive[live] = kept
+        thinned = np.zeros(2 * n, dtype=bool)
+        thinned[points[3].compress(~kept)] = True
+        live = live.compress(kept & thinned.take(points[3]))
+        points = sides.take(live, axis=1)
+    # every side again, in order; per edge, gcd(|dx|, |dy|) less its
+    # trapezoid term (x0 + x1) * dy, which sums to -2A; no edge joins one
+    # side to the next
+    y, x = sides[:2].compress(alive, axis=1)
+    dy, dx = y[1:] - y[:-1], x[1:] - x[:-1]
+    terms = np.zeros(len(y), dtype=np.int64)
     np.multiply(x[:-1] + x[1:], dy, out=terms[:-1])
     np.subtract(np.gcd(dx, dy), terms[:-1], out=terms[:-1])
     side_starts = (y == 0).nonzero()[0]  # each side starts on its organism's top row

@@ -113,7 +113,8 @@ def otsu_threshold(band, num_bins=NUM_BINS):
     """Threshold minimizing within-class variance over a `num_bins`-bin
     histogram spanning the band's own [min, max]; returns the center of the
     last background bin. A constant band has no separable foreground and
-    raises DegenerateBandError.
+    raises DegenerateBandError; a band holding NaN or an infinity raises
+    ValueError.
 
     A uint8 or uint16 band, as every band read from a PGM is, is
     histogrammed by value: each distinct value is binned once, weighted by
@@ -130,6 +131,8 @@ def otsu_threshold(band, num_bins=NUM_BINS):
     else:
         values, weights = band.astype(np.float64, copy=False), None
     lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN makes both NaN
+        raise ValueError(f"band is not finite: its values span [{lo}, {hi}]")
     if lo == hi:
         raise DegenerateBandError(
             f"degenerate: no separable foreground (band is constant at {lo})"
@@ -265,13 +268,19 @@ class Segmentation:
 def segment(corrected):
     """The whole Segmentation of a corrected stack: an Otsu threshold per
     band, the union of the band masks, 8-connected labelling, and the
-    organisms of at least MIN_AREA_PX pixels.
+    organisms of at least MIN_AREA_PX pixels. A band Otsu cannot threshold
+    raises its error, of the same class, naming the band's index.
     """
-    thresholds = tuple(otsu_threshold(band) for band in corrected.bands)
+    thresholds = []
+    for i, band in enumerate(corrected.bands):
+        try:
+            thresholds.append(otsu_threshold(band))
+        except ValueError as e:  # DegenerateBandError stays one
+            raise type(e)(f"band {i}: {e}") from None
     masks = [binarize(band, t) for band, t in zip(corrected.bands, thresholds)]
     labels = connected_components(fuse_masks(masks))
     organisms = extract_organisms(labels, corrected)
-    return Segmentation(thresholds, labels, tuple(organisms))
+    return Segmentation(tuple(thresholds), labels, tuple(organisms))
 
 
 def labelmap_to_pgm(labels, path):

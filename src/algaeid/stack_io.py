@@ -103,7 +103,7 @@ class ImageStack:
             raise StackIOError("pixel_pitch_um must be positive")
         if self.role_tag == "raw":
             for i, b in enumerate(bands):
-                if np.any(b < 0):
+                if np.fmin.reduce(b, axis=None) < 0:  # no mask; skips NaN, as b < 0 does
                     raise StackIOError(f"raw stack band {i} has negative intensities")
         for b in bands:
             b.flags.writeable = False
@@ -211,13 +211,18 @@ def write_pgm16(path, array):
     a = np.asarray(array)
     if a.ndim != 2:
         raise StackIOError(f"PGM raster must be 2-D, got shape {a.shape}")
-    if a.dtype.kind in "iu" and a.size and a.min() >= 0 and a.max() <= PGM_MAXVAL:
-        q = a.astype(">u2")
-    else:
-        q = np.rint(np.clip(a.astype(np.float64, copy=False), 0, PGM_MAXVAL)).astype(">u2")
-    h, w = q.shape
+    h, w = a.shape
     header = f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii")
-    atomic_write_bytes(path, header + q.tobytes())
+    # the whole file in one buffer: the header, then the raster encoded
+    # straight into it
+    data = np.empty(len(header) + 2 * a.size, dtype=np.uint8)
+    data[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    raster = data[len(header):].view(">u2").reshape(h, w)
+    if a.dtype.kind in "iu" and a.size and a.min() >= 0 and a.max() <= PGM_MAXVAL:
+        raster[...] = a
+    else:  # clipped into one float64 buffer, then rounded into the raster
+        np.rint(np.clip(a, 0, PGM_MAXVAL, dtype=np.float64), out=raster, casting="unsafe")
+    atomic_write_bytes(path, data)
 
 
 # "P5", then width, height and maxval, then exactly one whitespace byte

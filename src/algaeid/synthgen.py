@@ -330,19 +330,24 @@ def generate_scene(spec, catalog):
             )
 
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    d2 = (np.arange(h)[:, None] - cy) ** 2 + (np.arange(w) - cx) ** 2
-    vignette = 1.0 - spec.vignette_strength * d2 / d2.max()
+    # 1 - strength * d2 / max(d2), built in the d2 buffer in that order
+    vignette = (np.arange(h)[:, None] - cy) ** 2 + (np.arange(w) - cx) ** 2
+    top = vignette.max()
+    vignette *= spec.vignette_strength
+    vignette /= top
+    np.subtract(1.0, vignette, out=vignette)
 
     wavelengths = (DEFAULT_WAVELENGTHS_NM if m == len(DEFAULT_WAVELENGTHS_NM)
                    else tuple(400.0 + 25.0 * i for i in range(m)))
-    bands = []
-    for b in range(m):
-        band = spec.background_level + contributions[b]
+    # each band is rendered in its own slice of the contributions, which
+    # the stack then holds as its bands
+    for band in contributions:
+        band += spec.background_level
         band *= vignette
         if spec.noise_sigma > 0:
             band += rng.normal(0.0, spec.noise_sigma, size=(h, w))
-        bands.append(np.clip(band, 0.0, None, out=band))
-    stack = ImageStack(bands=tuple(bands), wavelengths_nm=wavelengths, role_tag="raw")
+        np.clip(band, 0.0, None, out=band)
+    stack = ImageStack(bands=tuple(contributions), wavelengths_nm=wavelengths, role_tag="raw")
     return SceneResult(
         stack=stack,
         truth=LabelMap(truth),

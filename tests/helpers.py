@@ -1,5 +1,7 @@
 """Shared test utilities: fixture builders and small independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 
 from algaeid.classifier import PROB_FLOOR, TrainConfig, init_network, relu, softmax
@@ -10,6 +12,23 @@ def organism_from_pixels(pixels, org_id=1):
     """Build an Organism directly from (row, col) pixel coordinates."""
     px = np.array(sorted(set(map(tuple, pixels))), dtype=np.int64)
     return Organism(id=org_id, pixels=px)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while `fn(*args)` runs, above what was allocated
+    when it started, by tracemalloc's count; numpy reports its array
+    buffers to tracemalloc, so their temporaries count."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def numpy_build():

@@ -297,6 +297,35 @@ def test_override_flag_reaches_config(pipeline, tmp_path, argv, flag, section, k
     assert digests[0] != digests[1]
 
 
+def test_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # one parser serves every call of the process: a flag given to one call,
+    # a call that exits 1 and a call argparse rejects leave nothing behind
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"scenes": 1, "width": 40, "height": 40,
+                                            "organisms_per_scene": 2}}), encoding="utf-8")
+
+    def synth(out, *flags):
+        return main(["synth", *flags, "--config", str(config), "--out", str(tmp_path / out)])
+
+    def written(out):
+        return {name: (tmp_path / out / "scene_000" / name).read_bytes()
+                for name in ("stack.json", "band_00.pgm", "truth.json")}
+
+    assert synth("seeded", "--seed", "7") == 0
+    assert synth("plain") == 0
+    assert synth("no-scenes", "--scenes", "0") == 1
+    with pytest.raises(SystemExit):
+        synth("unknown-flag", "--frames", "3")
+    assert synth("again") == 0
+    digest = config_hash(load_config(str(config)))
+    for out in ("plain", "again"):
+        assert json.loads(written(out)["truth.json"])["config_sha256"] == digest
+    assert written("again") == written("plain")
+    assert written("seeded")["band_00.pgm"] != written("plain")["band_00.pgm"]
+    assert sorted(os.listdir(tmp_path)) == ["again", "config.json", "plain", "seeded"]
+    assert cli._parser() is cli._parser()
+
+
 def test_train_and_classify_deterministic(pipeline):
     root = pipeline["root"]
     model = root / "model.json"

@@ -108,6 +108,24 @@ def test_convex_area_matches_halfplane_oracle():
     assert _batch_convex_areas(shuffled) == counts
 
 
+def test_convex_area_long_cascade_in_a_batch_of_small_ones():
+    # a disk with a flat foot along the row below it: the foot's far ends
+    # hide most of the disk's lower sides, which lose their points one
+    # layer per pass, about 19 passes, while the small organisms' sides
+    # finish within a few
+    ys, xs = np.mgrid[-40:41, -40:41]
+    disk = np.argwhere(xs * xs + ys * ys <= 40 * 40)
+    foot = [(81, x) for x in range(-100, 180)]
+    footed = organism_from_pixels(np.concatenate((disk, foot)))
+    rng = np.random.default_rng(31)
+    small = [random_organism(rng) for _ in range(60)]
+    for place in (0, 30, 60):
+        organisms = small[:place] + [footed] + small[place:]
+        counts = _batch_convex_areas(organisms)
+        assert counts == [reference_convex_area(org) for org in organisms]
+    assert counts[-1] > footed.area
+
+
 def test_convex_area_of_pixels_far_apart():
     # an extent of 2**30 - 1 is counted exactly, wherever the organism lies
     far = 2 ** 30 - 1

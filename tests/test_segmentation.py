@@ -137,20 +137,22 @@ def test_otsu_other_bands_histogram_every_pixel(histogram_calls, band):
         expected = _whole_band_threshold(band)
         histogram_calls.clear()
         assert otsu_threshold(band) == expected
-    else:
-        with pytest.raises(ValueError):
+        assert histogram_calls == [(False, band.size)]
+    else:  # refused from the band's own min and max, before any histogram
+        with pytest.raises(ValueError, match=r"^band is not finite: .* \[0\.0, inf\]$"):
             otsu_threshold(band)
-    assert histogram_calls == [(False, band.size)]
+        assert histogram_calls == []
 
 
 @pytest.mark.parametrize("level", [0.0, 7.0, 65535.0])
 def test_otsu_constant_integer_band_degenerate(level):
     with pytest.raises(DegenerateBandError, match="degenerate"):
         otsu_threshold(np.full((8, 8), level))
-    # a dead channel in a stack read from 16-bit PGMs fails the segmentation
+    # a dead channel in a stack read from 16-bit PGMs fails the segmentation,
+    # which names the band
     rng = np.random.default_rng(int(level))
     bands = (rng.integers(0, 4000, size=(16, 16)).astype(np.float64), np.full((16, 16), level))
-    with pytest.raises(DegenerateBandError, match="degenerate"):
+    with pytest.raises(DegenerateBandError, match=f"^band 1: degenerate: .* constant at {level}\\)$"):
         segment(ImageStack(bands=bands, wavelengths_nm=(470.0, 530.0), role_tag="corrected"))
 
 
@@ -463,6 +465,19 @@ def test_segment_equals_explicit_chain():
     for got, want in zip(orgs, want_orgs):
         assert np.array_equal(got.pixels, want.pixels)
     assert len(orgs) == 2 and labels.count > len(orgs)
+
+
+@pytest.mark.parametrize("value,span", [
+    (math.nan, "[nan, nan]"), (math.inf, "[0.0, inf]"), (-math.inf, "[-inf, 9.0]"),
+], ids=["nan", "inf", "minus-inf"])
+def test_segment_names_a_non_finite_band(value, span):
+    bands = [np.arange(400.0).reshape(20, 20) % 10 for _ in range(3)]
+    bands[2][7, 11] = value
+    corrected = _stack_like((20, 20), m=3).with_bands(bands, role_tag="corrected")
+    with pytest.raises(ValueError) as err:
+        segment(corrected)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"band 2: band is not finite: its values span {span}"
 
 
 def test_organism_invariants():

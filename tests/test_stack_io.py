@@ -16,6 +16,8 @@ from algaeid.stack_io import (ImageStack, BandShapeMismatchError,
                               UnsupportedBitDepthError, WavelengthOrderError,
                               load_stack, read_pgm, save_stack, write_pgm16)
 
+from helpers import traced_peak
+
 
 def random_stack(rng, m=6, size=64):
     bands = tuple(
@@ -88,6 +90,11 @@ def test_non_increasing_wavelengths_rejected():
 def test_raw_stack_must_be_non_negative():
     with pytest.raises(StackIOError):
         ImageStack(bands=(np.array([[-1.0]]),), wavelengths_nm=(405.0,))
+    # -inf is negative; NaN compares false and passes this check
+    with pytest.raises(StackIOError, match="band 1 has negative intensities"):
+        ImageStack(bands=(np.ones((2, 2)), np.array([[1.0, -np.inf], [np.nan, 2.0]])),
+                   wavelengths_nm=(405.0, 420.0))
+    ImageStack(bands=(np.array([[1.0, np.nan]]),), wavelengths_nm=(405.0,))
     # corrected stacks may carry negatives (unclamped subtraction)
     bg = ImageStack(bands=(np.zeros((1, 1)),), wavelengths_nm=(405.0,),
                     role_tag="background")
@@ -203,6 +210,20 @@ def test_pgm16_round_trip_values(tmp_path):
     labelmap_to_pgm(labels, tmp_path / "labels.pgm")
     back = LabelMap(read_pgm(tmp_path / "labels.pgm"))
     assert back.count == 65535 and np.array_equal(back.labels, labels.labels)
+
+
+def test_pgm16_writers_hold_no_raster_copies(tmp_path):
+    # a float band is clipped into one float64 buffer and rounded straight
+    # into the file's buffer behind its header: the band's bytes plus its
+    # 2-byte raster, 1.25 times the band
+    band = np.random.default_rng(4).uniform(-10.0, 70000.0, size=(256, 256))
+    assert traced_peak(write_pgm16, tmp_path / "band.pgm", band) <= 1.5 * band.nbytes
+    # an id map is written from the file's buffer alone: a quarter of the
+    # map's float64 bytes
+    labels = LabelMap(np.arange(256 * 256, dtype=np.int32).reshape(256, 256) % 65536)
+    peak = traced_peak(labelmap_to_pgm, labels, tmp_path / "labels.pgm")
+    assert peak <= 0.5 * labels.labels.size * 8
+    assert np.array_equal(read_pgm(tmp_path / "labels.pgm"), labels.labels)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16])

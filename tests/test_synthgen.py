@@ -16,7 +16,7 @@ from algaeid.synthgen import (MAX_SCENE_PIXELS, PlantedOrganism, SceneSpec, Spec
                               ground_truth_json, match_organisms_to_truth,
                               read_ground_truth, save_ground_truth)
 
-from helpers import numpy_build, oracle_dilate1
+from helpers import numpy_build, oracle_dilate1, traced_peak
 
 CATALOG_ABUNDANCE_WEIGHTS = (751, 382, 500, 548, 299, 131)
 
@@ -125,6 +125,18 @@ def test_scene_float_bits_pinned(case):
     moved = [name for name in pinned if got[name] != pinned[name]]
     assert not moved, (f"{case}: the {moved} digests moved; they were pinned with "
                        f"{PINNED_BUILD}, this run uses {numpy_build()}")
+
+
+def test_scene_renders_each_band_in_place():
+    # every band is rendered in its own slice of one (m, h, w) float64
+    # buffer, which the stack keeps; the vignette, one band of noise and the
+    # truth and placement maps come on top: about 1.7 times the stack at
+    # 256x256 with six bands
+    spec = SceneSpec(width=256, height=256, n_organisms=16, seed=3)
+    stack_bytes = 6 * 256 * 256 * 8
+    assert traced_peak(generate_scene, spec, default_catalog()) <= 2.0 * stack_bytes
+    bands = generate_scene(spec, default_catalog()).stack.bands
+    assert all(band.base is bands[0].base for band in bands)
 
 
 def test_dilate1_matches_per_pixel_oracle():
