@@ -2,9 +2,11 @@
 train / mccv / classify, each stage reading and writing the documented
 file formats so stages can be rerun or swapped independently.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error. Every JSON output
-embeds the SHA-256 of the effective configuration; the feature CSV gets a
-sidecar meta file because its header is a fixed interface.
+Exit codes: 0 success, 1 validation error, 2 I/O error. Only the commands
+that read a config section (synth, train and mccv) take --config, and each
+embeds the SHA-256 of its effective configuration in its JSON output; the
+image stages have no settings. The feature CSV and the predictions get a
+sidecar meta file because their header is a fixed interface.
 """
 
 from __future__ import annotations
@@ -115,23 +117,22 @@ def cmd_synth(args, cfg, digest):
     return 0
 
 
-def cmd_correct(args, cfg, digest):
+def cmd_correct(args):
     for _, src, dst in _scene_dirs(args.input, args.out):
         raw = _load_role(src, "raw")
         background = illumination.estimate_background(raw)
         corrected = illumination.subtract_background(raw, background)
-        save_stack(corrected, dst, extra_fields={"config_sha256": digest})
+        save_stack(corrected, dst)
     print(f"corrected stacks written to {args.out}")
     return 0
 
 
-def cmd_segment(args, cfg, digest):
+def cmd_segment(args):
     for _, src, dst in _scene_dirs(args.input, args.out):
         seg = segmentation.segment(_load_role(src, "corrected"))
         os.makedirs(dst, exist_ok=True)
         segmentation.labelmap_to_pgm(seg.labels, os.path.join(dst, "labels.pgm"))
-        atomic_write_json(os.path.join(dst, "organisms.json"),
-                          {**segmentation.segmentation_json(seg), "config_sha256": digest})
+        atomic_write_json(os.path.join(dst, "organisms.json"), segmentation.segmentation_json(seg))
     print(f"segmentation written to {args.out}")
     return 0
 
@@ -153,7 +154,7 @@ def _same_as_first(key, value, first, where):
     return value
 
 
-def cmd_features(args, cfg, digest):
+def cmd_features(args):
     all_fvs = []
     wavelengths = None
     class_names = None
@@ -190,7 +191,7 @@ def cmd_features(args, cfg, digest):
     if not all_fvs:
         raise ValueError(f"{args.corrected}: no organisms found to featurize")
     features.write_features_csv(args.out, all_fvs, wavelengths)
-    atomic_write_json(_meta_path(args.out), {"config_sha256": digest, "class_names": class_names,
+    atomic_write_json(_meta_path(args.out), {"class_names": class_names,
                                              "wavelengths_nm": wavelengths, "rows": len(all_fvs)})
     print(f"wrote {len(all_fvs)} feature rows to {args.out}")
     return 0
@@ -267,7 +268,7 @@ def cmd_mccv(args, cfg, digest):
     return 0
 
 
-def cmd_classify(args, cfg, digest):
+def cmd_classify(args):
     model = classifier.load_model(args.model)
     if os.path.isdir(args.input):
         corrected = _load_role(args.input, "corrected")
@@ -288,15 +289,17 @@ def cmd_classify(args, cfg, digest):
     atomic_write_csv(args.out, [("organism_id", "predicted_label", "predicted_class")] + [
         (fv.organism_id, int(p), model.class_names[int(p)] if model.class_names else "")
         for fv, p in zip(fvs, preds)])
-    atomic_write_json(_meta_path(args.out), {"config_sha256": digest, "rows": len(fvs),
-                                             "model": os.path.abspath(args.model)})
+    with open(args.model, "rb") as fh:
+        model_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    atomic_write_json(_meta_path(args.out), {"rows": len(fvs), "model_sha256": model_sha256})
     print(f"wrote {len(fvs)} predictions to {args.out}")
     return 0
 
 
 def build_parser():
-    """The argument parser. An override flag's dest is the config key it
-    sets, as "section.key"."""
+    """The argument parser. Only the commands that read a config section
+    take --config. An override flag's dest is the config key it sets, as
+    "section.key"."""
     parser = argparse.ArgumentParser(
         prog="algaeid",
         description="Multi-band fluorescence algae identification pipeline.",
@@ -304,15 +307,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True)
-    common.add_argument("--config")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config")
 
-    def command(name, func, help):
+    def command(name, func, help, config=False):
         # the function's name: `main` looks it up in the module on each call
-        p = sub.add_parser(name, parents=[common], help=help)
+        parents = [common, configured] if config else [common]
+        p = sub.add_parser(name, parents=parents, help=help)
         p.set_defaults(func=func.__name__)
         return p
 
-    p = command("synth", cmd_synth, "generate synthetic scenes with ground truth")
+    p = command("synth", cmd_synth, "generate synthetic scenes with ground truth", config=True)
     p.add_argument("--seed", type=int, dest="synth.master_seed")
     p.add_argument("--scenes", type=int, dest="synth.scenes")
 
@@ -327,12 +332,12 @@ def build_parser():
     p.add_argument("segmented")
     p.add_argument("--truth", help="synth output dir providing ground-truth labels")
 
-    p = command("train", cmd_train, "train one classifier variant")
+    p = command("train", cmd_train, "train one classifier variant", config=True)
     p.add_argument("features")
     p.add_argument("--variant", required=True, help="morph | spectral | both11")
     p.add_argument("--seed", type=int, dest="train.seed")
 
-    p = command("mccv", cmd_mccv, "Monte Carlo cross-validation and t-tests")
+    p = command("mccv", cmd_mccv, "Monte Carlo cross-validation and t-tests", config=True)
     p.add_argument("features")
     p.add_argument("--variants", default=",".join(v.value for v in features.ModelVariant))
     p.add_argument("--runs", type=int, dest="mccv.runs")
@@ -358,6 +363,8 @@ def main(argv=None):
             section, key = dest.split(".")
             overrides.setdefault(section, {})[key] = value
     try:
+        if "config" not in args:  # an image stage, which reads no config
+            return globals()[args.func](args)
         cfg = load_config(args.config, **overrides)
         return globals()[args.func](args, cfg, config_hash(cfg))
     except OSError as e:

@@ -33,23 +33,7 @@ RASTER_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 
 
 class StackIOError(ValueError):
-    """Base class for stack validation and codec failures."""
-
-
-class MissingBandFileError(StackIOError):
-    pass
-
-
-class BandShapeMismatchError(StackIOError):
-    pass
-
-
-class WavelengthOrderError(StackIOError):
-    pass
-
-
-class UnsupportedBitDepthError(StackIOError):
-    pass
+    """A stack validation or codec failure."""
 
 
 @dataclass(frozen=True)
@@ -83,18 +67,12 @@ class ImageStack:
             raise StackIOError(f"band dimensions must be >= 1, got {shape}")
         for i, b in enumerate(bands):
             if b.shape != shape:
-                raise BandShapeMismatchError(
-                    f"band {i} has shape {b.shape}, expected {shape}"
-                )
+                raise StackIOError(f"band {i} has shape {b.shape}, expected {shape}")
         wl = tuple(float(w) for w in self.wavelengths_nm)
         if len(wl) != len(bands):
-            raise WavelengthOrderError(
-                f"{len(wl)} wavelengths for {len(bands)} bands"
-            )
+            raise StackIOError(f"{len(wl)} wavelengths for {len(bands)} bands")
         if any(w2 <= w1 for w1, w2 in zip(wl, wl[1:])):
-            raise WavelengthOrderError(
-                f"wavelengths_nm must be strictly increasing, got {wl}"
-            )
+            raise StackIOError(f"wavelengths_nm must be strictly increasing, got {wl}")
         if self.role_tag not in ROLE_TAGS:
             raise StackIOError(
                 f"role_tag must be one of {ROLE_TAGS}, got {self.role_tag!r}"
@@ -249,9 +227,7 @@ def read_pgm(path):
     if width < 1 or height < 1:
         raise StackIOError(f"{path}: invalid PGM dimensions {width}x{height}")
     if maxval < 1 or maxval > 65535:
-        raise UnsupportedBitDepthError(
-            f"{path}: maxval {maxval} unsupported (must be 1..65535)"
-        )
+        raise StackIOError(f"{path}: maxval {maxval} unsupported (must be 1..65535)")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     if len(data) - offset < width * height * dtype.itemsize:
         raise StackIOError(f"{path}: PGM raster truncated")
@@ -290,18 +266,18 @@ def load_stack(manifest_path):
     """Load a stack from its manifest (or from a directory containing one).
 
     Bands come back in manifest order, as the uint8 or uint16 rasters of
-    their PGMs, with wavelengths taken from the manifest. Raises a distinct
-    error for a missing band file, a dimension mismatch between bands,
-    non-increasing wavelengths, or an unsupported bit depth. A manifest
-    whose wavelengths or pixel pitch are not finite numbers, or whose
-    band_filenames are not a list of strings, raises a StackIOError naming
-    it.
+    their PGMs, with wavelengths taken from the manifest. Raises a
+    StackIOError, whose message says which, for a missing manifest or band
+    file, a dimension mismatch between bands, non-increasing wavelengths or
+    an unsupported bit depth. A manifest whose wavelengths or pixel pitch
+    are not finite numbers, or whose band_filenames are not a list of
+    strings, raises a StackIOError naming it.
     """
     manifest_path = os.fspath(manifest_path)
     if os.path.isdir(manifest_path):
         manifest_path = os.path.join(manifest_path, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
-        raise MissingBandFileError(f"manifest not found: {manifest_path}")
+        raise StackIOError(f"manifest not found: {manifest_path}")
     manifest = read_json_object(manifest_path, "manifest")
     for key in ("wavelengths_nm", "band_filenames", "role_tag"):
         if key not in manifest:
@@ -318,7 +294,7 @@ def load_stack(manifest_path):
     for name in filenames:
         band_path = os.path.join(base, name)
         if not os.path.exists(band_path):
-            raise MissingBandFileError(f"band file not found: {band_path}")
+            raise StackIOError(f"band file not found: {band_path}")
         bands.append(read_pgm(band_path))
     try:
         return ImageStack(
@@ -327,5 +303,5 @@ def load_stack(manifest_path):
             pixel_pitch_um=pitch,
             role_tag=str(manifest["role_tag"]),
         )
-    except StackIOError as e:  # its subclass, such as WavelengthOrderError, is kept
-        raise type(e)(f"{manifest_path}: {e}") from None
+    except StackIOError as e:
+        raise StackIOError(f"{manifest_path}: {e}") from None

@@ -246,13 +246,11 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             base = tmp_path / attempt
             assert main(["synth", "--config", str(config),
                          "--out", str(base / "raw")]) == 0
-            assert main(["correct", str(base / "raw"), "--config", str(config),
-                         "--out", str(base / "corrected")]) == 0
-            assert main(["segment", str(base / "corrected"), "--config",
-                         str(config), "--out", str(base / "segmented")]) == 0
+            assert main(["correct", str(base / "raw"), "--out", str(base / "corrected")]) == 0
+            assert main(["segment", str(base / "corrected"),
+                         "--out", str(base / "segmented")]) == 0
             assert main(["features", str(base / "corrected"),
                          str(base / "segmented"), "--truth", str(base / "raw"),
-                         "--config", str(config),
                          "--out", str(base / "features.csv")]) == 0
             assert main(["mccv", str(base / "features.csv"), "--config",
                          str(config), "--out", str(base / "eval")]) == 0

@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -34,12 +35,10 @@ def pipeline(tmp_path_factory):
     segmented = root / "segmented"
     csv = root / "features.csv"
     assert main(["synth", "--config", str(config), "--out", str(raw)]) == 0
-    assert main(["correct", str(raw), "--config", str(config),
-                 "--out", str(corrected)]) == 0
-    assert main(["segment", str(corrected), "--config", str(config),
-                 "--out", str(segmented)]) == 0
+    assert main(["correct", str(raw), "--out", str(corrected)]) == 0
+    assert main(["segment", str(corrected), "--out", str(segmented)]) == 0
     assert main(["features", str(corrected), str(segmented), "--truth", str(raw),
-                 "--config", str(config), "--out", str(csv)]) == 0
+                 "--out", str(csv)]) == 0
     return {"root": root, "config": config, "raw": raw, "corrected": corrected,
             "segmented": segmented, "csv": csv}
 
@@ -82,7 +81,8 @@ def test_correct_outputs(pipeline):
     assert stack.role_tag == "corrected"
     manifest = json.loads(
         (pipeline["corrected"] / "scene_000" / "stack.json").read_text())
-    assert "config_sha256" in manifest
+    # the image stages read no config, so their outputs record none
+    assert set(manifest) == {"wavelengths_nm", "pixel_pitch_um", "band_filenames", "role_tag"}
 
 
 def test_segment_outputs(pipeline):
@@ -90,7 +90,7 @@ def test_segment_outputs(pipeline):
     doc = json.loads((seg / "organisms.json").read_text())
     assert doc["component_count"] >= len(doc["organisms"]) >= 1
     assert len(doc["thresholds"]) == 6
-    assert "config_sha256" in doc
+    assert set(doc) == {"thresholds", "component_count", "organisms"}
     assert (seg / "labels.pgm").exists()
     for rec in doc["organisms"]:
         assert set(rec) == {"id", "bbox", "area", "touches_border"}
@@ -104,7 +104,7 @@ def test_features_output(pipeline):
     meta = json.loads((pipeline["root"] / "features.csv.meta.json").read_text())
     assert meta["rows"] == len(fvs)
     assert len(meta["class_names"]) == 6
-    assert "config_sha256" in meta
+    assert set(meta) == {"class_names", "wavelengths_nm", "rows"}
 
 
 @pytest.mark.parametrize("tree,manifest,key,value", [
@@ -122,8 +122,7 @@ def test_features_rejects_scenes_that_disagree(pipeline, tmp_path, capsys,
     path.write_text(json.dumps(doc))
     out = tmp_path / "features.csv"
     assert main(["features", str(trees["corrected"]), str(trees["segmented"]),
-                 "--truth", str(trees["raw"]), "--config", str(pipeline["config"]),
-                 "--out", str(out)]) == 1
+                 "--truth", str(trees["raw"]), "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == (
         f"error: {trees[tree] / 'scene_001'}: {key} {value} differ from the first "
@@ -143,8 +142,7 @@ def test_features_rejects_truth_files_that_disagree(pipeline, tmp_path, capsys,
     path.write_text(json.dumps(doc))
     out = tmp_path / "features.csv"
     assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
-                 "--truth", str(raw), "--config", str(pipeline["config"]),
-                 "--out", str(out)]) == 1
+                 "--truth", str(raw), "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {raw / 'scene_000'}: {problem}\n"
 
@@ -161,8 +159,7 @@ def test_features_rejects_truth_map_of_another_size(pipeline, tmp_path, capsys, 
     segmentation.labelmap_to_pgm(segmentation.LabelMap(labels), path)
     out = tmp_path / "features.csv"
     assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
-                 "--truth", str(raw), "--config", str(pipeline["config"]),
-                 "--out", str(out)]) == 1
+                 "--truth", str(raw), "--out", str(out)]) == 1
     assert not out.exists()
     h, w = labels.shape
     assert capsys.readouterr().err == (
@@ -180,8 +177,7 @@ def test_features_rejects_label_map_of_another_size(pipeline, tmp_path, capsys, 
     labels = resize(stack_io.read_pgm(path))
     segmentation.labelmap_to_pgm(segmentation.LabelMap(labels), path)
     out = tmp_path / "features.csv"
-    assert main(["features", str(pipeline["corrected"]), str(segmented),
-                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert main(["features", str(pipeline["corrected"]), str(segmented), "--out", str(out)]) == 1
     assert not out.exists()
     h, w = labels.shape
     assert capsys.readouterr().err == (
@@ -198,10 +194,10 @@ def test_scene_name_with_comma(pipeline, tmp_path):
     cfg = ["--config", str(pipeline["config"])]
     features, model, pred = (tmp_path / name for name in ("f.csv", "model.json", "pred.csv"))
     assert main(["features", str(trees["corrected"]), str(trees["segmented"]),
-                 "--truth", str(trees["raw"]), *cfg, "--out", str(features)]) == 0
+                 "--truth", str(trees["raw"]), "--out", str(features)]) == 0
     assert main(["train", str(features), "--variant", "spectral", *cfg,
                  "--out", str(model)]) == 0
-    assert main(["classify", str(model), str(features), *cfg, "--out", str(pred)]) == 0
+    assert main(["classify", str(model), str(features), "--out", str(pred)]) == 0
     fvs, _ = read_features_csv(features)
     ids = [fv.organism_id for fv in fvs]
     assert sorted({i.split(":")[0] for i in ids}) == ["scene,001", "scene_000"]
@@ -218,8 +214,7 @@ def test_scene_name_with_carriage_return(pipeline, tmp_path, capsys):
         (trees[tree] / "scene_001").rename(trees[tree] / "scene\r001")
     out = tmp_path / "f.csv"
     assert main(["features", str(trees["corrected"]), str(trees["segmented"]),
-                 "--truth", str(trees["raw"]), "--config", str(pipeline["config"]),
-                 "--out", str(out)]) == 1
+                 "--truth", str(trees["raw"]), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {out}: CSV field 'scene\\r001:1' holds a carriage return\n")
     assert not out.exists() and not (tmp_path / "f.csv.meta.json").exists()
@@ -230,7 +225,7 @@ def test_every_json_output_reads_back(pipeline, tmp_path):
     cfg = ["--config", str(pipeline["config"])]
     assert main(["train", str(pipeline["csv"]), "--variant", "morph", *cfg,
                  "--out", str(tmp_path / "model.json")]) == 0
-    assert main(["classify", str(tmp_path / "model.json"), str(pipeline["csv"]), *cfg,
+    assert main(["classify", str(tmp_path / "model.json"), str(pipeline["csv"]),
                  "--out", str(tmp_path / "pred.csv")]) == 0
     assert main(["mccv", str(pipeline["csv"]), "--variants", "morph,spectral", *cfg,
                  "--out", str(tmp_path / "eval")]) == 0
@@ -245,8 +240,7 @@ def test_every_json_output_reads_back(pipeline, tmp_path):
 def test_features_rerun_byte_identical(pipeline):
     out2 = pipeline["root"] / "features2.csv"
     assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
-                 "--truth", str(pipeline["raw"]), "--config", str(pipeline["config"]),
-                 "--out", str(out2)]) == 0
+                 "--truth", str(pipeline["raw"]), "--out", str(out2)]) == 0
     assert out2.read_bytes() == pipeline["csv"].read_bytes()
 
 
@@ -260,17 +254,6 @@ def test_features_rows_are_the_organisms_segment_kept(pipeline):
         doc = json.loads((pipeline["segmented"] / scene / "organisms.json").read_text())
         kept += [(f"{scene}:{rec['id']}", rec["area"]) for rec in doc["organisms"]]
     assert rows == kept
-
-
-def test_features_rejects_an_area_filter_of_its_own(pipeline, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"segmentation": {"min_area_px": 200}}), encoding="utf-8")
-    out = tmp_path / "features.csv"
-    assert main(["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
-                 "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {config}: unknown config sections ['segmentation']\n")
-    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("argv,flag,section,key,report", [
@@ -340,8 +323,7 @@ def test_train_and_classify_deterministic(pipeline):
     pred1 = root / "pred1.csv"
     pred2 = root / "pred2.csv"
     for out in (pred1, pred2):
-        assert main(["classify", str(model), str(pipeline["csv"]),
-                     "--config", str(pipeline["config"]), "--out", str(out)]) == 0
+        assert main(["classify", str(model), str(pipeline["csv"]), "--out", str(out)]) == 0
     assert pred1.read_bytes() == pred2.read_bytes()
     lines = pred1.read_text().splitlines()
     assert lines[0] == "organism_id,predicted_label,predicted_class"
@@ -364,7 +346,7 @@ def test_classify_stack_dir(pipeline):
                  "--config", str(pipeline["config"]), "--out", str(model)]) == 0
     out = root / "pred_stack.csv"
     assert main(["classify", str(model), str(pipeline["corrected"] / "scene_000"),
-                 "--config", str(pipeline["config"]), "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 8  # header + 7 organisms
 
 
@@ -376,11 +358,11 @@ def test_classify_stack_dir_matches_its_feature_csv(pipeline, tmp_path):
     cfg = ["--config", str(pipeline["config"])]
     assert main(["train", str(pipeline["csv"]), "--variant", "both11", *cfg,
                  "--out", str(model)]) == 0
-    assert main(["segment", str(scene), *cfg, "--out", str(seg)]) == 0
-    assert main(["features", str(scene), str(seg), *cfg, "--out", str(csv)]) == 0
+    assert main(["segment", str(scene), "--out", str(seg)]) == 0
+    assert main(["features", str(scene), str(seg), "--out", str(csv)]) == 0
     outs = [tmp_path / "from_stack.csv", tmp_path / "from_csv.csv"]
     for source, out in zip((scene, csv), outs):
-        assert main(["classify", str(model), str(source), *cfg, "--out", str(out)]) == 0
+        assert main(["classify", str(model), str(source), "--out", str(out)]) == 0
     assert load_stack(scene).bands[0].dtype == np.uint16
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 8
@@ -590,14 +572,14 @@ def test_side_files_checked(pipeline, tmp_path, capsys, side, text, problem):
     if side == "meta":
         csv = shutil.copy(pipeline["csv"], tmp_path / "features.csv")
         path = tmp_path / "features.csv.meta.json"
-        argv = ["train", str(csv), "--variant", "morph"]
+        argv = ["train", str(csv), "--variant", "morph", "--config", str(pipeline["config"])]
     else:
         raw = shutil.copytree(pipeline["raw"], tmp_path / "raw")
         path = raw / "scene_000" / "truth.json"
         argv = ["features", str(pipeline["corrected"]), str(pipeline["segmented"]),
                 "--truth", str(raw)]
     path.write_text(text, encoding="utf-8")
-    assert main([*argv, "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {problem}\n"
     assert not out.exists()
 
@@ -679,8 +661,7 @@ def test_model_file_checked(pipeline, model_doc, tmp_path, capsys, edit, problem
     text = edit if isinstance(edit, str) else json.dumps(edit(model_doc))
     model.write_text(text, encoding="utf-8")
     out = tmp_path / "pred.csv"
-    assert main(["classify", str(model), str(pipeline["csv"]),
-                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert main(["classify", str(model), str(pipeline["csv"]), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {model}: {problem}\n"
     assert not out.exists()
 
@@ -730,8 +711,7 @@ def _set_wavelength(index, value):
 def test_manifest_fields_checked(pipeline, tmp_path, capsys, edit, problem):
     corrected = _edit_manifests(pipeline, tmp_path, edit)
     out = tmp_path / "features.csv"
-    assert main(["features", str(corrected), str(pipeline["segmented"]),
-                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert main(["features", str(corrected), str(pipeline["segmented"]), "--out", str(out)]) == 1
     manifest = corrected / "scene_000" / "stack.json"
     assert capsys.readouterr().err == f"error: {manifest}: {problem}\n"
     assert not out.exists()
@@ -744,8 +724,7 @@ def test_features_rejects_fractional_wavelength(pipeline, tmp_path, capsys):
         lambda doc: {**doc, "wavelengths_nm": [405.2, 405.7] + doc["wavelengths_nm"][2:]},
         scenes=("scene_000", "scene_001"))
     out = tmp_path / "features.csv"
-    assert main(["features", str(corrected), str(pipeline["segmented"]),
-                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert main(["features", str(corrected), str(pipeline["segmented"]), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {corrected / 'scene_000' / 'stack.json'}: wavelength 405.2 nm is not a "
         "whole number of nm, so no feature column can name it\n")
@@ -765,18 +744,62 @@ def test_classify_stack_rejects_fractional_wavelength(pipeline, model_doc, tmp_p
     model = tmp_path / "model.json"
     model.write_text(json.dumps(model_doc), encoding="utf-8")
     out = tmp_path / "pred.csv"
-    assert main(["classify", str(model), str(corrected / "scene_000"),
-                 "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+    assert main(["classify", str(model), str(corrected / "scene_000"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {corrected / 'scene_000' / 'stack.json'}: wavelength 405.2 nm is not a "
         "whole number of nm, so no feature column can name it\n")
     assert not out.exists()
 
 
+def test_classify_meta_names_the_model_by_content(pipeline, model_doc, tmp_path, monkeypatch):
+    # the meta file records the model file's SHA-256, not its path, so its
+    # bytes do not depend on where the model lies or where classify runs
+    model = tmp_path / "models" / "model.json"
+    model.parent.mkdir()
+    model.write_text(json.dumps(model_doc), encoding="utf-8")
+    shutil.copy(model, tmp_path / "copy.json")
+    monkeypatch.chdir(tmp_path)
+    metas = []
+    for source, out in ((str(model), "a.csv"), ("copy.json", "b.csv")):
+        assert main(["classify", source, str(pipeline["csv"]), "--out", out]) == 0
+        metas.append((tmp_path / f"{out}.meta.json").read_bytes())
+    assert metas[0] == metas[1]
+    assert json.loads(metas[0]) == {
+        "rows": 14, "model_sha256": hashlib.sha256(model.read_bytes()).hexdigest()}
+
+
+COMMANDS = {  # each command's positional arguments, and whether it reads a config section
+    "synth": ([], True),
+    "correct": (["raw"], False),
+    "segment": (["corrected"], False),
+    "features": (["corrected", "segmented"], False),
+    "train": (["features.csv", "--variant", "morph"], True),
+    "mccv": (["features.csv"], True),
+    "classify": (["model.json", "features.csv"], False),
+}
+
+
+def test_config_is_taken_by_exactly_the_commands_that_read_it(tmp_path, capsys):
+    # synth, train and mccv read a section; an image stage reads none, so
+    # --config is a usage error there, like any flag it does not define (and
+    # no config can give features an area filter apart from segment's)
+    assert "{%s}" % ",".join(COMMANDS) in cli.build_parser().format_usage()
+    for command, (positionals, reads_config) in COMMANDS.items():
+        argv = [command, *positionals, "--config", "c.json", "--out", str(tmp_path / "o")]
+        if reads_config:
+            assert cli.build_parser().parse_args(argv).config == "c.json"
+            continue
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2, command
+        assert capsys.readouterr().err.endswith(
+            "algaeid: error: unrecognized arguments: --config c.json\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_validation_error(pipeline, tmp_path, capsys):
     # segment requires a corrected stack: feeding raw input fails validation
-    code = main(["segment", str(pipeline["raw"]), "--config",
-                 str(pipeline["config"]), "--out", str(tmp_path / "x")])
+    code = main(["segment", str(pipeline["raw"]), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "role_tag" in capsys.readouterr().err
 
@@ -968,8 +991,7 @@ def test_classify_checks_feature_columns(pipeline, tmp_path, capsys, bands, name
                  "--out", str(model)]) == 0
     csv = _band_subset(pipeline["csv"], tmp_path / "other.csv", bands, names)
     out = tmp_path / "pred.csv"
-    assert main(["classify", str(model), str(csv), "--config", config,
-                 "--out", str(out)]) == 1
+    assert main(["classify", str(model), str(csv), "--out", str(out)]) == 1
     assert not out.exists()
     shape = ["area", "convex_area", "eccentricity", "equivalent_diameter", "extent"]
     given = shape + [f"em{b}" for b in (names or bands)]

@@ -3,17 +3,17 @@
 `golden.json` holds the SHA-256 of every file that criterion 8's chain
 writes (3 scenes of 120 px, seed 77): synth, correct, segment,
 `features --truth`, `train both11`, `classify` on a stack and on a CSV,
-and `mccv`. The only byte not compared is the absolute model path in the
-classify meta files, which depends on where the chain runs.
+and `mccv`. Every byte is compared: no output records a path, so none
+depends on where the chain runs.
 
 A change that alters output bits on purpose regenerates the file in the
-same commit with `PYTHONPATH=src python tests/test_golden.py` and says so;
-the diff of `golden.json` then shows which stages moved.
+same commit with `PYTHONPATH=src python tests/test_golden.py`, which prints
+the stage and file of each entry that moved, and says so; the diff of
+`golden.json` shows the same.
 """
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from algaeid.cli import main
@@ -29,13 +29,8 @@ CONFIG = {
 }
 
 
-def _digest(path, base):
-    data = path.read_bytes()
-    if path.name.startswith("classify") and path.name.endswith(".meta.json"):
-        model = json.dumps(os.path.abspath(base / "model.json"))
-        assert model.encode() in data, f"{path.name}: model path {model} not found"
-        data = data.replace(model.encode(), b'"<model>"')
-    return hashlib.sha256(data).hexdigest()
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_chain(base):
@@ -45,22 +40,20 @@ def run_chain(base):
     cfg = ["--config", str(config)]
     stages = {
         "synth": (["synth", *cfg, "--out", str(base / "raw")], ["raw"]),
-        "correct": (["correct", str(base / "raw"), *cfg,
-                     "--out", str(base / "corrected")], ["corrected"]),
-        "segment": (["segment", str(base / "corrected"), *cfg,
-                     "--out", str(base / "segmented")], ["segmented"]),
+        "correct": (["correct", str(base / "raw"), "--out", str(base / "corrected")],
+                    ["corrected"]),
+        "segment": (["segment", str(base / "corrected"), "--out", str(base / "segmented")],
+                    ["segmented"]),
         "features": (["features", str(base / "corrected"), str(base / "segmented"),
-                      "--truth", str(base / "raw"), *cfg,
-                      "--out", str(base / "features.csv")],
+                      "--truth", str(base / "raw"), "--out", str(base / "features.csv")],
                      ["features.csv", "features.csv.meta.json"]),
         "train": (["train", str(base / "features.csv"), "--variant", "both11", *cfg,
                    "--out", str(base / "model.json")], ["model.json"]),
         "classify_stack": (["classify", str(base / "model.json"),
-                            str(base / "corrected" / "scene_000"), *cfg,
+                            str(base / "corrected" / "scene_000"),
                             "--out", str(base / "classify_stack.csv")],
                            ["classify_stack.csv", "classify_stack.csv.meta.json"]),
-        "classify_csv": (["classify", str(base / "model.json"),
-                          str(base / "features.csv"), *cfg,
+        "classify_csv": (["classify", str(base / "model.json"), str(base / "features.csv"),
                           "--out", str(base / "classify_csv.csv")],
                          ["classify_csv.csv", "classify_csv.csv.meta.json"]),
         "mccv": (["mccv", str(base / "features.csv"), *cfg,
@@ -73,17 +66,17 @@ def run_chain(base):
         for out in outputs:
             path = base / out
             files += sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
-        hashes[stage] = {p.relative_to(base).as_posix(): _digest(p, base) for p in files}
+        hashes[stage] = {p.relative_to(base).as_posix(): _digest(p) for p in files}
     return hashes
 
 
-def test_cli_chain_outputs_match_golden(tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = run_chain(tmp_path)
+def _moved(golden, actual):
+    """One line per file whose hash in `actual` differs from `golden`'s
+    (both {stage: {file: sha256}}), in chain order, so the first line names
+    the earliest stage that moved."""
     problems = []
-    # chain order first, so the first line names the earliest stage that moved
-    for stage in [*actual, *(golden["stages"].keys() - actual.keys())]:
-        files, got = golden["stages"].get(stage, {}), actual.get(stage, {})
+    for stage in [*actual, *(golden.keys() - actual.keys())]:
+        files, got = golden.get(stage, {}), actual.get(stage, {})
         for name in sorted(files.keys() | got.keys()):
             if name not in got:
                 problems.append(f"stage {stage}: {name} was not written")
@@ -91,6 +84,12 @@ def test_cli_chain_outputs_match_golden(tmp_path):
                 problems.append(f"stage {stage}: {name} is not in the golden file")
             elif got[name] != files[name]:
                 problems.append(f"stage {stage}: {name} differs from the golden hash")
+    return problems
+
+
+def test_cli_chain_outputs_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    problems = _moved(golden["stages"], run_chain(tmp_path))
     build = {key: golden[key] for key in ("numpy", "blas")}
     assert not problems, (
         "\n".join(problems)
@@ -100,7 +99,10 @@ def test_cli_chain_outputs_match_golden(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["stages"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         doc = {**numpy_build(), "stages": run_chain(Path(tmp))}
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    moved = _moved(old, doc["stages"])
+    print("\n".join(moved) if moved else "no entry moved")
     print(f"wrote {GOLDEN}")
