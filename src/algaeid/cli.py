@@ -132,7 +132,7 @@ def cmd_segment(args):
         seg = segmentation.segment(_load_role(src, "corrected"))
         os.makedirs(dst, exist_ok=True)
         segmentation.labelmap_to_pgm(seg.labels, os.path.join(dst, "labels.pgm"))
-        atomic_write_json(os.path.join(dst, "organisms.json"), segmentation.segmentation_json(seg))
+        segmentation.write_organisms_json(os.path.join(dst, "organisms.json"), seg)
     print(f"segmentation written to {args.out}")
     return 0
 
@@ -296,6 +296,18 @@ def cmd_classify(args):
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: an argument the command does not define is its
+    own usage error, so the message shows the command's usage rather than
+    the top-level one argparse would show."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser():
     """The argument parser. Only the commands that read a config section
     take --config. An override flag's dest is the config key it sets, as
@@ -304,7 +316,7 @@ def build_parser():
         prog="algaeid",
         description="Multi-band fluorescence algae identification pipeline.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True)
     configured = argparse.ArgumentParser(add_help=False)

@@ -122,8 +122,9 @@ def _convex_areas(pixels, sizes, boxes):
     pixel count and its `segmentation.bboxes`: the number of pixel centers
     inside or on the convex hull of its pixel centers.
 
-    Only the first and last pixel of each row can be hull vertices. One
-    stable sort by (organism, row), almost free on row-major pixels, and a
+    Only the first and last pixel of each row can be hull vertices. A
+    stable sort by (organism, row), skipped when the pixels already come
+    row by row, as `segmentation.extract_organisms` hands them over, and a
     segmented minimum and maximum give them for every organism. The hull's
     left side runs down the rows' first pixels, its right side down their
     last ones, mirrored (x -> -x) so that both sides bulge the same way.
@@ -154,8 +155,10 @@ def _convex_areas(pixels, sizes, boxes):
     # organism k's row y becomes the line k * 2**31 + y - y_min
     offsets = np.arange(0, (n + 1) << 31, 1 << 31)
     line = (offsets[:-1] - boxes[:, 1]).repeat(sizes) + pixels[:, 0]
-    order = line.argsort(kind="stable")
-    line = line[order]
+    cols = pixels[:, 1]
+    if (line[1:] < line[:-1]).any():  # not row-major, as extracted organisms are
+        order = line.argsort(kind="stable")
+        line, cols = line[order], cols[order]
     head = np.empty(len(line), dtype=bool)
     head[0] = True
     np.not_equal(line[1:], line[:-1], out=head[1:])
@@ -163,7 +166,6 @@ def _convex_areas(pixels, sizes, boxes):
     key = line[heads]
     bounds = key.searchsorted(offsets)
     first, last = bounds[:-1], bounds[1:] - 1  # each organism's top and bottom line
-    cols = pixels[order, 1]
     owner = key >> 31
     x_min = boxes[:, 0][owner]
     # rows (y, x, fixed, side): the left sides, then the mirrored right

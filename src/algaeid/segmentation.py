@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stack_io import PGM_MAXVAL, RASTER_DTYPES, write_pgm16
+from .stack_io import PGM_MAXVAL, RASTER_DTYPES, atomic_write_bytes, write_pgm16
 
 
 class DegenerateBandError(ValueError):
@@ -117,17 +117,25 @@ def otsu_threshold(band, num_bins=NUM_BINS):
     ValueError.
 
     A uint8 or uint16 band, as every band read from a PGM is, is
-    histogrammed by value: each distinct value is binned once, weighted by
-    how often it occurs, which gives the same counts as binning every pixel.
+    histogrammed by value: a sorted copy of the band in its own dtype gives
+    each distinct value, at the first place it differs from its left
+    neighbour, and how often it occurs, the distance to the next such
+    place. Each distinct value is binned once, weighted by that count,
+    which gives the same counts as binning every pixel, and no pixel is
+    widened (a `np.bincount` tally would copy the band as int64 first).
     A band of any other dtype is binned pixel by pixel as float64.
     """
     band = np.asarray(band)
     if num_bins < 2:
         raise ValueError("num_bins must be >= 2")
     if band.dtype in RASTER_DTYPES:
-        tally = np.bincount(band.ravel())
-        present = np.flatnonzero(tally)
-        values, weights = present.astype(np.float64), tally[present]
+        ordered = np.sort(band, axis=None)
+        head = np.empty(ordered.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        values = ordered[starts].astype(np.float64)
+        weights = np.diff(starts, append=ordered.size)
     else:
         values, weights = band.astype(np.float64, copy=False), None
     lo, hi = float(values.min()), float(values.max())
@@ -242,11 +250,14 @@ def extract_organisms(labels, corrected, min_area_px=MIN_AREA_PX):
     border = set(np.r_[lab[0], lab[-1], lab[:, 0], lab[:, -1]].tolist())
     # group the foreground pixel indices by id in one pass: a stable sort
     # keeps each component's pixels in row-major order, as
-    # np.argwhere(lab == id) would
+    # np.argwhere(lab == id) would. It sorts the ids in the narrowest
+    # unsigned type that holds them, uint16 for every map a PGM holds,
+    # which numpy radix-sorts; the permutation is the same.
     flat = lab.ravel()
     fg = np.flatnonzero(flat != 0)  # a bool mask: numpy's fastest nonzero
     ids = flat[fg]
-    table = np.stack(np.divmod(fg[np.argsort(ids, kind="stable")], w), axis=1)
+    keys = ids.astype(np.min_scalar_type(labels.count))
+    table = np.stack(np.divmod(fg[np.argsort(keys, kind="stable")], w), axis=1)
     table.flags.writeable = False
     sizes = np.bincount(ids, minlength=labels.count + 1)
     ends = np.cumsum(sizes).tolist()
@@ -311,3 +322,45 @@ def segmentation_json(seg):
                        "touches_border": org.touches_border}
                       for org, box in zip(organisms, boxes)],
     }
+
+
+# one organism record of organisms.json, as json.dumps(indent=2,
+# sort_keys=True) lays it out inside the "organisms" array
+_ORGANISM_JSON = """\
+    {
+      "area": %d,
+      "bbox": [
+        %d,
+        %d,
+        %d,
+        %d
+      ],
+      "id": %d,
+      "touches_border": %s
+    }"""
+
+
+def _json_array(items):
+    """A top-level key's JSON array of already indented items."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def write_organisms_json(path, seg):
+    """Write the `segmentation_json` document of `seg` to `path`, atomically,
+    as the bytes `json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`
+    and a newline would give, from a fixed layout instead of json's
+    pure-Python indenting encoder: one %-format per organism, and each
+    threshold by `float.__repr__`, as json renders a float. A threshold
+    that is NaN or infinite raises ValueError, as json does."""
+    doc = segmentation_json(seg)
+    thresholds = doc["thresholds"]
+    for t in thresholds:
+        if not math.isfinite(t):
+            raise ValueError(f"{path}: threshold {t!r} is not a JSON number")
+    organisms = [_ORGANISM_JSON % (rec["area"], *rec["bbox"], rec["id"],
+                                   "true" if rec["touches_border"] else "false")
+                 for rec in doc["organisms"]]
+    text = '{\n  "component_count": %d,\n  "organisms": %s,\n  "thresholds": %s\n}\n' % (
+        doc["component_count"], _json_array(organisms),
+        _json_array(["    " + float.__repr__(t) for t in thresholds]))
+    atomic_write_bytes(path, text.encode("ascii"))

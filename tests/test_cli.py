@@ -792,8 +792,10 @@ def test_config_is_taken_by_exactly_the_commands_that_read_it(tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2, command
-        assert capsys.readouterr().err.endswith(
-            "algaeid: error: unrecognized arguments: --config c.json\n")
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: algaeid {command} [-h] --out OUT"), err
+        assert err.endswith(
+            f"\nalgaeid {command}: error: unrecognized arguments: --config c.json\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -516,6 +516,24 @@ def test_feature_vectors_match_reference_on_shuffled_pixels(synth_segmentations)
         assert counts[0] == counts[1]
 
 
+def test_convex_areas_do_not_depend_on_pixel_order(synth_segmentations):
+    # extracted organisms come row by row and skip the sort; pixels shuffled
+    # within their rows still do; shuffled across rows, in one organism of
+    # the batch or in all, they are sorted first
+    rng = np.random.default_rng(34)
+    for _, organisms in synth_segmentations:
+        organisms = list(organisms)
+        counts = _batch_convex_areas(organisms)
+        assert counts == [reference_convex_area(org) for org in organisms]
+        within_rows = [dataclasses.replace(org, pixels=org.pixels[np.lexsort(
+            (rng.random(org.area), org.pixels[:, 0]))]) for org in organisms]
+        shuffled = [dataclasses.replace(org, pixels=rng.permutation(org.pixels))
+                    for org in organisms]
+        one = organisms[:-1] + shuffled[-1:]
+        for batch in (within_rows, shuffled, one):
+            assert _batch_convex_areas(batch) == counts
+
+
 def _noise_stack(rng, shape, bands=6):
     return _corrected_stack([rng.random(shape) * 10.0 ** rng.integers(0, 5)
                              for _ in range(bands)])

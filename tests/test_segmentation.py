@@ -9,10 +9,13 @@ from algaeid.segmentation import (DegenerateBandError, LabelMap, Organism,
                                   Segmentation, bboxes, binarize, connected_components,
                                   extract_organisms, fuse_masks,
                                   labelmap_to_pgm, otsu_index, otsu_threshold,
-                                  pixel_table, segment, segmentation_json)
+                                  pixel_table, segment, segmentation_json,
+                                  write_organisms_json)
 from algaeid.stack_io import ImageStack, read_pgm
+from algaeid.synthgen import SceneSpec, default_catalog, generate_scene
 
-from helpers import flood_fill_components, oracle_otsu_index, pixel_bbox, random_histogram
+from helpers import (flood_fill_components, oracle_otsu_index, pixel_bbox, random_histogram,
+                     traced_peak)
 
 
 def test_otsu_index_matches_bruteforce():
@@ -165,6 +168,55 @@ def test_otsu_constant_raster_band_degenerate(level, dtype):
         with pytest.raises(DegenerateBandError) as err:
             otsu_threshold(band)
         assert str(err.value) == message
+
+
+def _bincount_threshold(band, num_bins=256):
+    """The threshold from a `np.bincount` tally of an integer band: each
+    present value binned once, weighted by its count."""
+    tally = np.bincount(band.ravel())
+    present = np.flatnonzero(tally)
+    lo, hi = float(present[0]), float(present[-1])
+    counts, _ = np.histogram(present.astype(np.float64), bins=num_bins, range=(lo, hi),
+                             weights=tally[present])
+    return lo + (otsu_index(counts) + 0.5) * (hi - lo) / num_bins
+
+
+@pytest.mark.parametrize("num_bins", [256, 7, 2])
+def test_otsu_sort_tally_matches_bincount_tally(num_bins):
+    rng = np.random.default_rng(200 + num_bins)
+    bands = [values.astype(np.uint16) for values in _integer_bands(rng)]
+    eight_bit = rng.integers(0, 256, size=(41, 29))
+    eight_bit[0, 0], eight_bit[-1, -1] = 0, 255
+    bands += [eight_bit.astype(np.uint8), rng.integers(3, 9, size=(9, 5)).astype(np.uint8),
+              np.where(rng.random((12, 12)) < 0.5, 0, 255).astype(np.uint8),
+              np.array([[0, 65535]], dtype=np.uint16), np.array([[9, 9, 8]], dtype=np.uint8)]
+    checked = 0
+    for band in bands:
+        if band.min() == band.max():
+            continue
+        assert otsu_threshold(band, num_bins=num_bins) == _bincount_threshold(band, num_bins)
+        checked += 1
+    assert checked >= 12
+
+
+def test_segment_names_the_first_degenerate_raster_band():
+    rng = np.random.default_rng(27)
+    bands = [rng.integers(0, 4000, size=(16, 16)).astype(np.uint16) for _ in range(5)]
+    bands[2] = np.full((16, 16), 9, dtype=np.uint16)
+    bands[4] = np.zeros((16, 16), dtype=np.uint16)
+    stack = ImageStack(bands=bands, wavelengths_nm=(405.0, 420.0, 450.0, 470.0, 500.0),
+                       role_tag="corrected")
+    with pytest.raises(DegenerateBandError) as err:
+        segment(stack)
+    assert str(err.value) == "band 2: degenerate: no separable foreground (band is constant at 9.0)"
+
+
+def test_otsu_tally_does_not_widen_a_16_bit_band():
+    # a bincount tally copies the band as int64 first: 8 MiB for 1024x1024
+    band = np.random.default_rng(28).integers(0, 4000, size=(1024, 1024)).astype(np.uint16)
+    threshold = otsu_threshold(band)
+    assert traced_peak(otsu_threshold, band) < band.size * 8
+    assert threshold == _bincount_threshold(band)
 
 
 def test_otsu_validates_bins():
@@ -441,6 +493,25 @@ def test_extract_pixels_match_argwhere():
             assert np.array_equal(org.pixels, np.argwhere(lab == org.id))
 
 
+def test_extract_groups_more_than_65535_components_as_an_int32_sort_does():
+    # ids past 16 bits are grouped with uint32 keys; pixels of one id lie in
+    # two places, so the stable order within a component shows
+    lab = np.zeros((520, 520), dtype=np.int32)
+    lab[::2, ::2] = np.arange(1, 260 * 260 + 1).reshape(260, 260)
+    lab[1::2, 1::2] = lab[::2, ::2][::-1, ::-1]
+    count = int(lab.max())
+    assert count > 65535 and np.min_scalar_type(count) == np.uint32
+    flat = lab.ravel()
+    fg = np.flatnonzero(flat)
+    ids = flat[fg]
+    table = np.stack(np.divmod(fg[np.argsort(ids, kind="stable")], lab.shape[1]), axis=1)
+    orgs = extract_organisms(LabelMap(lab), _stack_like(lab.shape, m=1), min_area_px=1)
+    assert [org.id for org in orgs] == list(range(1, count + 1))
+    assert np.array_equal(np.concatenate([org.pixels for org in orgs]), table)
+    assert [len(org.pixels) for org in orgs] == np.bincount(ids)[1:].tolist()
+    assert orgs[0].pixels.tolist() == [[0, 0], [519, 519]]
+
+
 def test_segment_equals_explicit_chain():
     # one blob per band, so the union is needed, plus a 3-px speck that
     # MIN_AREA_PX drops
@@ -560,3 +631,40 @@ def test_organisms_json_round_trip():
         "thresholds": [12.5],
         "organisms": [{"id": 1, "area": 9, "bbox": [0, 0, 2, 2], "touches_border": True}],
     }
+
+
+def _json_bytes(seg):
+    doc = segmentation_json(seg)
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def test_organisms_json_writer_is_json_dumps_layout(tmp_path):
+    path = tmp_path / "organisms.json"
+    lab = np.zeros((9, 9), dtype=np.int32)
+    lab[0:3, 0:3] = 1  # touches the border
+    lab[4:7, 4:7] = 2
+    orgs = tuple(extract_organisms(LabelMap(lab), _stack_like(lab.shape), min_area_px=1))
+    assert [org.touches_border for org in orgs] == [True, False]
+    empty = LabelMap(np.zeros((3, 3), dtype=np.int32))
+    for seg in (Segmentation((1.5,), empty, ()),
+                Segmentation((), empty, ()),
+                Segmentation((1e-05, 1e+16, 2.5, 0.1 + 0.2, 123456789.0), LabelMap(lab), orgs),
+                Segmentation((3.0,), LabelMap(lab), orgs[1:])):
+        write_organisms_json(path, seg)
+        assert path.read_bytes() == _json_bytes(seg)
+    assert b"1e-05" in _json_bytes(Segmentation((1e-05, 1e+16), empty, ()))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="is not a JSON number"):
+            write_organisms_json(tmp_path / "bad.json", Segmentation((bad,), empty, ()))
+        assert not (tmp_path / "bad.json").exists()
+
+
+def test_organisms_json_writer_on_a_crowded_field(tmp_path):
+    field = generate_scene(SceneSpec(width=1024, height=1024, n_organisms=600,
+                                     background_level=0.0, vignette_strength=0.0,
+                                     seed=29), default_catalog())
+    seg = segment(field.stack.with_bands(field.stack.bands, role_tag="corrected"))
+    assert len(seg.organisms) > 400
+    path = tmp_path / "organisms.json"
+    write_organisms_json(path, seg)
+    assert path.read_bytes() == _json_bytes(seg)
