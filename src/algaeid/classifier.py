@@ -80,24 +80,40 @@ class Network:
         return self.weights[-1].shape[0]
 
 
-def relu(v):
-    return np.maximum(0.0, v)
+def relu(v, out=None):
+    return np.maximum(0.0, v, out=out)
 
 
-def softmax(z):
+def softmax(z, out=None, rows=None):
     """Normalized exponential along the last axis, computed with max-logit
-    subtraction so arbitrarily large logits cannot overflow."""
+    subtraction so arbitrarily large logits cannot overflow.
+
+    The result goes to `out` (which may be z itself) or to a new array;
+    `rows`, if given, holds two arrays of z.shape[:-1] for the row max and
+    the row sum. Both reductions run as chains over the columns, cheaper
+    than numpy's reduction over a short last axis: the max is exact in any
+    order, and the sum `((e0 + e1) + e2) + ...` is numpy's own order below
+    8 columns. From 8 columns on, numpy adds pairwise, so the sum stays
+    `np.add.reduce`.
+    """
     z = np.asarray(z, dtype=np.float64)
-    # the row max as a chain over the columns: exact, and cheaper than a
-    # numpy reduction over a short last axis. The row sum stays numpy's
-    # reduction, which adds 8 or more columns pairwise, not in sequence.
-    top = z[..., 0]
-    for j in range(1, z.shape[-1]):
-        top = np.maximum(top, z[..., j])
-    e = z - top[..., None]
+    e = np.empty_like(z) if out is None else out
+    top, total = (np.empty(z.shape[:-1]), np.empty(z.shape[:-1])) if rows is None else rows
+    k = z.shape[-1]
+    np.maximum(z[..., 0], z[..., k - 1], out=top)
+    for j in range(1, k - 1):
+        np.maximum(top, z[..., j], out=top)
+    np.subtract(z, top[..., None], out=e)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    if k >= 8:
+        np.add.reduce(e, axis=-1, out=total)
+    elif k == 1:
+        np.copyto(total, e[..., 0])
+    else:
+        np.add(e[..., 0], e[..., 1], out=total)
+        for j in range(2, k):
+            np.add(total, e[..., j], out=total)
+    return np.divide(e, total[..., None], out=e)
 
 
 def init_network(input_dim, num_classes, rng):
@@ -111,12 +127,35 @@ def init_network(input_dim, num_classes, rng):
     return Network(weights=weights, biases=biases)
 
 
-def _batch_major(shape):
-    """An empty array of shape (R, n, m) for R stacked networks whose memory
-    holds the n axis outermost, as (n, R, m). A bias added to, or summed
-    over, the n rows of all runs then runs as one loop over R * m values
-    per row."""
-    return np.empty(shape[-2:-1] + shape[:-2] + shape[-1:]).swapaxes(0, -2)
+def _batch_major(runs, rows, width):
+    """An empty (runs, rows, width) array whose memory holds the row axis
+    outermost, as (rows, runs, width), and its (rows, runs * width) flat
+    view. In the flat view every row of all runs is one contiguous
+    stretch, so a bias add or a ReLU over all runs is one call, and a bias
+    gradient adds the rows one after another, as `delta.sum(axis=0)` does
+    for one network."""
+    flat = np.empty((rows, runs * width))
+    return flat.reshape(rows, runs, width).swapaxes(0, 1), flat
+
+
+class _Step:
+    """The arrays of one SGD step of `runs` stacked networks on `rows`
+    samples, allocated once and written in place by every step of that
+    batch size: each layer's output (its pre-activation, then its
+    activation; at the output layer the class probabilities, then the
+    output delta), each hidden layer's delta and ReLU mask, and the
+    softmax's row max and row sum. `sizes` are the layer sizes after the
+    input. Each output and delta is `_batch_major`, with its flat view at
+    the same index of `flat_outs` or `flat_deltas`."""
+
+    def __init__(self, runs, rows, sizes):
+        self.rows = rows
+        outs = [_batch_major(runs, rows, m) for m in sizes]
+        deltas = [_batch_major(runs, rows, m) for m in sizes[:-1]]
+        self.outs, self.flat_outs = [a for a, _ in outs], [f for _, f in outs]
+        self.deltas, self.flat_deltas = [a for a, _ in deltas], [f for _, f in deltas]
+        self.masks = [np.empty((rows, runs * m), bool) for m in sizes[:-1]]
+        self.softmax_rows = tuple(np.empty((rows, runs)).T for _ in range(2))
 
 
 def _group_slices(groups):
@@ -128,9 +167,9 @@ def _group_slices(groups):
         yield slice(start, stop)
 
 
-def _activations(weights, biases, x):
+def _activations(weights, biases, x, step):
     """The inputs and every layer's activation for R networks stacked along
-    a leading run axis.
+    a leading run axis, written into the outputs of `step` (a `_Step`).
 
     Only layer 0 depends on the input width, so it comes in groups of
     consecutive runs of one width: x holds each group's (R_g, n, d_g)
@@ -138,21 +177,26 @@ def _activations(weights, biases, x):
     weights (R, out, in) and every bias (R, out) cover all R runs. Each
     group's product is written into its runs' slice of layer 0's output;
     the stacked matmuls compute each run's product exactly as a single
-    network's 2-D one does. Every layer's output is batch-major
-    (`_batch_major`).
+    network's 2-D one does. A later layer multiplies by a contiguous copy
+    of its transposed weights, which BLAS takes faster with the same bits;
+    a one-row batch keeps the transposed view, because a one-row product
+    goes through gemv, whose bits differ between the two.
     """
-    z = _batch_major(biases[0].shape[:1] + x[0].shape[-2:-1] + biases[0].shape[1:])
+    outs = step.outs
     for runs, xg, w in zip(_group_slices(weights[0]), x, weights[0]):
-        np.matmul(xg, w.swapaxes(-1, -2), out=z[runs])
-    activations = [x]
+        np.matmul(xg, w.swapaxes(-1, -2), out=outs[0][runs])
     last = len(weights) - 1
-    for i, b in enumerate(biases):
+    for i, (b, flat) in enumerate(zip(biases, step.flat_outs)):
         if i > 0:
-            a, w = activations[-1], weights[i]
-            z = np.matmul(a, w.swapaxes(-1, -2), out=_batch_major(a.shape[:-1] + w.shape[-2:-1]))
-        z += b[..., None, :]
-        activations.append(softmax(z) if i == last else relu(z))
-    return activations
+            w = weights[i].swapaxes(-1, -2)
+            np.matmul(outs[i - 1], w if step.rows == 1 else np.ascontiguousarray(w),
+                      out=outs[i])
+        flat += b.reshape(-1)
+        if i == last:
+            softmax(outs[i], out=outs[i], rows=step.softmax_rows)
+        else:
+            relu(flat, out=flat)
+    return [x] + outs
 
 
 def _one_run(net):
@@ -166,7 +210,8 @@ def forward_batch(net, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} incompatible with d_in={net.input_dim}")
-    return _activations(*_one_run(net), [x[None]])[-1][0]
+    step = _Step(1, len(x), net.layer_sizes[1:])
+    return _activations(*_one_run(net), [x[None]], step)[-1][0]
 
 
 def loss(probs, labels):
@@ -181,9 +226,10 @@ def loss(probs, labels):
     return float(-np.log(p_true).mean())
 
 
-def _gradients(weights, biases, x, onehot, grads_w, grads_b):
+def _gradients(weights, biases, x, onehot, grads_w, grads_b, step):
     """Mean gradients over a batch for a run-stacked set of networks (see
-    `_activations`); `onehot` holds the one-hot labels, (R, n, k).
+    `_activations`), computed in the arrays of `step`; `onehot` holds the
+    one-hot labels in the flat layout of the output layer (see `_Step`).
     Softmax and cross-entropy fuse to (probs - onehot) at the output
     pre-activation; the ReLU subgradient at exactly 0 is taken as 0, so a
     unit passes the gradient where its activation is positive.
@@ -191,20 +237,19 @@ def _gradients(weights, biases, x, onehot, grads_w, grads_b):
     Layer i's gradients are written into grads_w[i] and grads_b[i] (layer
     0's weight gradients into grads_w[0][g] per group g), or into new
     arrays where those entries are None; the filled lists are returned.
-    Every delta is batch-major, so a bias gradient adds the batch rows one
-    after another, as `delta.sum(axis=0)` does for one network.
     """
-    n = x[0].shape[-2]
-    activations = _activations(weights, biases, x)
-    delta = activations[-1]
-    delta -= onehot
-    delta /= n
+    activations = _activations(weights, biases, x, step)
+    flat = step.flat_outs[-1]
+    flat -= onehot
+    flat /= step.rows
+    delta = step.outs[-1]
     for i in range(len(weights) - 1, 0, -1):
         grads_w[i] = np.matmul(delta.swapaxes(-1, -2), activations[i], out=grads_w[i])
         grads_b[i] = np.add.reduce(delta, axis=-2, out=grads_b[i])
-        w = weights[i]
-        delta = np.matmul(delta, w, out=_batch_major(delta.shape[:-1] + w.shape[-1:]))
-        delta *= activations[i] > 0
+        delta = np.matmul(delta, weights[i], out=step.deltas[i - 1])
+        flat, mask = step.flat_deltas[i - 1], step.masks[i - 1]
+        np.greater(step.flat_outs[i - 1], 0.0, out=mask)
+        np.multiply(flat, mask, out=flat)
     for g, (runs, xg) in enumerate(zip(_group_slices(weights[0]), x)):
         grads_w[0][g] = np.matmul(delta[runs].swapaxes(-1, -2), xg, out=grads_w[0][g])
     grads_b[0] = np.add.reduce(delta, axis=-2, out=grads_b[0])
@@ -223,8 +268,9 @@ def backward(net, x, labels):
     if labels.shape != x.shape[:1] or np.any((labels < 0) | (labels >= k)):
         raise ValueError(f"labels must be one class id in [0, {k}) per input row")
     layers = len(net.weights)
-    grads_w, grads_b = _gradients(*_one_run(net), [x[None]], np.eye(k)[labels][None],
-                                  [[None]] + [None] * (layers - 1), [None] * layers)
+    grads_w, grads_b = _gradients(*_one_run(net), [x[None]], np.eye(k)[labels],
+                                  [[None]] + [None] * (layers - 1), [None] * layers,
+                                  _Step(1, len(x), net.layer_sizes[1:]))
     return [grads_w[0][0][0]] + [g[0] for g in grads_w[1:]], [g[0] for g in grads_b]
 
 
@@ -301,9 +347,12 @@ def _lockstep(x, y, seeds, cfg, k, names):
     Consecutive runs of one input width form a group. Each epoch gathers
     every run's samples in its own order, and each step runs forward and
     backward as matmuls over the leading run axis on an (R, B, .)
-    mini-batch, layer 0 as one matmul per group (`_activations`). All
-    weights and biases live in one flat buffer, so the update is two ufunc
-    calls.
+    mini-batch, layer 0 as one matmul per group (`_activations`). A step
+    allocates nothing but the later layers' transposed weight copies: the
+    arrays it computes in are made once per batch size (`_Step`), for the
+    full batch and for a shorter last one, and the matmuls and the
+    elementwise work write into them. All weights and biases live in one
+    flat buffer, so the update is two ufunc calls.
     """
     runs, n = y.shape
     cuts = [r for r in range(1, runs) if x[r].shape[1] != x[r - 1].shape[1]]
@@ -330,21 +379,37 @@ def _lockstep(x, y, seeds, cfg, k, names):
     x_tables = [np.ascontiguousarray(np.concatenate(x[g]).T) for g in groups]
     t_table = np.eye(k)[y.reshape(runs * n)]
     first_row = np.arange(runs)[:, None] * n
+    # each epoch gathers every run's samples in its own shuffled order into
+    # arrays made once: the inputs feature-major, for which the first
+    # layer's matmul takes a faster BLAS path with the same bits, and the
+    # labels in the flat layout of the output deltas they are subtracted
+    # from. Row r of `order` is shuffled in place from 0..n-1, the draws of
+    # rng.permutation(n); take's mode="clip" (the indices are in range)
+    # lets it write straight into its out array.
+    order = np.empty((runs, n), np.intp)
+    x_index = [np.empty((g.stop - g.start, n), np.intp) for g in groups]
+    x_gathered = [np.empty_like(table) for table in x_tables]
+    x_epoch = [a.reshape(len(a), -1, n).transpose(1, 2, 0) for a in x_gathered]
+    t_index = np.empty((n, runs), np.intp)
+    t_epoch = np.empty((n, runs * k))
+    size = cfg.batch_size
+    steps = {rows: _Step(runs, rows, nets[0].layer_sizes[1:])
+             for rows in {size, n % size or size}}
+    batches = [(slice(start, start + size), steps[min(size, n - start)])
+               for start in range(0, n, size)]
     lr = cfg.learning_rate
     for _ in range(cfg.epochs):
-        # each run's samples in its own shuffled order, gathered once per
-        # epoch: the inputs feature-major, for which the first layer's
-        # matmul takes a faster BLAS path with the same bits, and the labels
-        # batch-major like the deltas they are subtracted from
-        order = np.stack([rng.permutation(n) for rng in rngs]) + first_row
-        x_epoch = [table.take((order[g] - g.start * n).ravel(), axis=1)
-                   .reshape(len(table), -1, n).transpose(1, 2, 0)
-                   for g, table in zip(groups, x_tables)]
-        t_epoch = t_table.take(order.T.ravel(), axis=0).reshape(n, runs, k).swapaxes(0, 1)
-        for start in range(0, n, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            _gradients(weights, biases, [xg[:, batch] for xg in x_epoch], t_epoch[:, batch],
-                       grads_w, grads_b)
+        np.copyto(order, np.arange(n))
+        for rng, row in zip(rngs, order):
+            rng.shuffle(row)
+        for g, table, index, out in zip(groups, x_tables, x_index, x_gathered):
+            np.add(order[g], first_row[:len(index)], out=index)
+            table.take(index.reshape(-1), axis=1, out=out, mode="clip")
+        np.add(order.T, first_row.T, out=t_index)
+        t_table.take(t_index.reshape(-1), axis=0, out=t_epoch.reshape(-1, k), mode="clip")
+        for batch, step in batches:
+            _gradients(weights, biases, [xg[:, batch] for xg in x_epoch], t_epoch[batch],
+                       grads_w, grads_b, step)
             grads *= lr
             params -= grads
 

@@ -209,6 +209,11 @@ class MccvConfig:
         fields.non_negative(self, "master_seed")
 
 
+def _train_size(n):
+    """The training split's size of n samples: round(TRAIN_FRACTION * n)."""
+    return int(round(TRAIN_FRACTION * n))
+
+
 def mccv_split(n, seed):
     """Disjoint covering (train, test) index arrays: round(TRAIN_FRACTION*n)
     samples drawn uniformly without replacement, deterministically per seed.
@@ -216,7 +221,7 @@ def mccv_split(n, seed):
     """
     if n < 2:
         raise ValueError("need at least 2 samples to split")
-    n_train = int(round(TRAIN_FRACTION * n))
+    n_train = _train_size(n)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
@@ -256,6 +261,11 @@ def run_mccv(fvs, variants, cfg=None, runs=MccvConfig.runs,
     k = len(class_names) or int(y.max()) + 1
     if y.max() >= k:
         raise ValueError(f"num_classes={k} too small for labels up to {y.max()}")
+    n_train = _train_size(len(fvs))
+    if cfg.batch_size > n_train:
+        raise ValueError(f"train.batch_size {cfg.batch_size} exceeds the {n_train} rows of each "
+                         f"MCCV training split (round({TRAIN_FRACTION} * {len(fvs)}) of "
+                         f"{len(fvs)} labelled rows)")
 
     split_seeds, train_seeds = zip(*(_run_seeds(master_seed, r) for r in range(runs)))
     splits = [mccv_split(len(fvs), seed) for seed in split_seeds]

@@ -211,26 +211,38 @@ _PGM_HEADER = re.compile(rb"P5%s*([^\s#]+)%s+([^\s#]+)%s+([^\s#]+)\s" % ((_PGM_S
 
 
 def read_pgm(path):
-    """Read a binary PGM (P5). Returns an integer array (uint8 or uint16)."""
+    """Read a binary PGM (P5). Returns an integer array (uint8 or uint16).
+
+    A 16-bit raster is cast from big-endian in one pass from an even
+    address, where the cast runs much faster than from an odd one. So the
+    file is read into a buffer one byte in, where the odd-length headers
+    that `save_stack` writes leave the raster even, and read again at the
+    buffer's start when its header's length is even. The buffer is sized
+    by the file's size on disk, so `path` must be a regular file.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] != b"P5":
-        raise StackIOError(f"{path}: not a binary PGM (P5) file")
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise StackIOError(f"{path}: truncated or malformed PGM header")
-    offset = header.end()
-    try:
-        width, height, maxval = (int(t) for t in header.groups())
-    except ValueError:
-        raise StackIOError(f"{path}: non-numeric PGM header") from None
-    if width < 1 or height < 1:
-        raise StackIOError(f"{path}: invalid PGM dimensions {width}x{height}")
-    if maxval < 1 or maxval > 65535:
-        raise StackIOError(f"{path}: maxval {maxval} unsupported (must be 1..65535)")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    if len(data) - offset < width * height * dtype.itemsize:
-        raise StackIOError(f"{path}: PGM raster truncated")
+        buf = np.empty(os.fstat(fh.fileno()).st_size + 1, np.uint8)
+        data = memoryview(buf)[1:1 + fh.readinto(buf[1:])]
+        if data[:2] != b"P5":
+            raise StackIOError(f"{path}: not a binary PGM (P5) file")
+        header = _PGM_HEADER.match(data)
+        if header is None:
+            raise StackIOError(f"{path}: truncated or malformed PGM header")
+        offset = header.end()
+        try:
+            width, height, maxval = (int(t) for t in header.groups())
+        except ValueError:
+            raise StackIOError(f"{path}: non-numeric PGM header") from None
+        if width < 1 or height < 1:
+            raise StackIOError(f"{path}: invalid PGM dimensions {width}x{height}")
+        if maxval < 1 or maxval > 65535:
+            raise StackIOError(f"{path}: maxval {maxval} unsupported (must be 1..65535)")
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        if len(data) - offset < width * height * dtype.itemsize:
+            raise StackIOError(f"{path}: PGM raster truncated")
+        if dtype.itemsize == 2 and (buf.ctypes.data + 1 + offset) % 2:
+            fh.seek(0)
+            data = memoryview(buf)[:fh.readinto(buf[:-1])]
     a = np.frombuffer(data, dtype, count=width * height, offset=offset).reshape(height, width)
     return a.astype(np.uint16) if maxval > 255 else a.astype(np.uint8)
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from algaeid.classifier import PROB_FLOOR, TrainConfig, init_network, relu, softmax
+from algaeid.classifier import PROB_FLOOR, TrainConfig, init_network
 from algaeid.segmentation import Organism
 
 
@@ -39,6 +39,15 @@ def numpy_build():
     except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
         blas = "unknown"
     return {"numpy": np.__version__, "blas": blas}
+
+
+def same_bits(a, b):
+    """Whether a and b have one shape and dtype and the same bit patterns.
+    Unlike np.array_equal, this tells -0.0 from 0.0 (and compares NaNs by
+    their bits); it takes 8-byte values, such as float64."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 def disk_pixels(radius, cy=0, cx=0):
@@ -379,7 +388,11 @@ def _reference_forward_trace(net, x):
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T + b
         zs.append(z)
-        a = softmax(z) if i == last else relu(z)
+        if i == last:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+        else:
+            a = np.maximum(0.0, z)
         activations.append(a)
     return zs, activations
 

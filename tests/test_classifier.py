@@ -18,7 +18,7 @@ from algaeid.classifier import (HIDDEN_SIZES, Network, TrainConfig,
 from algaeid.features import (ModelVariant, Normalizer, apply_normalizer,
                               fit_normalizer)
 
-from helpers import _reference_backward_batch, reference_train
+from helpers import _reference_backward_batch, reference_train, same_bits
 
 
 def unit_normalizer(d):
@@ -235,9 +235,16 @@ def test_train_runs_bitwise_equal_to_per_run_reference():
     (2, 33, 5, 4, 8, 10),
     (4, 448, 11, 6, 32, 3),
     (2, 21, 1, 2, 5, 5),
+    (3, 41, 6, 2, 8, 8),
+    (3, 45, 5, 9, 8, 6),
+    (1, 50, 6, 6, 32, 10),
 ], ids=["one-batch-per-epoch", "single-row-batches", "single-row-last-batch", "mccv-shaped",
-        "one-feature-two-classes"])
+        "one-feature-two-classes", "two-classes", "nine-classes", "one-run"])
 def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, epochs):
+    # compared by bit pattern, so a -0.0 for a 0.0 fails: 2 to 7 classes
+    # take softmax's row-sum chain and 9 the numpy reduction, a one-row
+    # batch the NT product of the hidden layers; one run is the
+    # `algaeid train` path
     rng = np.random.default_rng(n)
     x = rng.normal(size=(runs, n, d))
     y = rng.integers(0, k, size=(runs, n))
@@ -249,9 +256,9 @@ def test_train_runs_bitwise_cases(runs, n, d, k, batch_size, epochs):
         ref_net, ref_loss = reference_train(
             x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, seed=seeds[r]),
             num_classes=k)
-        assert final_loss == ref_loss
+        assert same_bits(final_loss, ref_loss)
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
-            assert np.array_equal(a, b)
+            assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -277,10 +284,10 @@ def test_train_runs_chunked_bitwise(monkeypatch, pools, runs, cpus):
         ref_net, ref_loss = reference_train(
             x[r], y[r], cfg=TrainConfig(epochs=6, batch_size=8, seed=seeds[r]),
             num_classes=3)
-        assert final_loss == one_loss == ref_loss
+        assert same_bits(final_loss, one_loss) and same_bits(final_loss, ref_loss)
         for a, b, c in zip(net.weights + net.biases, one_net.weights + one_net.biases,
                            ref_net.weights + ref_net.biases):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert same_bits(a, b) and same_bits(a, c)
 
     with pytest.raises(ValueError, match="batch_size 31 exceeds training size 30"):
         train_runs(x, y, seeds, cfg=TrainConfig(batch_size=31))
@@ -315,9 +322,9 @@ def test_train_runs_mixed_widths_bitwise(monkeypatch, pools, widths, n, k, batch
         ref_net, ref_loss = reference_train(
             x[r], y[r], cfg=TrainConfig(epochs=epochs, batch_size=batch_size, seed=seeds[r]),
             num_classes=k)
-        assert final_loss == ref_loss
+        assert same_bits(final_loss, ref_loss)
         for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
-            assert np.array_equal(a, b)
+            assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("n,d,k", [(1, 5, 6), (2, 11, 6), (40, 6, 6), (25, 3, 9)])

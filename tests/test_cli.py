@@ -475,6 +475,34 @@ def test_mccv_rejects_duplicate_variant(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch_size", [10, 11])
+def test_mccv_checks_batch_size_against_training_split(pipeline, tmp_path, capsys,
+                                                       monkeypatch, batch_size):
+    # the pipeline's 14 labelled rows give training splits of round(0.7 * 14)
+    # = 10 rows: a batch of 10 trains, and one of 11 is rejected before any
+    # training, naming the split and the config key
+    assert len(pipeline["csv"].read_text(encoding="utf-8").splitlines()) == 15
+    doc = json.loads(pipeline["config"].read_text(encoding="utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, "train": {**doc["train"], "batch_size": batch_size}}),
+                      encoding="utf-8")
+    calls = []
+    train_runs = classifier.train_runs
+    monkeypatch.setattr(classifier, "train_runs",
+                        lambda *args, **kwargs: calls.append(1) or train_runs(*args, **kwargs))
+    out = tmp_path / "eval"
+    code = main(["mccv", str(pipeline["csv"]), "--config", str(config), "--runs", "2",
+                 "--variants", "spectral", "--out", str(out)])
+    if batch_size == 10:
+        assert code == 0 and calls == [1]
+        return
+    assert code == 1 and calls == []
+    assert capsys.readouterr().err == (
+        "error: train.batch_size 11 exceeds the 10 rows of each MCCV training split "
+        "(round(0.7 * 14) of 14 labelled rows)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,value", [("train", "nan"), ("mccv", "inf")])
 def test_non_finite_feature_rejected(pipeline, tmp_path, capsys, command, value):
     lines = pipeline["csv"].read_text(encoding="utf-8").splitlines()

@@ -182,6 +182,27 @@ def test_pgm_header_rejected(tmp_path, data):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("header,parity", [
+    (b"P5\n33 17\n65535\n", 1),
+    (b"P5\n# cc\n33 17\n65535\n", 0),
+    (b"P5\n33 17\n255\n", 1),
+], ids=["16-bit-odd-header", "16-bit-even-header-with-comment", "8-bit"])
+def test_pgm_raster_decoded_after_either_header_length(tmp_path, header, parity):
+    # a 16-bit raster is cast from an even address whatever the header's
+    # length (save_stack's headers are odd); trailing bytes are ignored
+    assert len(header) % 2 == parity
+    wide = header.endswith(b"65535\n")
+    rng = np.random.default_rng(len(header))
+    want = rng.integers(0, 65536 if wide else 256, size=(17, 33))
+    want[0, :2] = [0, 65535 if wide else 255]
+    p = tmp_path / "r.pgm"
+    p.write_bytes(header + want.astype(">u2" if wide else "u1").tobytes() + b"\x07")
+    got = read_pgm(p)
+    assert got.dtype == (np.uint16 if wide else np.uint8)
+    assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+    assert np.array_equal(got, want)
+
+
 def test_non_pgm_rejected(tmp_path):
     p = tmp_path / "x.pgm"
     p.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
