@@ -4,9 +4,11 @@ subtract it, so intensities become comparable across the field of view.
 The background model is a Gaussian low-pass followed by a sequence of
 grayscale openings with disk structuring elements of growing radius; each
 opening suppresses image structure up to its disk size while leaving the
-slowly varying illumination pattern intact. The openings run on each
-low-pass's integer ranks, a chunk of bands at a time, and map back to the
-same float64 bits (see `estimate_background`).
+slowly varying illumination pattern intact. The low-pass runs as BLAS
+products of small tiles with a banded kernel matrix (see
+`gaussian_lowpass`). The openings run on each low-pass's integer ranks, a
+chunk of bands at a time, and map back to the same float64 bits (see
+`estimate_background`).
 """
 
 from __future__ import annotations
@@ -54,20 +56,70 @@ def gaussian_kernel(sigma):
     return k / k.sum()
 
 
-def gaussian_lowpass(band, sigma):
-    """Separable Gaussian convolution with edge-replicated borders."""
-    band = np.asarray(band, dtype=np.float64)
+# The low-pass runs in tiles of TILE_ROWS x TILE_COLS output pixels, each
+# one small matrix product that BLAS keeps on one thread: products over
+# whole columns start BLAS threads, which oversubscribe the band threads.
+TILE_ROWS, TILE_COLS = 32, 64
+
+
+@functools.lru_cache(maxsize=16)
+def _band_block(sigma):
+    """The (TILE_COLS + 2r) x TILE_COLS matrix whose column j holds the
+    Gaussian kernel in rows j .. j + 2r, so that TILE_COLS + 2r padded
+    pixels times it are the kernel's TILE_COLS outputs. Read-only, as the
+    cache hands it to every caller."""
     k = gaussian_kernel(sigma)
-    r = (len(k) - 1) // 2
-    out = np.zeros_like(band)
-    padded = np.pad(band, ((0, 0), (r, r)), mode="edge")
-    for i, weight in enumerate(k):
-        out += weight * padded[:, i:i + band.shape[1]]
-    result = np.zeros_like(band)
-    padded = np.pad(out, ((r, r), (0, 0)), mode="edge")
-    for i, weight in enumerate(k):
-        result += weight * padded[i:i + band.shape[0], :]
-    return result
+    block = np.zeros((TILE_COLS + len(k) - 1, TILE_COLS))
+    for j in range(TILE_COLS):
+        block[j:j + len(k), j] = k
+    block.flags.writeable = False
+    return block
+
+
+def _tiles(a, rows, cols, row_step, col_step):
+    """The rows x cols windows of 2-D `a` that start every `row_step` rows
+    and `col_step` columns, as a writable (row starts, column starts, rows,
+    cols) view; a window that would run past `a`'s edge is left out."""
+    windows = np.lib.stride_tricks.sliding_window_view(a, (rows, cols), writeable=True)
+    return windows[::row_step, ::col_step]
+
+
+def gaussian_lowpass(band, sigma):
+    """Separable Gaussian convolution with edge-replicated borders.
+
+    Each pass is one stacked matrix product with `_band_block(sigma)`: a
+    TILE_ROWS x TILE_COLS tile of the row pass is a TILE_ROWS x
+    (TILE_COLS + 2r) window of the edge-padded band times the block, and a
+    TILE_COLS x TILE_ROWS tile of the column pass is the block's transpose
+    times a (TILE_COLS + 2r) x TILE_ROWS window of the row pass's output,
+    edge-padded above and below. The tiles cover the band rounded up to
+    whole tiles; what lies beyond it is computed and dropped.
+
+    BLAS sums each pixel's taps, so the bits depend on numpy's BLAS, not on
+    its thread count: a tile is too small for BLAS to split. A sum starts
+    from +0.0 and the block's zeros add +0.0 or -0.0, which leave it as it
+    is, so a low-pass never holds -0.0. An infinite pixel times a zero of
+    the block is NaN, so a band with NaN or inf has a low-pass that is not
+    finite; no warning is raised for it.
+    """
+    band = np.asarray(band, dtype=np.float64)
+    block = _band_block(sigma)
+    r = (block.shape[0] - TILE_COLS) // 2
+    h, w = band.shape
+    rows = -(-h // TILE_ROWS) * TILE_ROWS  # of the row pass
+    cols = -(-w // TILE_COLS) * TILE_COLS  # of both passes
+    height = -(-h // TILE_COLS) * TILE_COLS  # of the column pass
+    padded = np.pad(band, ((0, rows - h), (r, cols - w + r)), mode="edge")
+    smoothed = np.empty((height + 2 * r, cols))
+    out = np.empty((height, cols))
+    with np.errstate(invalid="ignore"):
+        np.matmul(_tiles(padded, TILE_ROWS, TILE_COLS + 2 * r, TILE_ROWS, TILE_COLS), block,
+                  out=_tiles(smoothed[r:r + rows], TILE_ROWS, TILE_COLS, TILE_ROWS, TILE_COLS))
+        smoothed[:r] = smoothed[r]
+        smoothed[r + h:] = smoothed[r + h - 1]
+        np.matmul(block.T, _tiles(smoothed, TILE_COLS + 2 * r, TILE_ROWS, TILE_COLS, TILE_ROWS),
+                  out=_tiles(out, TILE_COLS, TILE_ROWS, TILE_COLS, TILE_ROWS))
+    return np.ascontiguousarray(out[:h, :w])
 
 
 def _disk_extreme(band, radius, op):
@@ -143,6 +195,24 @@ def disk_is_open(big, r):
     return bool(np.array_equal(dilate_disk(erode_disk(disk, r), r), disk))
 
 
+def _dense_ranks(lowpass, out):
+    """Write the dense ranks of `lowpass` into `out`, a C-contiguous array
+    of its shape, and return its distinct values in increasing order, so
+    that values[out] is `lowpass`: one argsort, a mask of where each new
+    value starts, and its running count. NaNs sort last, each its own
+    value."""
+    flat = lowpass.reshape(-1)
+    order = np.argsort(flat)
+    flat = flat[order]
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    ranks = out.reshape(-1)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(starts[1:], dtype=out.dtype)
+    return flat[starts]
+
+
 def _chunk_background(bands, first, sigma, radii):
     """The backgrounds of consecutive bands, the first of index `first`:
     the dense rank images of their low-passes are opened as one stack, and
@@ -151,12 +221,11 @@ def _chunk_background(bands, first, sigma, radii):
     ranks = np.empty((len(bands), h, w), dtype=np.uint16 if h * w <= 2 ** 16 else np.uint32)
     values = []
     for i, band in enumerate(bands):
-        b = gaussian_lowpass(band, sigma)
-        if not np.isfinite(b).all():
+        levels = _dense_ranks(gaussian_lowpass(band, sigma), ranks[i])
+        # sorted with NaNs last, so every value is finite if both ends are
+        if not np.isfinite(levels[[0, -1]]).all():
             raise ValueError(f"band {first + i}: low-pass background is not finite")
-        levels, inverse = np.unique(b, return_inverse=True)
         values.append(levels)
-        ranks[i] = inverse.reshape(h, w)
     for radius in radii:
         ranks = morphological_opening(ranks, radius)
     return [levels[r] for levels, r in zip(values, ranks)]
@@ -171,11 +240,11 @@ def estimate_background(stack, cfg=None):
 
     The openings run on ranks: flat erosion and dilation commute with any
     order-preserving map of the grey levels (Serra 1982), so opening a
-    low-pass's dense rank image (uint16 up to 2^16 pixels, else uint32) and
-    mapping it back gives the float64 opening bit for bit. Min and max are
-    exact, and equal values are equal bits: a low-pass sum starts from
-    +0.0, so it never holds -0.0, and a band whose low-pass is not finite
-    raises ValueError naming its index.
+    low-pass's dense rank image (uint16 up to 2^16 pixels, else uint32;
+    `_dense_ranks`) and mapping it back gives the float64 opening bit for
+    bit. Min and max are exact, and equal values are equal bits: a BLAS sum
+    of the low-pass never gives -0.0 (`gaussian_lowpass`), and a band whose
+    low-pass is not finite raises ValueError naming its index.
 
     The bands are split into min(bands, usable CPUs) contiguous chunks, one
     per thread, each opened as one (bands, h, w) rank stack; the threads

@@ -154,6 +154,41 @@ def naive_gaussian(img, sigma):
     return out
 
 
+def separable_gaussian(img, sigma):
+    """The truncated Gaussian as two passes of shifted, weighted slices of
+    the edge-padded image, one pass per axis, summed tap by tap."""
+    import math
+    r = math.ceil(3.0 * sigma)
+    x = np.arange(-r, r + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    k /= k.sum()
+    h, w = img.shape
+    rows = np.zeros(img.shape)
+    padded = np.pad(img, ((0, 0), (r, r)), mode="edge")
+    for i, weight in enumerate(k):
+        rows += weight * padded[:, i:i + w]
+    out = np.zeros(img.shape)
+    padded = np.pad(rows, ((r, r), (0, 0)), mode="edge")
+    for i, weight in enumerate(k):
+        out += weight * padded[i:i + h, :]
+    return out
+
+
+def background_digest():
+    """sha256 of the background bytes of a fixed 3-band 150x97 raw stack,
+    whose sides are not whole low-pass tiles."""
+    import hashlib
+    from algaeid.illumination import estimate_background
+    from algaeid.stack_io import ImageStack
+    rng = np.random.default_rng(29)
+    stack = ImageStack(bands=tuple(rng.random((150, 97)) * 1000 for _ in range(3)),
+                       wavelengths_nm=(405.0, 430.0, 455.0), role_tag="raw")
+    digest = hashlib.sha256()
+    for band in estimate_background(stack).bands:
+        digest.update(band.tobytes())
+    return digest.hexdigest()
+
+
 def flood_fill_components(mask):
     """Stack-based flood-fill labeling oracle, 8-connectivity, ids in
     raster-scan order of seed pixels. Returns (labels, count)."""

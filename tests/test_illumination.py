@@ -1,5 +1,9 @@
 import concurrent.futures
 import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -13,8 +17,9 @@ from algaeid.illumination import (CorrectionConfig, dilate_disk, disk_is_open,
                                   subtract_background)
 from algaeid.stack_io import ImageStack
 
-from helpers import (naive_dilate, naive_erode, naive_gaussian, naive_opening,
-                     oracle_disk_is_open, reference_train)
+from helpers import (background_digest, naive_dilate, naive_erode, naive_gaussian,
+                     naive_opening, oracle_disk_is_open, reference_train, same_bits,
+                     separable_gaussian)
 
 
 def test_config_validation():
@@ -81,6 +86,43 @@ def test_gaussian_kernel_larger_than_image():
     img = rng.random((5, 6)) * 10
     sigma = 3.0  # radius 9 exceeds both dimensions
     assert np.max(np.abs(gaussian_lowpass(img, sigma) - naive_gaussian(img, sigma))) < 1e-9
+
+
+@pytest.mark.parametrize("shape,sigma", [((192, 192), 5.0), ((1024, 1024), 5.0),
+                                         ((150, 97), 5.0), ((5, 6), 3.0)],
+                         ids=["192x192", "1024x1024", "150x97", "5x6-sigma3"])
+def test_gaussian_matches_separable_loop(shape, sigma):
+    # BLAS sums each pixel's taps in its own order, so the last bits may
+    # differ from the loop's; 150x97 is no whole number of tiles, and at
+    # 5x6 the kernel is wider than the image
+    img = np.random.default_rng(shape[1]).random(shape) * 1000
+    got = gaussian_lowpass(img, sigma)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.max(np.abs(got - separable_gaussian(img, sigma))) <= 1e-15 * np.abs(img).max()
+
+
+def test_lowpass_never_holds_negative_zero():
+    # -0.0 pixels alone, and among positives, leave exact zeros that are +0.0
+    zeros = np.full((40, 70), -0.0)
+    mixed = zeros.copy()
+    mixed[:, 50:] = np.random.default_rng(31).random((40, 20)) + 1.0
+    mixed[::2, 50::2] = -0.0
+    for img in (zeros, mixed):
+        out = gaussian_lowpass(img, 1.0)
+        exact = out[out == 0.0]
+        assert exact.size >= 40 * 40 and same_bits(exact, np.zeros(exact.size))
+
+
+def test_background_bytes_do_not_depend_on_blas_threads():
+    # a low-pass tile is too small for BLAS to split, so one BLAS thread
+    # gives the bytes of this process's BLAS threads
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(str(p) for p in (tests.parent / "src", tests))
+    out = subprocess.run(
+        [sys.executable, "-c", "import helpers; print(helpers.background_digest())"],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout == background_digest() + "\n"
 
 
 def test_opening_constant_unchanged():
@@ -250,10 +292,12 @@ def _blocks(rng, shape, levels, block):
     return np.kron(coarse * 50.0 + 20.0, np.ones((block, block)))[:shape[0], :shape[1]]
 
 
-@pytest.mark.parametrize("shape,rank_dtype", [((60, 50), np.uint16), ((300, 260), np.uint32)])
+@pytest.mark.parametrize("shape,rank_dtype", [((60, 50), np.uint16), ((256, 256), np.uint16),
+                                              ((300, 260), np.uint32)])
 def test_background_ranks_tie_and_widen_bit_identical(openings, shape, rank_dtype):
     # a few flat levels give a low-pass with many equal values, whose ranks
-    # tie; above 2^16 pixels the ranks are uint32
+    # tie; 2^16 pixels of distinct values take every uint16 rank, and above
+    # 2^16 pixels the ranks are uint32
     rng = np.random.default_rng(shape[0])
     stack = _raw_stack([_blocks(rng, shape, 3, 20), rng.random(shape) * 100])
     cfg = CorrectionConfig(gaussian_sigma_px=2.0)
