@@ -292,8 +292,8 @@ def _blocks(rng, shape, levels, block):
     return np.kron(coarse * 50.0 + 20.0, np.ones((block, block)))[:shape[0], :shape[1]]
 
 
-@pytest.mark.parametrize("shape,rank_dtype", [((60, 50), np.uint16), ((256, 256), np.uint16),
-                                              ((300, 260), np.uint32)])
+@pytest.mark.parametrize("shape,rank_dtype", [((60, 50), np.uint16), ((300, 260), np.uint32),
+                                              ((256, 256), np.uint16)])
 def test_background_ranks_tie_and_widen_bit_identical(openings, shape, rank_dtype):
     # a few flat levels give a low-pass with many equal values, whose ranks
     # tie; 2^16 pixels of distinct values take every uint16 rank, and above
