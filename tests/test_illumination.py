@@ -11,11 +11,12 @@ import pytest
 
 from algaeid import illumination, stack_io
 from algaeid.classifier import TrainConfig, train_runs
-from algaeid.illumination import (CorrectionConfig, dilate_disk, disk_is_open,
+from algaeid.illumination import (OPENING_RADII_PX, CorrectionConfig, dilate_disk,
                                   erode_disk, estimate_background, gaussian_kernel,
                                   gaussian_lowpass, morphological_opening,
                                   subtract_background)
 from algaeid.stack_io import ImageStack
+from algaeid.synthgen import SceneSpec, default_catalog, generate_scene
 
 from helpers import (background_digest, naive_dilate, naive_erode, naive_gaussian,
                      naive_opening, oracle_disk_is_open, reference_train, same_bits,
@@ -25,27 +26,17 @@ from helpers import (background_digest, naive_dilate, naive_erode, naive_gaussia
 def test_config_validation():
     with pytest.raises(ValueError):
         CorrectionConfig(gaussian_sigma_px=0.0)
-    with pytest.raises(ValueError):
-        CorrectionConfig(opening_radii_px=())
-    with pytest.raises(ValueError):
-        CorrectionConfig(opening_radii_px=(4, 4))
-    with pytest.raises(ValueError):
-        CorrectionConfig(opening_radii_px=(0, 2))
     with pytest.raises(ValueError, match="gaussian_sigma_px must be finite, got inf"):
         CorrectionConfig(gaussian_sigma_px=float("inf"))
     with pytest.raises(ValueError, match="gaussian_sigma_px must be finite, got nan"):
         CorrectionConfig(gaussian_sigma_px=float("nan"))
     for kwargs, message in [
-        ({"opening_radii_px": "48"}, "opening_radii_px must be a list of integers, got '48'"),
-        ({"opening_radii_px": 8}, "opening_radii_px must be a list of integers, got 8"),
-        ({"opening_radii_px": [4.5, 8]}, "opening_radii_px[0] must be an integer, got 4.5"),
         ({"gaussian_sigma_px": True}, "gaussian_sigma_px must be a number, got True"),
         ({"gaussian_sigma_px": 10 ** 400}, "gaussian_sigma_px is too large for a float"),
     ]:
         with pytest.raises(ValueError) as err:
             CorrectionConfig(**kwargs)
         assert str(err.value) == message
-    assert CorrectionConfig(opening_radii_px=[2, 4]).opening_radii_px == (2, 4)
     CorrectionConfig()  # defaults valid
 
 
@@ -192,13 +183,14 @@ def _raw_stack(bands):
     return ImageStack(bands=tuple(bands), wavelengths_nm=wl, role_tag="raw")
 
 
-def test_disk_openness_matches_union_of_translates():
-    pairs = [(big, r) for big in range(2, 33) for r in range(1, big)]
-    table = {(big, r): disk_is_open(big, r) for big, r in pairs}
-    assert table == {(big, r): oracle_disk_is_open(big, r) for big, r in pairs}
-    assert len(pairs) == 496 and sum(table.values()) == 141
-    # of the default radii 4, 8, 16 and 32 only the r=4 opening is absorbed
-    assert [disk_is_open(8, 4), disk_is_open(16, 8), disk_is_open(32, 16)] == [True, False, False]
+def test_opening_chain_is_the_papers_without_the_absorbed_r4():
+    # of the paper's radii 4, 8, 16 and 32 only D_8 is the union of the
+    # translates of its predecessor that fit in it, so only the opening by
+    # 4 is absorbed (and test_absorbed_opening_changes_no_bit[4-in-8] shows
+    # it bit for bit); the openings by 8 and 16 change what follows them
+    assert OPENING_RADII_PX == (8, 16, 32)
+    assert [oracle_disk_is_open(8, 4), oracle_disk_is_open(16, 8),
+            oracle_disk_is_open(32, 16)] == [True, False, False]
 
 
 OPEN_PAIRS = [(big, r) for big in range(2, 17) for r in range(1, big)
@@ -220,11 +212,11 @@ def test_absorbed_opening_changes_no_bit(big, r):
 
 
 def _serial_background(stack, cfg):
-    # every configured opening, absorbed or not, band after band
+    # the paper's four openings, the absorbed r=4 too, band after band
     out = []
     for band in stack.bands:
         b = gaussian_lowpass(band, cfg.gaussian_sigma_px)
-        for radius in cfg.opening_radii_px:
+        for radius in (4, 8, 16, 32):
             b = morphological_opening(b, radius)
         out.append(b)
     return out
@@ -263,15 +255,19 @@ CHUNKS = {(6, 1): [6], (6, 2): [3, 3], (6, 3): [2, 2, 2], (2, 3): [1, 1],
           (5, 2): [2, 3], (5, 3): [1, 2, 2]}
 
 
-@pytest.mark.parametrize("bands,cpus", list(CHUNKS))
+@pytest.mark.parametrize("bands,cpus,scene",
+                         [pytest.param(b, c, False, id=f"{b}-{c}") for b, c in CHUNKS]
+                         + [pytest.param(6, 2, True, id="scene-6-2")])
 def test_background_independent_of_worker_count(monkeypatch, thread_pools, openings,
-                                                bands, cpus):
+                                                bands, cpus, scene):
     # min(bands, CPUs) threads, joined before the call returns, each opening
-    # one contiguous chunk of bands as a uint16 rank stack
+    # one contiguous chunk of bands as a uint16 rank stack; the scene is a
+    # default synthetic one (192x192, 6 bands, vignetted)
     rng = np.random.default_rng(10 * bands + cpus)
     ramp = np.linspace(60.0, 140.0, 71)
-    stack = _raw_stack([ramp + rng.random((53, 71)) * 400 * (rng.random((53, 71)) < 0.1)
-                        for _ in range(bands)])
+    stack = (generate_scene(SceneSpec(), default_catalog()).stack if scene else
+             _raw_stack([ramp + rng.random((53, 71)) * 400 * (rng.random((53, 71)) < 0.1)
+                         for _ in range(bands)]))
     cfg = CorrectionConfig()
     monkeypatch.setattr(stack_io, "usable_cpus", lambda: cpus)
     threads = threading.active_count()
@@ -279,7 +275,7 @@ def test_background_independent_of_worker_count(monkeypatch, thread_pools, openi
     assert threading.active_count() == threads
     workers = min(bands, cpus)
     assert thread_pools == ([] if workers == 1 else [workers])
-    assert sorted(openings) == sorted(((n, 53, 71), np.uint16, r)
+    assert sorted(openings) == sorted(((n, stack.height, stack.width), np.uint16, r)
                                       for n in CHUNKS[bands, cpus] for r in (8, 16, 32))
     assert bg.role_tag == "background" and bg.num_bands == bands
     for got, want in zip(bg.bands, _serial_background(stack, cfg)):
@@ -313,7 +309,7 @@ def test_background_of_uint16_raster_stack_bit_identical():
     rng = np.random.default_rng(17)
     stack = _raw_stack([rng.integers(0, 65536, size=(45, 38), dtype=np.uint16),
                         (_blocks(rng, (45, 38), 4, 9) * 100).astype(np.uint16)])
-    cfg = CorrectionConfig(opening_radii_px=(2, 4, 6))
+    cfg = CorrectionConfig()
     for got, want in zip(estimate_background(stack, cfg).bands, _serial_background(stack, cfg)):
         assert np.array_equal(got, want)
 
@@ -398,8 +394,7 @@ def test_training_forks_after_band_threads(monkeypatch, pools):
 
 def test_background_constant_stack():
     stack = _raw_stack([np.full((24, 24), 60.0)])
-    bg = estimate_background(stack, CorrectionConfig(gaussian_sigma_px=2.0,
-                                                     opening_radii_px=(2, 4)))
+    bg = estimate_background(stack, CorrectionConfig(gaussian_sigma_px=2.0))
     assert bg.role_tag == "background"
     assert np.allclose(bg.bands[0], 60.0, atol=1e-9)
 
@@ -409,11 +404,10 @@ def test_background_flat_field_with_blob():
     # smeared blob still fits inside the radius-4 disk
     img = np.full((64, 64), 100.0)
     img[30:33, 30:33] = 1000.0
-    cfg = CorrectionConfig(gaussian_sigma_px=2.0, opening_radii_px=(4, 8))
-    bg = estimate_background(_raw_stack([img]), cfg)
+    bg = estimate_background(_raw_stack([img]), CorrectionConfig(gaussian_sigma_px=2.0))
 
     oracle = naive_gaussian(img, 2.0)
-    for r in (4, 8):
+    for r in (4, 8, 16, 32):
         oracle = naive_opening(oracle, r)
     assert np.max(np.abs(bg.bands[0] - oracle)) < 1e-9
     assert np.max(np.abs(bg.bands[0] - 100.0)) <= 1.0
@@ -422,7 +416,7 @@ def test_background_flat_field_with_blob():
 def test_background_below_smoothed_input():
     rng = np.random.default_rng(9)
     img = rng.random((30, 30)) * 200
-    cfg = CorrectionConfig(gaussian_sigma_px=1.5, opening_radii_px=(2, 3))
+    cfg = CorrectionConfig(gaussian_sigma_px=1.5)
     bg = estimate_background(_raw_stack([img]), cfg)
     smoothed = gaussian_lowpass(img, 1.5)
     assert np.all(bg.bands[0] <= smoothed + 1e-12)
@@ -430,7 +424,7 @@ def test_background_below_smoothed_input():
 
 def test_background_monotone():
     rng = np.random.default_rng(10)
-    cfg = CorrectionConfig(gaussian_sigma_px=1.0, opening_radii_px=(2,))
+    cfg = CorrectionConfig(gaussian_sigma_px=1.0)
     for _ in range(10):
         f = rng.random((16, 16)) * 50
         g = f + rng.random((16, 16)) * 20  # g >= f pixelwise
@@ -483,7 +477,7 @@ def test_background_of_raster_stack_is_that_of_its_float64_copy():
     band = rng.integers(0, 65536, size=(40, 30), dtype=np.uint16)
     raw = _raw_stack([band])
     again = _raw_stack([band.astype(np.float64)])
-    cfg = CorrectionConfig(opening_radii_px=(2, 5))
+    cfg = CorrectionConfig()
     backgrounds = [estimate_background(stack, cfg) for stack in (raw, again)]
     assert np.array_equal(backgrounds[0].bands[0], backgrounds[1].bands[0])
     corrected = [subtract_background(stack, background).bands[0]
