@@ -120,38 +120,45 @@ def _disk_extreme(band, radius, op):
     disk over the last two axes (a leading axis stacks bands), border
     handled by edge replication.
 
-    The disk is a union of horizontal chords, one per row offset. A running
-    sparse table holds the extreme of every horizontal window of `span`
-    pixels, so a chord of span to 2*span - 1 pixels is op of two overlapping
-    table columns. Chord widths are visited in increasing order: the table
-    only ever doubles, only its current level is kept, and each chord is
-    folded into the output at every row offset with its half-width.
+    The disk is a union of horizontal chords, one per row offset. All work
+    runs on three flat buffers made once per call, laid out rows outermost:
+    the stack is edge-padded to (h + 2r, bands, w + 2r), so padded row y of
+    every band is the `row` values from y * row on, and a horizontal window
+    is a run of consecutive values. A running sparse table holds the
+    extreme of every run of `span` values, so a chord of span to
+    2*span - 1 pixels is op of two overlapping table entries. Chord widths
+    are visited in increasing order: the table only ever doubles, as
+    op(t[:-span], t[span:]) written into the other of two buffers, and
+    each chord, written into the spare one, is folded into the output at
+    every row offset i with its half-width as one call on chord[i * row:];
+    offset 0 comes first and is folded with itself, a copy. Runs that cross
+    a row's end give values only at padded columns, which are never read.
+    The result is a (bands, h, w) view of the rows-outermost output.
     uint16 and uint32 (rank) input keeps its dtype, any other becomes
-    float64; the output starts from op's identity in that dtype.
+    float64.
     """
     if np.asarray(band).dtype not in (np.uint16, np.uint32):
         band = np.asarray(band, dtype=np.float64)
     r = int(radius)
     h, w = band.shape[-2:]
+    rows = band.reshape(-1, h, w).transpose(1, 0, 2)
+    table = np.pad(rows, ((r, r), (0, 0), (r, r)), mode="edge").reshape(-1)
+    spare, row = np.empty_like(table), table.size // (h + 2 * r)
+    out = np.empty(h * row, dtype=table.dtype)
+    head = out[:out.size - 2 * r]  # the rest lies past the last column
     # half-width of the disk {dx^2 + dy^2 <= r^2} at row offset dy = i - r
     halves = np.array([math.isqrt(r * r - dy * dy) for dy in range(-r, r + 1)])
-    table = np.pad(band, [(0, 0)] * (band.ndim - 2) + [(r, r), (r, r)], mode="edge")
-    span = 1
-    if band.dtype.kind == "f":
-        fill = np.inf if op is np.minimum else -np.inf
-    else:
-        fill = np.iinfo(band.dtype).max if op is np.minimum else np.iinfo(band.dtype).min
-    out = np.full(band.shape, fill, dtype=band.dtype)
+    span, valid, reach = 1, table.size, table.size - 2 * r  # runs in table[:valid] are whole
     for half in np.unique(halves).tolist():
         while 2 * span <= 2 * half + 1:
-            table = op(table[..., :-span], table[..., span:])
-            span *= 2
+            op(table[:valid - span], table[span:valid], out=spare[:valid - span])
+            table, spare, span, valid = spare, table, 2 * span, valid - span
         # output column x takes padded columns r + x - half .. r + x + half
         lo, hi = r - half, r + half - span + 1
-        chord = op(table[..., lo:lo + w], table[..., hi:hi + w])
+        chord = op(table[lo:lo + reach], table[hi:hi + reach], out=spare[:reach])
         for i in np.flatnonzero(halves == half).tolist():
-            op(out, chord[..., i:i + h, :], out=out)
-    return out
+            op(head if i else chord[:head.size], chord[i * row:i * row + head.size], out=head)
+    return out.reshape(h, -1, w + 2 * r)[:, :, :w].transpose(1, 0, 2).reshape(band.shape)
 
 
 def erode_disk(band, radius):
@@ -173,33 +180,31 @@ def morphological_opening(band, radius):
     return dilate_disk(erode_disk(band, radius), radius)
 
 
-def _dense_ranks(lowpass, out):
-    """Write the dense ranks of `lowpass` into `out`, a C-contiguous array
-    of its shape, and return its distinct values in increasing order, so
-    that values[out] is `lowpass`: one argsort, a mask of where each new
-    value starts, and its running count. NaNs sort last, each its own
-    value."""
+def _dense_ranks(lowpass, dtype):
+    """The distinct values of `lowpass` in increasing order and its dense
+    ranks as `dtype`, so that values[ranks] is `lowpass`: one argsort, a
+    mask of where the sorted values step up, and its running count. NaNs
+    sort last, each its own value."""
     flat = lowpass.reshape(-1)
     order = np.argsort(flat)
     flat = flat[order]
-    starts = np.empty(flat.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    ranks = out.reshape(-1)
-    ranks[order[0]] = 0
-    ranks[order[1:]] = np.cumsum(starts[1:], dtype=out.dtype)
-    return flat[starts]
+    steps = flat[1:] != flat[:-1]
+    ranks = np.zeros(flat.size, dtype=dtype)
+    ranks[order[1:]] = np.cumsum(steps, dtype=dtype)
+    return np.concatenate((flat[:1], flat[1:][steps])), ranks.reshape(lowpass.shape)
 
 
 def _chunk_background(bands, first, sigma):
     """The backgrounds of consecutive bands, the first of index `first`:
-    the dense rank images of their low-passes are opened as one stack, and
-    each band maps its opened ranks back to its own values."""
+    the dense rank images of their low-passes are kept rows outermost, as
+    (h, bands, w), and opened as one (bands, h, w) view of it, and each
+    band maps its opened ranks back to its own values."""
     h, w = bands[0].shape
-    ranks = np.empty((len(bands), h, w), dtype=np.uint16 if h * w <= 2 ** 16 else np.uint32)
+    ranks = np.empty((h, len(bands), w), dtype=np.uint16 if h * w <= 2 ** 16 else np.uint32)
+    ranks = ranks.transpose(1, 0, 2)
     values = []
     for i, band in enumerate(bands):
-        levels = _dense_ranks(gaussian_lowpass(band, sigma), ranks[i])
+        levels, ranks[i] = _dense_ranks(gaussian_lowpass(band, sigma), ranks.dtype)
         # sorted with NaNs last, so every value is finite if both ends are
         if not np.isfinite(levels[[0, -1]]).all():
             raise ValueError(f"band {first + i}: low-pass background is not finite")
@@ -223,12 +228,14 @@ def estimate_background(stack, cfg=None):
     low-pass is not finite raises ValueError naming its index.
 
     The bands are split into min(bands, usable CPUs) contiguous chunks, one
-    per thread, each opened as one (bands, h, w) rank stack; the threads
-    are joined before this returns (one worker runs in this thread and
-    starts none). numpy's loops release the interpreter lock, so the
-    chunks overlap. The results join in band order, and no output depends
-    on the worker count. Of several failing bands, the first in band order
-    raises.
+    per thread. A chunk's ranks are kept rows outermost, as (h, bands, w),
+    and opened as one (bands, h, w) view of them, so each step of an
+    erosion or dilation is one call on contiguous memory (`_disk_extreme`).
+    The threads are joined before this returns (one worker runs in this
+    thread and starts none). numpy's loops release the interpreter lock,
+    so the chunks overlap. The results join in band order, and no output
+    depends on the worker count. Of several failing bands, the first in
+    band order raises.
     """
     cfg = cfg or CorrectionConfig()
     if stack.role_tag != "raw":

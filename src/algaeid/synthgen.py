@@ -430,8 +430,9 @@ def save_ground_truth(scene, catalog, directory, extra_fields=None):
 
 def read_ground_truth(directory):
     """(truth LabelMap, PlantedOrganism records, class_names) of the ground
-    truth that `save_ground_truth` wrote into `directory`; errors name the
-    file or, for a missing key, the directory."""
+    truth that `save_ground_truth` wrote into `directory`; errors, such as
+    an organism id that appears twice, name the file or, for a missing
+    key, the directory."""
     path = os.path.join(directory, TRUTH_JSON)
     doc = read_json_object(path, "ground truth")
     truth = LabelMap(read_pgm(os.path.join(directory, TRUTH_PGM)))
@@ -442,6 +443,9 @@ def read_ground_truth(directory):
             raise ValueError("organisms must be a list of objects")
         planted = tuple(PlantedOrganism(*(o[key] for key in _TRUTH_RECORD_KEYS))
                         for o in records)
+        ids = sorted(p.id for p in planted)
+        if repeated := [i for i, j in zip(ids, ids[1:]) if i == j]:
+            raise ValueError(f"organism id {repeated[0]} appears more than once")
     except KeyError as e:
         raise ValueError(f"{directory}: truth.json has no key {e}") from None
     except ValueError as e:

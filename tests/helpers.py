@@ -44,10 +44,11 @@ def numpy_build():
 def same_bits(a, b):
     """Whether a and b have one shape and dtype and the same bit patterns.
     Unlike np.array_equal, this tells -0.0 from 0.0 (and compares NaNs by
-    their bits); it takes 8-byte values, such as float64."""
+    their bits); it takes values of 1, 2, 4 or 8 bytes, such as float64 or
+    uint16, in any memory layout."""
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+            and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}")))
 
 
 def disk_pixels(radius, cy=0, cx=0):

@@ -329,11 +329,43 @@ def test_erode_dilate_of_ranks_map_back_to_float(dtype):
         stacked = erode_disk(np.stack([ranks, ranks[::-1]]), radius)
         assert np.array_equal(stacked, [erode_disk(ranks, radius),
                                         erode_disk(ranks[::-1], radius)])
-    # the fill is op's identity: the dtype's extremes pass unchanged
+    # the dtype's extremes pass unchanged
     for value in (0, np.iinfo(dtype).max):
         flat = np.full((4, 6), value, dtype=dtype)
         assert np.array_equal(erode_disk(flat, 2), flat)
         assert np.array_equal(dilate_disk(flat, 2), flat)
+
+
+def _naive_stack(naive, stack, radius):
+    """The naive erosion or dilation of each band of `stack`, in its dtype."""
+    return np.array([naive(band.astype(np.float64), radius).astype(stack.dtype)
+                     for band in stack.reshape(-1, *stack.shape[-2:])]).reshape(stack.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.float64])
+def test_erode_dilate_of_strided_stacks_match_naive(dtype):
+    # a chunk's ranks are opened as a (bands, h, w) transpose of (h, bands,
+    # w) memory; a band slice with a step is one more stride pattern
+    memory = (np.random.default_rng(29).random((21, 5, 26)) * 1000).astype(dtype)
+    before = memory.copy()
+    for stack in (memory.transpose(1, 0, 2), memory.transpose(1, 0, 2)[::2]):
+        for radius in (1, 4, 9):
+            for fn, naive in ((erode_disk, naive_erode), (dilate_disk, naive_dilate)):
+                assert same_bits(fn(stack, radius), _naive_stack(naive, stack, radius))
+    assert same_bits(memory, before)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 1, 1), (3, 1, 9), (3, 9, 1)],
+                         ids=["1x1", "1x9", "9x1", "3x1x1", "3x1x9", "3x9x1"])
+def test_erode_dilate_of_thin_bands_match_naive(dtype, shape):
+    # a padded row is a few values; radius 12 is larger than both sides
+    img = (np.random.default_rng(31).random(shape) * 1000).astype(dtype)
+    before = img.copy()
+    for radius in (1, 3, 12):
+        for fn, naive in ((erode_disk, naive_erode), (dilate_disk, naive_dilate)):
+            assert same_bits(fn(img, radius), _naive_stack(naive, img, radius))
+    assert same_bits(img, before)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -329,7 +329,8 @@ def test_ground_truth_round_trip(tmp_path):
     (lambda rec: {**rec, "species_index": "1"}, "species_index must be a number, got '1'"),
     (lambda rec: {**rec, "species_index": -1}, "species_index must be non-negative, got -1"),
     (lambda rec: {**rec, "signature": 5}, "signature must be a list of numbers, got 5"),
-], ids=["species-string", "species-negative", "signature-number"])
+    (lambda rec: {**rec, "id": 1}, "organism id 1 appears more than once"),
+], ids=["species-string", "species-negative", "signature-number", "id-repeated"])
 def test_read_ground_truth_checks_records(tmp_path, edit, problem):
     catalog = default_catalog()
     scene = generate_scene(SceneSpec(width=64, height=64, n_organisms=2, seed=4), catalog)
